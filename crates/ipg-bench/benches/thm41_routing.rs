@@ -1,11 +1,13 @@
 //! Theorem-4.1 bench: hierarchical routing cost — router construction
 //! (nucleus distance table + schedule search) and per-route latency,
-//! compared against a full BFS per query.
+//! compared against a full BFS per query — and the per-hop cost of the
+//! exact-shortest codec router the simulators call.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ipg_core::algo;
 use ipg_core::routing::SuperRouter;
-use ipg_core::superip::{NucleusSpec, SuperIpSpec};
+use ipg_core::superip::{NucleusSpec, SuperIpSpec, TupleNetwork};
+use ipg_core::tuple_routing::ShortestTupleRouter;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -50,5 +52,57 @@ fn bench(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench);
+/// `count` seeded `(u, d)` pairs with `u ≠ d` over `n` nodes (a 64-bit
+/// LCG), so every run replays the same queries.
+fn route_pairs(n: u32, count: usize, seed: u64) -> Vec<(u32, u32)> {
+    let mut x = seed;
+    let mut draw = || {
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        ((x >> 32) % u64::from(n)) as u32
+    };
+    let mut pairs = Vec::with_capacity(count);
+    while pairs.len() < count {
+        let (u, d) = (draw(), draw());
+        if u != d {
+            pairs.push((u, d));
+        }
+    }
+    pairs
+}
+
+/// One `ShortestTupleRouter::next_hop` per iteration over a fixed list of
+/// pairs: the per-hop cost, without running a simulation. The networks
+/// are those of the `ipg_perf` workloads: the 8192-node one (symmetric
+/// seed, one forced product per hop) and the 2^20-node one (plain seed,
+/// 120 candidate products).
+fn shortest_next_hop(c: &mut Criterion) {
+    let mut g = c.benchmark_group("shortest_next_hop");
+    for (name, spec) in [
+        (
+            "sym-ring-CN(2,Q6)",
+            SuperIpSpec::ring_cn(2, NucleusSpec::hypercube(6)).symmetric(),
+        ),
+        (
+            "complete-CN(5,Q4)",
+            SuperIpSpec::complete_cn(5, NucleusSpec::hypercube(4)),
+        ),
+    ] {
+        let tn = TupleNetwork::from_spec(&spec).unwrap();
+        let pairs = route_pairs(tn.node_count() as u32, 4096, 7);
+        let router = ShortestTupleRouter::new(tn).unwrap();
+        let mut i = 0;
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let (u, d) = pairs[i % pairs.len()];
+                i += 1;
+                black_box(router.next_hop(u, d))
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench, shortest_next_hop);
 criterion_main!(benches);

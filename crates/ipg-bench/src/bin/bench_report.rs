@@ -1,10 +1,12 @@
 //! Distill a `CRITERION_JSON` line file into `results/BENCH_core.json`.
 //!
-//! `scripts/bench.sh` runs the `addressing` criterion suite with
-//! `CRITERION_JSON` pointing at a scratch `.jsonl`, then invokes this
-//! binary on it. The report keeps every case's median/min/mean ns per
-//! operation and derives the interned-vs-rank build and route speedups
-//! per instance — the numbers later PRs regress against.
+//! `scripts/bench.sh` runs the `addressing` and `thm41_routing`
+//! criterion suites with `CRITERION_JSON` pointing at a scratch `.jsonl`,
+//! then invokes this binary on it. The report keeps every case's
+//! median/min/mean ns per operation (including the codec router's
+//! `shortest_next_hop` cost per hop) and derives the interned-vs-rank
+//! build and route speedups per instance — the numbers later PRs regress
+//! against.
 //!
 //! Usage: `bench_report <criterion.jsonl>`
 

@@ -192,7 +192,7 @@ impl NodeCodec {
                 let group = spec.block_group();
                 let mut table = vec![NONE; ranks as usize];
                 for (i, p) in group.iter().enumerate() {
-                    table[perm_rank_of(p) as usize] = i as u32;
+                    table[rank::perm_rank(p.image()) as usize] = i as u32;
                 }
                 (group, table)
             }
@@ -201,7 +201,7 @@ impl NodeCodec {
         if order_group.len() > 1 {
             for (oi, sigma) in order_group.iter().enumerate() {
                 for (si, bp) in block_perms.iter().enumerate() {
-                    let next = perm_rank_of(&sigma.then(bp));
+                    let next = rank::perm_rank(sigma.then(bp).image());
                     order_next[oi * block_perms.len() + si] = sl_rank_to_order[next as usize];
                 }
             }
@@ -350,7 +350,7 @@ impl NodeCodec {
                     }
                     seen |= bit;
                 }
-                let r = rank::multiset_rank(&colors[..self.l]) as usize;
+                let r = rank::perm_rank(&colors[..self.l]) as usize;
                 match self.sl_rank_to_order.get(r) {
                     Some(&oi) if oi != NONE => oi as u64,
                     _ => return None,
@@ -494,16 +494,6 @@ impl NodeCodec {
             })
             .collect()
     }
-}
-
-/// Lexicographic rank of a block permutation among all of `S_l` (images
-/// are distinct, so the multiset rank is the factoradic rank).
-fn perm_rank_of(p: &Perm) -> u64 {
-    let mut buf = [0u8; MAX_BLOCKS];
-    for (o, &v) in buf.iter_mut().zip(p.image().iter()) {
-        *o = v as u8;
-    }
-    rank::multiset_rank(&buf[..p.len()])
 }
 
 #[cfg(test)]

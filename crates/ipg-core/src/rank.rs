@@ -112,13 +112,27 @@ pub fn multiset_unrank(counts: &[u32], rank: u64) -> Option<Vec<u8>> {
 }
 
 /// Lexicographic rank of a permutation label (all symbols distinct) —
-/// the factoradic specialization of [`multiset_rank`].
-pub fn perm_rank(label: &[u8]) -> u64 {
+/// the factoradic specialization of [`multiset_rank`], computed as a
+/// Lehmer code in `O(k²)` with no allocation and no symbol-count table.
+/// Any ordered symbol type works (a [`crate::perm::Perm`] image ranks as
+/// is); the rank must fit `u64`, so `k ≤ 20`.
+pub fn perm_rank<T: Ord>(label: &[T]) -> u64 {
     debug_assert!(
-        crate::label::Label::from(label).has_distinct_symbols(),
+        label
+            .iter()
+            .enumerate()
+            .all(|(i, s)| !label[i + 1..].contains(s)),
         "perm_rank needs distinct symbols"
     );
-    multiset_rank(label)
+    // Horner form of Σ_i c_i·(k−1−i)!, where the Lehmer digit c_i counts
+    // the smaller symbols to the right of position i.
+    let k = label.len();
+    let mut rank = 0u64;
+    for (i, s) in label.iter().enumerate() {
+        let smaller = label[i + 1..].iter().filter(|t| *t < s).count();
+        rank = rank * (k - i) as u64 + smaller as u64;
+    }
+    rank
 }
 
 /// The `rank`-th permutation (lexicographic) of the sorted symbol slice.
@@ -175,6 +189,23 @@ mod tests {
         assert_eq!(perm_rank(&[4, 3, 2, 1]), 23);
         assert_eq!(perm_unrank(&[1, 2, 3, 4], 0).unwrap(), vec![1, 2, 3, 4]);
         assert_eq!(perm_unrank(&[1, 2, 3, 4], 23).unwrap(), vec![4, 3, 2, 1]);
+    }
+
+    #[test]
+    fn perm_rank_matches_multiset_rank_exhaustively() {
+        // every permutation of length 1..=7, enumerated in rank order
+        for k in 1..=7u8 {
+            let symbols: Vec<u8> = (0..k).collect();
+            let total: u64 = (1..=u64::from(k)).product();
+            for r in 0..total {
+                let p = perm_unrank(&symbols, r).unwrap();
+                assert_eq!(perm_rank(&p), multiset_rank(&p), "{p:?}");
+                assert_eq!(perm_rank(&p), r, "{p:?}");
+                let wide: Vec<u16> = p.iter().map(|&s| u16::from(s)).collect();
+                assert_eq!(perm_rank(&wide), r, "{wide:?}");
+            }
+            assert_eq!(perm_unrank(&symbols, total), None);
+        }
     }
 
     #[test]

@@ -53,18 +53,7 @@ pub fn schedule_over_perms(perms: &[Perm], l: usize, target: Option<&Perm>) -> O
 /// Lexicographic rank of a block arrangement — the flat-state row index.
 #[inline]
 fn arrangement_rank(p: &Perm) -> usize {
-    arrangement_rank_img(p.image())
-}
-
-/// [`arrangement_rank`] over a raw image slice, for callers that compose
-/// permutations into stack buffers instead of allocating a [`Perm`].
-#[inline]
-fn arrangement_rank_img(image: &[u16]) -> usize {
-    let mut buf = [0u8; FLAT_SCHEDULE_MAX_L];
-    for (o, &v) in buf.iter_mut().zip(image.iter()) {
-        *o = v as u8;
-    }
-    rank::multiset_rank(&buf[..image.len()]) as usize
+    rank::perm_rank(p.image()) as usize
 }
 
 fn schedule_flat(perms: &[Perm], l: usize, target: Option<&Perm>, full: u32) -> Option<Vec<usize>> {
@@ -303,9 +292,16 @@ pub const SHORTEST_ROUTER_MAX_L: usize = FLAT_SCHEDULE_MAX_L;
 /// Distance sentinel: unreachable.
 const DIST_INF: u32 = u32::MAX;
 
+/// Candidate products whose partial costs one `next_hop` keeps on the
+/// stack to score nucleus neighbours incrementally: every product for
+/// `l ≤ 5` (`5! = 120`); later candidates are re-scored in full.
+const CACHED_TAILS: usize = 120;
+
 /// A candidate final block arrangement: its flat rank, the inverse image
 /// (`inv[q]` = final position of the block starting at position `q`), and
-/// the shortest word length realizing it with no visit requirement.
+/// the shortest word length realizing it with no visit requirement (a
+/// lower bound on its cost).
+#[derive(Default)]
 struct ProductCand {
     rank: u32,
     inv: [u8; FLAT_SCHEDULE_MAX_L],
@@ -481,61 +477,113 @@ impl ShortestTupleRouter {
         self.ndist[a as usize * self.tn.m_nodes() + b as usize]
     }
 
-    /// Cost of one candidate product: nucleus corrections plus the word.
-    #[inline]
-    fn eval(&self, rank: u32, inv: &[u8], ut: &[u32], dt: &[u32]) -> u32 {
+    /// The forced product of a symmetric-seed node with order index `o`:
+    /// `σ_o.then(π) = σ_d` gives `π = σ_o⁻¹σ_d`. Composed in stack
+    /// buffers and ranked by Lehmer code: it runs for `u` and again for
+    /// every generator neighbour on each hop.
+    fn forced_product(&self, o: u32, do_: u32) -> ProductCand {
         let l = self.tn.l;
-        let mut mism = 0usize;
-        let mut nc = 0u32;
-        for (q, &u_val) in ut.iter().enumerate() {
-            let nd = self.nd(u_val, dt[inv[q] as usize]);
+        let so = self.tn.order_perm(o).image();
+        let sd = self.tn.order_perm(do_).image();
+        let mut inv_o = [0u8; FLAT_SCHEDULE_MAX_L];
+        for (j, &p) in so.iter().enumerate() {
+            inv_o[p as usize] = j as u8;
+        }
+        let mut beta = [0u8; FLAT_SCHEDULE_MAX_L];
+        for (b, &p) in beta.iter_mut().zip(sd) {
+            *b = inv_o[p as usize];
+        }
+        let rank = rank::perm_rank(&beta[..l]) as u32;
+        let mut inv = [0u8; FLAT_SCHEDULE_MAX_L];
+        for (i, &b) in beta[..l].iter().enumerate() {
+            inv[b as usize] = i as u8;
+        }
+        ProductCand {
+            rank,
+            inv,
+            base: self.wmin[(rank as usize) << l],
+        }
+    }
+
+    /// The products a path from a node with order index `o` to `d` can
+    /// realize: on symmetric seeds the forced one, stored in `slot`; on
+    /// plain seeds every reachable one, sorted by `base`.
+    fn candidates<'a>(&'a self, o: u32, do_: u32, slot: &'a mut ProductCand) -> &'a [ProductCand] {
+        if self.tn.order_count() > 1 {
+            *slot = self.forced_product(o, do_);
+            std::slice::from_ref(slot)
+        } else {
+            &self.prods
+        }
+    }
+
+    /// Nucleus corrections of candidate `c` outside coordinate 0,
+    /// `Σ_{q≥1} ndist(t[q], t_d[fp(q)])`, packed as `sum << 8 | mask`,
+    /// where `mask` flags the mismatched blocks `q ≥ 1` (`l ≤ 7` fits a
+    /// byte); `DIST_INF` when some block cannot be corrected.
+    #[inline]
+    fn tail(&self, c: &ProductCand, t: &[u32], dt: &[u32]) -> u32 {
+        let mut sum = 0u32;
+        let mut mask = 0u32;
+        for (q, (&tq, &fq)) in t.iter().zip(&c.inv).enumerate().skip(1) {
+            let nd = self.nd(tq, dt[fq as usize]);
             if nd == u16::MAX {
                 return DIST_INF;
             }
-            nc += nd as u32;
-            if nd > 0 {
-                mism |= 1 << q;
-            }
+            sum += u32::from(nd);
+            mask |= u32::from(nd > 0) << q;
         }
-        let w = self.wmin[((rank as usize) << l) | mism];
+        (sum << 8) | mask
+    }
+
+    /// Cost of candidate `c` for a node with `t0` at coordinate 0 and the
+    /// given [`tail`](Self::tail) elsewhere: nucleus corrections plus the
+    /// shortest word that visits every mismatched block.
+    #[inline]
+    fn finish(&self, c: &ProductCand, tail: u32, t0: u32, dt: &[u32]) -> u32 {
+        if tail == DIST_INF {
+            return DIST_INF;
+        }
+        let nd = self.nd(t0, dt[c.inv[0] as usize]);
+        if nd == u16::MAX {
+            return DIST_INF;
+        }
+        let mask = (tail & 0xFF) as usize | usize::from(nd > 0);
+        let w = self.wmin[((c.rank as usize) << self.tn.l) | mask];
         if w == u16::MAX {
             return DIST_INF;
         }
-        nc + w as u32
+        (tail >> 8) + u32::from(nd) + u32::from(w)
     }
 
-    /// Distance between decoded endpoints (`DIST_INF` when unreachable).
-    fn dist_parts(&self, uo: u32, ut: &[u32], do_: u32, dt: &[u32]) -> u32 {
-        if self.tn.order_count() > 1 {
-            // The product is forced: σ_u.then(π) = σ_d. Compose
-            // β = σ_u⁻¹∘σ_d and its inverse in stack buffers — this runs
-            // once per neighbor per hop, so it must not allocate.
-            let su = self.tn.order_perm(uo).image();
-            let sd = self.tn.order_perm(do_).image();
-            let mut inv_u = [0u16; FLAT_SCHEDULE_MAX_L];
-            for (j, &p) in su.iter().enumerate() {
-                inv_u[p as usize] = j as u16;
+    /// Cheapest cost from tuple `t` to `dt` over `cands`, which are sorted
+    /// by `base`, a lower bound on each one's cost. The scan stops at the
+    /// first candidate whose `base` reaches the best cost so far or `cap`:
+    /// a result below `cap` is exact, one at or above it means the true
+    /// cost is too. Each scanned candidate's tail goes to `tails` while it
+    /// has room. Returns the cost and the number of candidates scanned.
+    fn scan(
+        &self,
+        cands: &[ProductCand],
+        t: &[u32],
+        dt: &[u32],
+        cap: u32,
+        tails: &mut [u32],
+    ) -> (u32, usize) {
+        let mut best = DIST_INF;
+        let mut scanned = 0;
+        for c in cands {
+            if u32::from(c.base) >= best.min(cap) {
+                break;
             }
-            let mut beta = [0u16; FLAT_SCHEDULE_MAX_L];
-            for (b, &p) in beta.iter_mut().zip(sd.iter()) {
-                *b = inv_u[p as usize];
+            let tail = self.tail(c, t, dt);
+            if let Some(slot) = tails.get_mut(scanned) {
+                *slot = tail;
             }
-            let rank = arrangement_rank_img(&beta[..sd.len()]) as u32;
-            let mut inv = [0u8; FLAT_SCHEDULE_MAX_L];
-            for (i, &b) in beta[..sd.len()].iter().enumerate() {
-                inv[b as usize] = i as u8;
-            }
-            self.eval(rank, &inv, ut, dt)
-        } else {
-            let mut best = DIST_INF;
-            for c in &self.prods {
-                if (c.base as u32) >= best {
-                    break; // sorted by base: nothing cheaper follows
-                }
-                best = best.min(self.eval(c.rank, &c.inv, ut, dt));
-            }
-            best
+            best = best.min(self.finish(c, tail, t[0], dt));
+            scanned += 1;
         }
+        (best, scanned)
     }
 
     /// Graph distance from `u` to `d` (`None` when unreachable).
@@ -548,7 +596,9 @@ impl ShortestTupleRouter {
         let mut dt = [0u32; FLAT_SCHEDULE_MAX_L];
         let uo = self.tn.decode_into(u, &mut ut[..l]);
         let do_ = self.tn.decode_into(d, &mut dt[..l]);
-        match self.dist_parts(uo, &ut[..l], do_, &dt[..l]) {
+        let mut slot = ProductCand::default();
+        let cands = self.candidates(uo, do_, &mut slot);
+        match self.scan(cands, &ut[..l], &dt[..l], DIST_INF, &mut []).0 {
             DIST_INF => None,
             v => Some(v),
         }
@@ -558,6 +608,15 @@ impl ShortestTupleRouter {
     /// (nucleus arcs in CSR order, then super-generators in closed-set
     /// order) whose distance to `d` is one less — so iterating `next_hop`
     /// yields a path of length exactly `dist(u, d)`, deterministically.
+    ///
+    /// Cost per hop: `u` and `d` are decoded once and `u`'s candidate
+    /// products are scored once. A nucleus arc changes coordinate 0 only,
+    /// so every candidate keeps its tail and a nucleus neighbour costs one
+    /// `ndist` and one `wmin` lookup per candidate. A generator moves every
+    /// block, so a generator neighbour is scored afresh (on symmetric
+    /// seeds, with its own forced product). Neighbour scans stop at
+    /// `dist(u, d)`: a candidate no cheaper than that cannot make the
+    /// neighbour one step closer.
     pub fn next_hop(&self, u: u32, d: u32) -> Option<u32> {
         if u == d {
             return None;
@@ -565,29 +624,42 @@ impl ShortestTupleRouter {
         let l = self.tn.l;
         let mut ut = [0u32; FLAT_SCHEDULE_MAX_L];
         let mut dt = [0u32; FLAT_SCHEDULE_MAX_L];
-        let mut vt = [0u32; FLAT_SCHEDULE_MAX_L];
         let uo = self.tn.decode_into(u, &mut ut[..l]);
         let do_ = self.tn.decode_into(d, &mut dt[..l]);
-        let here = self.dist_parts(uo, &ut[..l], do_, &dt[..l]);
+        let (ut, dt) = (&ut[..l], &dt[..l]);
+        let mut slot = ProductCand::default();
+        let cands = self.candidates(uo, do_, &mut slot);
+        let mut tails = [0u32; CACHED_TAILS];
+        let (here, scanned) = self.scan(cands, ut, dt, DIST_INF, &mut tails);
         if here == DIST_INF {
             return None;
         }
-        // nucleus arcs: coordinate 0 has mixed-radix weight 1
-        let t0 = ut[0];
-        let base_id = u - t0;
-        for &nb in self.tn.nucleus.neighbors(t0) {
-            ut[0] = nb;
-            let v = self.dist_parts(uo, &ut[..l], do_, &dt[..l]);
-            if v != DIST_INF && v + 1 == here {
+        // nucleus arcs: coordinate 0 has mixed-radix weight 1. The scan
+        // for `u` stopped at a `base` of at least `here`, so it covered
+        // every candidate a neighbour scan can reach.
+        let base_id = u - ut[0];
+        for &nb in self.tn.nucleus.neighbors(ut[0]) {
+            let mut best = DIST_INF;
+            for (i, c) in cands[..scanned].iter().enumerate() {
+                if u32::from(c.base) >= best.min(here) {
+                    break;
+                }
+                let tail = match tails.get(i) {
+                    Some(&tail) => tail,
+                    None => self.tail(c, ut, dt),
+                };
+                best = best.min(self.finish(c, tail, nb, dt));
+            }
+            if best != DIST_INF && best + 1 == here {
                 return Some(base_id + nb);
             }
         }
-        ut[0] = t0;
         // super-generator arcs (the closed set covers the symmetrized
         // reverse arcs of non-involutive generators)
+        let mut vt = [0u32; FLAT_SCHEDULE_MAX_L];
         for (gi, g) in self.gens.iter().enumerate() {
-            for (j, slot) in vt[..l].iter_mut().enumerate() {
-                *slot = ut[g.image()[j] as usize];
+            for (vj, &p) in vt[..l].iter_mut().zip(g.image()) {
+                *vj = ut[p as usize];
             }
             let vo = if self.order_next.is_empty() {
                 0
@@ -598,7 +670,9 @@ impl ShortestTupleRouter {
             if vid == u {
                 continue; // generator fixes the node: a dropped self-loop
             }
-            let v = self.dist_parts(vo, &vt[..l], do_, &dt[..l]);
+            let mut vslot = ProductCand::default();
+            let vcands = self.candidates(vo, do_, &mut vslot);
+            let (v, _) = self.scan(vcands, &vt[..l], dt, here, &mut []);
             if v != DIST_INF && v + 1 == here {
                 return Some(vid);
             }
@@ -631,6 +705,7 @@ mod tests {
     use super::*;
     use crate::graph::Csr;
     use crate::superip::{NucleusSpec, SeedKind, SuperIpSpec, TupleNetwork};
+    use proptest::prelude::*;
 
     fn check_all_pairs(spec: &SuperIpSpec) {
         let tn = TupleNetwork::from_spec(spec).unwrap();
@@ -860,6 +935,217 @@ mod tests {
         };
         for w in path.windows(2) {
             assert!(g_small_check(w[0], w[1]), "{} -> {}", w[0], w[1]);
+        }
+    }
+
+    /// Reference `next_hop` / `dist` that the one-pass router must match
+    /// exactly: a full evaluation of the distance formula for `u` and
+    /// again for every neighbour, with forced products ranked by the
+    /// general `rank::multiset_rank`.
+    mod reference {
+        use super::super::{ShortestTupleRouter, DIST_INF, FLAT_SCHEDULE_MAX_L};
+        use crate::rank;
+
+        /// Cost of one candidate product: nucleus corrections plus the word.
+        fn eval(r: &ShortestTupleRouter, rank: u32, inv: &[u8], ut: &[u32], dt: &[u32]) -> u32 {
+            let l = r.tn.l;
+            let mut mism = 0usize;
+            let mut nc = 0u32;
+            for (q, &u_val) in ut.iter().enumerate() {
+                let nd = r.nd(u_val, dt[inv[q] as usize]);
+                if nd == u16::MAX {
+                    return DIST_INF;
+                }
+                nc += nd as u32;
+                if nd > 0 {
+                    mism |= 1 << q;
+                }
+            }
+            let w = r.wmin[((rank as usize) << l) | mism];
+            if w == u16::MAX {
+                return DIST_INF;
+            }
+            nc + w as u32
+        }
+
+        /// Distance between decoded endpoints (`DIST_INF` when unreachable).
+        fn dist_parts(r: &ShortestTupleRouter, uo: u32, ut: &[u32], do_: u32, dt: &[u32]) -> u32 {
+            if r.tn.order_count() > 1 {
+                // the product is forced: β = σ_u⁻¹σ_d
+                let su = r.tn.order_perm(uo).image();
+                let sd = r.tn.order_perm(do_).image();
+                let mut inv_u = [0u8; FLAT_SCHEDULE_MAX_L];
+                for (j, &p) in su.iter().enumerate() {
+                    inv_u[p as usize] = j as u8;
+                }
+                let mut beta = [0u8; FLAT_SCHEDULE_MAX_L];
+                for (b, &p) in beta.iter_mut().zip(sd.iter()) {
+                    *b = inv_u[p as usize];
+                }
+                let rank = rank::multiset_rank(&beta[..sd.len()]) as u32;
+                let mut inv = [0u8; FLAT_SCHEDULE_MAX_L];
+                for (i, &b) in beta[..sd.len()].iter().enumerate() {
+                    inv[b as usize] = i as u8;
+                }
+                eval(r, rank, &inv, ut, dt)
+            } else {
+                let mut best = DIST_INF;
+                for c in &r.prods {
+                    if (c.base as u32) >= best {
+                        break; // sorted by base: nothing cheaper follows
+                    }
+                    best = best.min(eval(r, c.rank, &c.inv, ut, dt));
+                }
+                best
+            }
+        }
+
+        pub fn dist(r: &ShortestTupleRouter, u: u32, d: u32) -> Option<u32> {
+            if u == d {
+                return Some(0);
+            }
+            let l = r.tn.l;
+            let mut ut = [0u32; FLAT_SCHEDULE_MAX_L];
+            let mut dt = [0u32; FLAT_SCHEDULE_MAX_L];
+            let uo = r.tn.decode_into(u, &mut ut[..l]);
+            let do_ = r.tn.decode_into(d, &mut dt[..l]);
+            match dist_parts(r, uo, &ut[..l], do_, &dt[..l]) {
+                DIST_INF => None,
+                v => Some(v),
+            }
+        }
+
+        pub fn next_hop(r: &ShortestTupleRouter, u: u32, d: u32) -> Option<u32> {
+            if u == d {
+                return None;
+            }
+            let l = r.tn.l;
+            let mut ut = [0u32; FLAT_SCHEDULE_MAX_L];
+            let mut dt = [0u32; FLAT_SCHEDULE_MAX_L];
+            let mut vt = [0u32; FLAT_SCHEDULE_MAX_L];
+            let uo = r.tn.decode_into(u, &mut ut[..l]);
+            let do_ = r.tn.decode_into(d, &mut dt[..l]);
+            let here = dist_parts(r, uo, &ut[..l], do_, &dt[..l]);
+            if here == DIST_INF {
+                return None;
+            }
+            // nucleus arcs: coordinate 0 has mixed-radix weight 1
+            let t0 = ut[0];
+            let base_id = u - t0;
+            for &nb in r.tn.nucleus.neighbors(t0) {
+                ut[0] = nb;
+                let v = dist_parts(r, uo, &ut[..l], do_, &dt[..l]);
+                if v != DIST_INF && v + 1 == here {
+                    return Some(base_id + nb);
+                }
+            }
+            ut[0] = t0;
+            for (gi, g) in r.gens.iter().enumerate() {
+                for (j, slot) in vt[..l].iter_mut().enumerate() {
+                    *slot = ut[g.image()[j] as usize];
+                }
+                let vo = if r.order_next.is_empty() {
+                    0
+                } else {
+                    r.order_next[uo as usize * r.gens.len() + gi]
+                };
+                let vid = r.tn.encode(vo, &vt[..l]);
+                if vid == u {
+                    continue; // generator fixes the node: a dropped self-loop
+                }
+                let v = dist_parts(r, vo, &vt[..l], do_, &dt[..l]);
+                if v != DIST_INF && v + 1 == here {
+                    return Some(vid);
+                }
+            }
+            None
+        }
+    }
+
+    /// Splitmix64 step: the sampled-pair stream of
+    /// `codec_next_hop_matches_reference`.
+    fn splitmix(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    proptest! {
+        #[test]
+        fn codec_next_hop_matches_reference(
+            family in 0usize..5,
+            shape in 0usize..8,
+            sym in 0usize..2,
+            seed in 0u64..u64::MAX,
+        ) {
+            // The one-pass `next_hop` and `dist` equal the reference on
+            // random specs: every family, including the non-involutive
+            // dir-CN, with plain and symmetric seeds. All pairs up to 2000
+            // nodes, 512 sampled pairs beyond (the larger symmetric specs
+            // and the last shape, the 2^15-node complete-CN(5,Q3)). Plain
+            // complete-CN with l = 6 has 720 candidate products, more than
+            // the per-hop tail cache holds.
+            let spec = if shape == 7 {
+                SuperIpSpec::complete_cn(5, NucleusSpec::hypercube(3))
+            } else {
+                let (l, nucleus) = match shape {
+                    0 => (2, NucleusSpec::hypercube(2)),
+                    1 => (2, NucleusSpec::ring(4)),
+                    2 => (3, NucleusSpec::hypercube(1)),
+                    3 => (3, NucleusSpec::complete(3)),
+                    4 => (3, NucleusSpec::hypercube(2)),
+                    5 => (4, NucleusSpec::hypercube(1)),
+                    _ => (6, NucleusSpec::hypercube(1)),
+                };
+                let spec = match family {
+                    0 => SuperIpSpec::hsn(l, nucleus),
+                    1 => SuperIpSpec::ring_cn(l, nucleus),
+                    2 => SuperIpSpec::complete_cn(l, nucleus),
+                    3 => SuperIpSpec::superflip(l, nucleus),
+                    _ => SuperIpSpec::directed_ring_cn(l, nucleus),
+                };
+                if sym == 1 {
+                    spec.symmetric()
+                } else {
+                    spec
+                }
+            };
+            let r = ShortestTupleRouter::new(TupleNetwork::from_spec(&spec).unwrap()).unwrap();
+            let n = r.network().node_count() as u32;
+            let check = |u: u32, d: u32| {
+                prop_assert_eq!(
+                    r.next_hop(u, d),
+                    reference::next_hop(&r, u, d),
+                    "{}: next_hop({}, {})",
+                    spec.name,
+                    u,
+                    d
+                );
+                prop_assert_eq!(
+                    r.dist(u, d),
+                    reference::dist(&r, u, d),
+                    "{}: dist({}, {})",
+                    spec.name,
+                    u,
+                    d
+                );
+            };
+            if n <= 2000 {
+                for u in 0..n {
+                    for d in 0..n {
+                        check(u, d);
+                    }
+                }
+            } else {
+                let mut x = seed;
+                for _ in 0..512 {
+                    let u = (splitmix(&mut x) % u64::from(n)) as u32;
+                    let d = (splitmix(&mut x) % u64::from(n)) as u32;
+                    check(u, d);
+                }
+            }
         }
     }
 }

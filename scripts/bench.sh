@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Regenerate results/BENCH_core.json reproducibly: fixed instance list
-# (see benches/addressing.rs), pinned worker count, medians over 20
-# samples. Run from anywhere.
+# (see benches/addressing.rs and benches/thm41_routing.rs), pinned
+# worker count, medians over 20 samples. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,6 +22,11 @@ trap 'rm -f "$jsonl"' EXIT
 
 echo "== cargo bench --bench addressing (IPG_THREADS=$IPG_THREADS) =="
 CRITERION_JSON="$jsonl" cargo bench -p ipg-bench --bench addressing
+
+# Includes the `shortest_next_hop` group: the codec router's cost per
+# hop on a fixed query list, without running a simulation.
+echo "== cargo bench --bench thm41_routing =="
+CRITERION_JSON="$jsonl" cargo bench -p ipg-bench --bench thm41_routing
 
 echo "== bench_report -> results/BENCH_core.json =="
 cargo run --release -p ipg-bench --bin bench_report -- "$jsonl"

@@ -51,6 +51,13 @@ cargo bench --workspace --no-run
 stage "codec property pass"
 PROPTEST_CASES=64 cargo test -q --release --test proptests codec
 
+stage "ipg_perf smoke tests (all five workloads, 64 cycles)"
+# The benchmark package has its own [workspace], so the workspace test
+# runs never build it. Its smoke tests run every workload for 64 cycles
+# under all of the benchmark's checks, including that each logged hop
+# moves one BFS level closer to its destination.
+cargo test -q --release --manifest-path crates/ipg-bench/src/bin/ipg_perf/Cargo.toml
+
 stage "sim determinism (IPG_THREADS=1/2/4 byte-compare)"
 # The deterministic record families (stdout; manifest window/metrics
 # records) must not depend on the worker count. Spans/rates/meta carry
