@@ -20,11 +20,12 @@
 //!
 //! DET100/LAYER001/ALLOC001 are *graph rules*: their [`Rule::check`]
 //! bodies are empty and the findings come from [`crate::reach`], which
-//! walks the call graph the driver builds. The token rules DET003/DET004
-//! are file-scoped special cases of DET100 — they share its sink tables
-//! ([`crate::reach::CLOCK_SINKS`] / [`crate::reach::RNG_SINKS`]) so the
-//! fast per-file checks and the reachability pass can never disagree
-//! about what counts as a sink.
+//! walks the call graph the driver builds. DET003–DET008 are rows of one
+//! table-driven token rule (`BANNED_IDENTS`: id, scope, identifier list,
+//! message). DET003/DET004 are file-scoped special cases of DET100 — they
+//! share its sink tables ([`crate::reach::CLOCK_SINKS`] /
+//! [`crate::reach::RNG_SINKS`]) so the fast per-file checks and the
+//! reachability pass can never disagree about what counts as a sink.
 //!
 //! Suppression syntax (same line as the finding or the line above):
 //!
@@ -141,21 +142,16 @@ pub trait Rule {
 
 /// All shipped rules, in id order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(Det001),
-        Box::new(Det002),
-        Box::new(Det003),
-        Box::new(Det004),
-        Box::new(Det005),
-        Box::new(Det006),
-        Box::new(Det007),
-        Box::new(Det008),
-        Box::new(Det100),
-        Box::new(Layer001),
-        Box::new(Alloc001),
-        Box::new(Panic001),
-        Box::new(Hyg001),
-    ]
+    let mut rules: Vec<Box<dyn Rule>> = vec![Box::new(Det001), Box::new(Det002)];
+    for &r in BANNED_IDENTS {
+        rules.push(Box::new(r));
+    }
+    rules.push(Box::new(Det100));
+    rules.push(Box::new(Layer001));
+    rules.push(Box::new(Alloc001));
+    rules.push(Box::new(Panic001));
+    rules.push(Box::new(Hyg001));
+    rules
 }
 
 /// Is `id` a known rule id?
@@ -484,296 +480,182 @@ fn audited(comments: &[Comment], line: u32) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// DET003 — wall-clock reads outside the observability layer
+// DET003–DET008 — banned identifiers in a scoped set of files
 // ---------------------------------------------------------------------------
 
-struct Det003;
+/// The files a [`BannedIdents`] row applies to.
+#[derive(Clone, Copy)]
+enum Scope {
+    /// Files of crate `.0` whose file name is listed in `.1`.
+    Files(&'static str, &'static [&'static str]),
+    /// Files of crate `.0` under path prefix `.1`, except the file named `.2`.
+    Under(&'static str, &'static str, &'static str),
+    /// Every file outside `ipg-obs` and `vendor/rayon/`.
+    OutsideObs,
+}
 
-impl Rule for Det003 {
+impl Scope {
+    fn covers(self, ctx: &FileCtx<'_>) -> bool {
+        match self {
+            Scope::Files(krate, files) => {
+                ctx.crate_name == krate && files.contains(&ctx.file_name())
+            }
+            Scope::Under(krate, prefix, except) => {
+                ctx.crate_name == krate
+                    && ctx.rel_path.starts_with(prefix)
+                    && ctx.file_name() != except
+            }
+            Scope::OutsideObs => {
+                ctx.crate_name != "ipg-obs" && !ctx.rel_path.starts_with("vendor/rayon/")
+            }
+        }
+    }
+}
+
+/// A token rule: every non-test use of one of `idents` in a file that
+/// `scope` covers is an error. The message is `what`, the identifier
+/// in backticks, then `why`.
+#[derive(Clone, Copy)]
+struct BannedIdents {
+    id: &'static str,
+    describe: &'static str,
+    scope: Scope,
+    idents: &'static [&'static str],
+    what: &'static str,
+    why: &'static str,
+}
+
+impl Rule for BannedIdents {
     fn id(&self) -> &'static str {
-        "DET003"
+        self.id
     }
     fn severity(&self) -> Severity {
         Severity::Error
     }
     fn describe(&self) -> &'static str {
-        "no Instant/SystemTime/available_parallelism outside ipg-obs and vendor/rayon"
+        self.describe
     }
     fn check(&self, ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-        if ctx.crate_name == "ipg-obs" || ctx.rel_path.starts_with("vendor/rayon/") {
+        if !self.scope.covers(ctx) {
             return;
         }
         for t in &ctx.lexed.tokens {
             let TokKind::Ident(s) = &t.kind else { continue };
-            // sink table shared with the DET100 reachability pass
-            if reach::CLOCK_SINKS.contains(&s.as_str()) && !ctx.in_test(t.line) {
+            if self.idents.contains(&s.as_str()) && !ctx.in_test(t.line) {
                 self.emit(
                     ctx,
                     t.line,
-                    format!(
-                        "wall-clock access `{s}` outside ipg-obs; route timing through \
-                         `Obs::span` / `Span::elapsed_secs` so core output stays \
-                         clock-free"
-                    ),
+                    format!("{} `{s}` {}", self.what, self.why),
                     out,
                 );
             }
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// DET004 — ad-hoc RNG construction in the simulator cycle loops
-// ---------------------------------------------------------------------------
-
-struct Det004;
 
 /// `ipg-sim` modules whose per-cycle loops run (or may run) on worker
-/// threads. Sharded determinism requires every draw to come from a
-/// node-keyed counter stream built by `rng::node_stream`; naming the
-/// generator here means someone is seeding ad hoc, which couples the
-/// stream to shard layout or thread count.
-const SHARDED_MODULES: &[&str] = &["engine.rs", "wormhole.rs"];
+/// threads.
+const SHARDED_MODULES: Scope = Scope::Files("ipg-sim", &["engine.rs", "wormhole.rs"]);
 
-impl Rule for Det004 {
-    fn id(&self) -> &'static str {
-        "DET004"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn describe(&self) -> &'static str {
-        "no global/ad-hoc RNG construction in ipg-sim shard loops (use rng::node_stream)"
-    }
-    fn check(&self, ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-        if ctx.crate_name != "ipg-sim" || !SHARDED_MODULES.contains(&ctx.file_name()) {
-            return;
-        }
-        for t in &ctx.lexed.tokens {
-            let TokKind::Ident(s) = &t.kind else { continue };
-            // sink table shared with the DET100 reachability pass
-            if reach::RNG_SINKS.contains(&s.as_str()) && !ctx.in_test(t.line) {
-                self.emit(
-                    ctx,
-                    t.line,
-                    format!(
-                        "RNG construction `{s}` in a sharded simulator module; draw from \
-                         the per-node counter streams via `rng::node_stream` so output \
-                         is identical for every IPG_THREADS"
-                    ),
-                    out,
-                );
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// DET005 — raw trace-event plumbing in the simulator shard loops
-// ---------------------------------------------------------------------------
-
-struct Det005;
-
-/// Types that belong to `ipg-obs::trace` internals. The engine's cycle
-/// loops must emit through the `ShardTracer` methods instead: the tracer
-/// owns the one-writer-per-ring discipline, the sampling clock and the
-/// no-steady-state-allocation policy, and a shard loop that builds
-/// `TraceEvent`s or drains an `EventRing` by hand can bypass all three
-/// (and, worse, branch on ring occupancy — coupling simulation behaviour
-/// to the trace configuration).
-const TRACE_RAW_IDENTS: &[&str] = &["TraceEvent", "EventRing"];
-
-impl Rule for Det005 {
-    fn id(&self) -> &'static str {
-        "DET005"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn describe(&self) -> &'static str {
-        "no raw TraceEvent/EventRing plumbing in ipg-sim shard loops (emit via ShardTracer)"
-    }
-    fn check(&self, ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-        if ctx.crate_name != "ipg-sim" || !SHARDED_MODULES.contains(&ctx.file_name()) {
-            return;
-        }
-        for t in &ctx.lexed.tokens {
-            let TokKind::Ident(s) = &t.kind else { continue };
-            if TRACE_RAW_IDENTS.contains(&s.as_str()) && !ctx.in_test(t.line) {
-                self.emit(
-                    ctx,
-                    t.line,
-                    format!(
-                        "raw flight-recorder type `{s}` in a sharded simulator module; \
-                         emit through the `ShardTracer` methods so the one-writer-per-ring \
-                         and sampling discipline stays in ipg-obs::trace (DESIGN.md §11)"
-                    ),
-                    out,
-                );
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// DET006 — raw fault-event plumbing in the simulator shard loops
-// ---------------------------------------------------------------------------
-
-struct Det006;
-
-/// Types internal to `ipg-sim::fault`'s declarative spec layer. The
-/// engine/wormhole cycle loops must consume the *compiled* `FaultPlan`
-/// API instead (`apply_due`, `shard_events`, `ShardFaults::next_due`): a
-/// loop that matches raw `FaultEvent`s or expands `RandomFaults` itself
-/// can draw RNG mid-cycle or apply kills in shard- or thread-dependent
-/// order, breaking `IPG_THREADS` byte-identity.
-const FAULT_RAW_IDENTS: &[&str] = &["FaultEvent", "FaultKind", "RandomFaults"];
-
-impl Rule for Det006 {
-    fn id(&self) -> &'static str {
-        "DET006"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn describe(&self) -> &'static str {
-        "no raw FaultEvent/FaultKind/RandomFaults plumbing in ipg-sim shard loops (consume the compiled FaultPlan)"
-    }
-    fn check(&self, ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-        if ctx.crate_name != "ipg-sim" || !SHARDED_MODULES.contains(&ctx.file_name()) {
-            return;
-        }
-        for t in &ctx.lexed.tokens {
-            let TokKind::Ident(s) = &t.kind else { continue };
-            if FAULT_RAW_IDENTS.contains(&s.as_str()) && !ctx.in_test(t.line) {
-                self.emit(
-                    ctx,
-                    t.line,
-                    format!(
-                        "raw fault-model type `{s}` in a sharded simulator module; fault \
-                         decisions must flow through the compiled `FaultPlan` API \
-                         (`apply_due` / `shard_events`) so kills land in plan order \
-                         and no RNG is drawn mid-cycle"
-                    ),
-                    out,
-                );
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// DET007 — raw bitset mutation in the simulator shard loops
-// ---------------------------------------------------------------------------
-
-struct Det007;
-
-/// Primitives internal to `ipg-sim::worklist`. The sparse cycle kernels
-/// must mutate active-set membership only through the counted
-/// `Worklist::insert` / `Worklist::remove` API (wrapped by the engines'
-/// own enqueue/dequeue helpers): the activation invariant (DESIGN.md §13)
-/// requires the bit and the underlying queue state to change together,
-/// and a loop that names the backing bitset or flips bits directly can
-/// desynchronize membership from occupancy — silently skipping (or
-/// double-servicing) work relative to the dense oracle.
-const BITSET_RAW_IDENTS: &[&str] = &["FixedBitSet", "set_bit", "clear_bit"];
-
-impl Rule for Det007 {
-    fn id(&self) -> &'static str {
-        "DET007"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn describe(&self) -> &'static str {
-        "no raw FixedBitSet/set_bit/clear_bit mutation in ipg-sim shard loops (use the Worklist API)"
-    }
-    fn check(&self, ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-        if ctx.crate_name != "ipg-sim" || !SHARDED_MODULES.contains(&ctx.file_name()) {
-            return;
-        }
-        for t in &ctx.lexed.tokens {
-            let TokKind::Ident(s) = &t.kind else { continue };
-            if BITSET_RAW_IDENTS.contains(&s.as_str()) && !ctx.in_test(t.line) {
-                self.emit(
-                    ctx,
-                    t.line,
-                    format!(
-                        "raw bitset access `{s}` in a sparse cycle kernel; mutate \
-                         worklist membership only through `Worklist::insert` / \
-                         `Worklist::remove` so the activation bit and the queue \
-                         state change together (DESIGN.md §13)"
-                    ),
-                    out,
-                );
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// DET008 — raw I/O in the multi-process coordinator/worker protocol
-// ---------------------------------------------------------------------------
-
-struct Det008;
-
-/// Identifiers that mean a dist protocol file is doing its own byte
-/// plumbing. The coordinator/worker cycle paths must move every byte
-/// through `dist::frame` (`FrameIo::frame_send` / `frame_recv`): the
-/// codec owns the length-prefix/checksum discipline and the
-/// read-all-then-write-all deadlock argument, and an ad-hoc
-/// `write_all`/`to_le_bytes` site can ship unversioned, unchecksummed
-/// bytes whose layout silently drifts from the frame tables in
-/// DESIGN.md §15. `frame.rs` itself is the sanctioned home.
-const DIST_RAW_IO_IDENTS: &[&str] = &[
-    "read_exact",
-    "write_all",
-    "read_to_end",
-    "flush",
-    "to_le_bytes",
-    "from_le_bytes",
-    "to_be_bytes",
-    "from_be_bytes",
-    "UnixStream",
-    "stdin",
+/// DET003–DET008, in id order. Why each list is banned where it is:
+///
+/// - DET003: wall-clock reads make output depend on the host. The sink
+///   table is shared with the DET100 reachability pass.
+/// - DET004: sharded determinism requires every draw to come from a
+///   node-keyed counter stream built by `rng::node_stream`; naming a
+///   generator means someone is seeding ad hoc, which couples the stream
+///   to shard layout or thread count. Sink table shared with DET100.
+/// - DET005: `TraceEvent`/`EventRing` belong to `ipg-obs::trace`
+///   internals. The `ShardTracer` methods own the one-writer-per-ring
+///   discipline, the sampling clock and the no-steady-state-allocation
+///   policy; a shard loop that builds events or drains a ring by hand can
+///   bypass all three, and worse, branch on ring occupancy.
+/// - DET006: the cycle loops must consume the *compiled* `FaultPlan`
+///   (`apply_due`, `shard_events`, `ShardFaults::next_due`); a loop that
+///   matches raw `FaultEvent`s or expands `RandomFaults` itself can draw
+///   RNG mid-cycle or apply kills in shard- or thread-dependent order.
+/// - DET007: the activation invariant (DESIGN.md §13) requires the
+///   worklist bit and the queue state to change together, so membership
+///   changes only through the counted `Worklist::insert` / `remove`; a
+///   loop that flips bits directly can skip (or double-service) work
+///   relative to the dense oracle.
+/// - DET008: the dist coordinator/worker move every byte through
+///   `dist::frame`, which owns the length-prefix/checksum discipline and
+///   the read-all-then-write-all deadlock argument; an ad-hoc
+///   `write_all`/`to_le_bytes` site ships unversioned, unchecksummed
+///   bytes whose layout drifts from DESIGN.md §15. `frame.rs` itself is
+///   the sanctioned home.
+const BANNED_IDENTS: &[BannedIdents] = &[
+    BannedIdents {
+        id: "DET003",
+        describe: "no Instant/SystemTime/available_parallelism outside ipg-obs and vendor/rayon",
+        scope: Scope::OutsideObs,
+        idents: reach::CLOCK_SINKS,
+        what: "wall-clock access",
+        why: "outside ipg-obs; route timing through `Obs::span` / `Span::elapsed_secs` so \
+              core output stays clock-free",
+    },
+    BannedIdents {
+        id: "DET004",
+        describe: "no global/ad-hoc RNG construction in ipg-sim shard loops (use rng::node_stream)",
+        scope: SHARDED_MODULES,
+        idents: reach::RNG_SINKS,
+        what: "RNG construction",
+        why: "in a sharded simulator module; draw from the per-node counter streams via \
+              `rng::node_stream` so output is identical for every IPG_THREADS",
+    },
+    BannedIdents {
+        id: "DET005",
+        describe: "no raw TraceEvent/EventRing plumbing in ipg-sim shard loops (emit via ShardTracer)",
+        scope: SHARDED_MODULES,
+        idents: &["TraceEvent", "EventRing"],
+        what: "raw flight-recorder type",
+        why: "in a sharded simulator module; emit through the `ShardTracer` methods so the \
+              one-writer-per-ring and sampling discipline stays in ipg-obs::trace \
+              (DESIGN.md §11)",
+    },
+    BannedIdents {
+        id: "DET006",
+        describe: "no raw FaultEvent/FaultKind/RandomFaults plumbing in ipg-sim shard loops (consume the compiled FaultPlan)",
+        scope: SHARDED_MODULES,
+        idents: &["FaultEvent", "FaultKind", "RandomFaults"],
+        what: "raw fault-model type",
+        why: "in a sharded simulator module; fault decisions must flow through the compiled \
+              `FaultPlan` API (`apply_due` / `shard_events`) so kills land in plan order and \
+              no RNG is drawn mid-cycle",
+    },
+    BannedIdents {
+        id: "DET007",
+        describe: "no raw FixedBitSet/set_bit/clear_bit mutation in ipg-sim shard loops (use the Worklist API)",
+        scope: SHARDED_MODULES,
+        idents: &["FixedBitSet", "set_bit", "clear_bit"],
+        what: "raw bitset access",
+        why: "in a sparse cycle kernel; mutate worklist membership only through \
+              `Worklist::insert` / `Worklist::remove` so the activation bit and the queue \
+              state change together (DESIGN.md §13)",
+    },
+    BannedIdents {
+        id: "DET008",
+        describe: "no raw socket/byte I/O in ipg-sim dist protocol files (all traffic via dist::frame)",
+        scope: Scope::Under("ipg-sim", "crates/ipg-sim/src/dist/", "frame.rs"),
+        idents: &[
+            "read_exact",
+            "write_all",
+            "read_to_end",
+            "flush",
+            "to_le_bytes",
+            "from_le_bytes",
+            "to_be_bytes",
+            "from_be_bytes",
+            "UnixStream",
+            "stdin",
+        ],
+        what: "raw I/O primitive",
+        why: "in a dist protocol file; every byte crossing the process boundary must go \
+              through the `dist::frame` codec (`FrameIo::frame_send` / `frame_recv`) so it is \
+              length-prefixed, versioned and checksummed (DESIGN.md §15)",
+    },
 ];
-
-impl Rule for Det008 {
-    fn id(&self) -> &'static str {
-        "DET008"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn describe(&self) -> &'static str {
-        "no raw socket/byte I/O in ipg-sim dist protocol files (all traffic via dist::frame)"
-    }
-    fn check(&self, ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-        if ctx.crate_name != "ipg-sim"
-            || !ctx.rel_path.starts_with("crates/ipg-sim/src/dist/")
-            || ctx.file_name() == "frame.rs"
-        {
-            return;
-        }
-        for t in &ctx.lexed.tokens {
-            let TokKind::Ident(s) = &t.kind else { continue };
-            if DIST_RAW_IO_IDENTS.contains(&s.as_str()) && !ctx.in_test(t.line) {
-                self.emit(
-                    ctx,
-                    t.line,
-                    format!(
-                        "raw I/O primitive `{s}` in a dist protocol file; every byte \
-                         crossing the process boundary must go through the \
-                         `dist::frame` codec (`FrameIo::frame_send` / `frame_recv`) \
-                         so it is length-prefixed, versioned and checksummed \
-                         (DESIGN.md §15)"
-                    ),
-                    out,
-                );
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // DET100 / LAYER001 / ALLOC001 — graph rules

@@ -16,7 +16,9 @@ use ipg_cluster::partition::{subcube_partition, torus_block_partition, Partition
 use ipg_core::algo;
 use ipg_core::graph::Csr;
 use ipg_networks::{classic, hier};
-use ipg_sim::engine::{run_clustered_instrumented, SimConfig};
+use ipg_obs::Obs;
+use ipg_sim::engine::{SimConfig, SimResult, Simulator};
+use ipg_sim::RoutingTable;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -41,6 +43,14 @@ fn light(seed: u64) -> SimConfig {
         seed,
         ..SimConfig::default()
     }
+}
+
+/// One run with the routing-table build and the simulation both
+/// recording into `obs`.
+fn run_observed(g: &Csr, class: &[u32], cfg: &SimConfig, obs: &Obs) -> SimResult {
+    let table = RoutingTable::new_instrumented(g, obs);
+    let mut sim = Simulator::with_router(table, g, |u| class[u as usize], cfg);
+    sim.run_traced(cfg, obs, 0, None).0
 }
 
 fn networks() -> Vec<(String, Csr, Partition)> {
@@ -95,12 +105,12 @@ fn main() {
         };
         let (_, avg_i) = imetrics::quotient_metrics(&g, &part);
 
-        let uniform = run_clustered_instrumented(&g, &part.class, &light(7), rep.obs(), 0);
+        let uniform = run_observed(&g, &part.class, &light(7), rep.obs());
         let slow_cfg = SimConfig {
             off_module_interval: 4,
             ..light(7)
         };
-        let slow = run_clustered_instrumented(&g, &part.class, &slow_cfg, rep.obs(), 0);
+        let slow = run_observed(&g, &part.class, &slow_cfg, rep.obs());
         let heavy_cfg = SimConfig {
             injection_rate: 0.3,
             warmup_cycles: 1_000,
@@ -108,7 +118,7 @@ fn main() {
             drain_cycles: 2_000,
             ..light(7)
         };
-        let heavy = run_clustered_instrumented(&g, &part.class, &heavy_cfg, rep.obs(), 0);
+        let heavy = run_observed(&g, &part.class, &heavy_cfg, rep.obs());
 
         rows.push(SimRow {
             network: name,

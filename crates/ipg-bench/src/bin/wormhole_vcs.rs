@@ -52,18 +52,21 @@ fn main() {
     };
     let wedged = {
         let _span = rep.obs().span("single-vc deadlock demo");
-        sim.run_instrumented(&base, rep.obs(), 0)
+        sim.run_traced(&base, rep.obs(), 0, None).0
     };
     assert!(wedged.is_deadlocked(), "single-VC ring must wedge");
-    let fixed_run = sim.run_instrumented(
-        &WormholeConfig {
-            vcs: 3,
-            policy: VcPolicy::HopIndexed,
-            ..base
-        },
-        rep.obs(),
-        0,
-    );
+    let fixed_run = sim
+        .run_traced(
+            &WormholeConfig {
+                vcs: 3,
+                policy: VcPolicy::HopIndexed,
+                ..base
+            },
+            rep.obs(),
+            0,
+            None,
+        )
+        .0;
     assert!(!fixed_run.is_deadlocked());
     println!("single-VC 8-ring under cyclic traffic: DEADLOCK (as theory predicts);");
     println!(
@@ -102,7 +105,7 @@ fn main() {
             traffic: WormTraffic::Uniform,
             ..WormholeConfig::default()
         };
-        let out = sim.run_instrumented(&cfg, rep.obs(), 0);
+        let out = sim.run_traced(&cfg, rep.obs(), 0, None).0;
         let (pct, lat) = match &out {
             WormholeOutcome::Completed(s) => (
                 100.0 * s.delivered as f64 / s.injected.max(1) as f64,

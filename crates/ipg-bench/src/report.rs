@@ -8,7 +8,9 @@
 //! ```ignore
 //! let rep = report::start("sim_latency", &[("seed", 7u64.into())]);
 //! let _span = rep.obs().span("hypercube Q12");
-//! let out = run_clustered_instrumented(&g, &class, &cfg, rep.obs(), 0);
+//! let table = RoutingTable::new_instrumented(&g, rep.obs());
+//! let mut sim = Simulator::with_router(table, &g, |u| class[u as usize], &cfg);
+//! let out = sim.run_traced(&cfg, rep.obs(), 0, None).0;
 //! rep.json("sim_latency", &rows);
 //! rep.finish();
 //! ```

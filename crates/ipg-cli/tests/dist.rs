@@ -1,12 +1,6 @@
-//! Multi-process determinism regression: `simulate --workers N` must
-//! produce byte-identical results to the in-process engine for every
-//! worker count — same stdout, same trace file, same deterministic
-//! manifest records (`window` + `metrics`; the `dist` family is the
-//! per-worker RSS/frame telemetry and exists only in distributed runs).
-//!
-//! The network under test is `ring-cn:l=3,nucleus=Q3` (512 nodes — four
-//! engine shards), so 2- and 4-worker runs genuinely split the shard
-//! range and exercise the cross-worker frame protocol.
+//! Failure modes of `simulate --workers N`: a dead worker and the
+//! in-process node cap. Byte-identity with the in-process engine is a
+//! row of the determinism matrix (`tests/determinism.rs`, workers axis).
 
 use std::path::Path;
 use std::process::Command;
@@ -18,113 +12,6 @@ fn run_ipg(dir: &Path, envs: &[(&str, &str)], args: &[&str]) -> std::process::Ou
         cmd.env(k, v);
     }
     cmd.args(args).output().expect("spawn ipg")
-}
-
-/// The deterministic record family of a manifest, sorted (the engine's
-/// record order inside a window is stable, but sorting keeps the
-/// comparison independent of it, matching `tests/determinism.rs`).
-fn deterministic_records(path: &Path) -> Vec<String> {
-    let text = std::fs::read_to_string(path).expect("read manifest");
-    let mut lines: Vec<String> = text
-        .lines()
-        .filter(|l| {
-            l.starts_with("{\"record\":\"window\"") || l.starts_with("{\"record\":\"metrics\"")
-        })
-        .map(str::to_string)
-        .collect();
-    assert!(
-        !lines.is_empty(),
-        "no deterministic records in {}",
-        path.display()
-    );
-    lines.sort();
-    lines
-}
-
-/// Run `simulate <extra..>` in-process and with `--workers 1/2/4`;
-/// stdout, the trace file, and the deterministic manifest records must
-/// be byte-identical across all four runs.
-fn assert_dist_matches_in_process(tag: &str, extra: &[&str]) {
-    let dir = std::env::temp_dir().join(format!("ipg-dist-{tag}-{}", std::process::id()));
-    let base: Vec<&str> = {
-        let mut v = vec!["simulate"];
-        v.extend_from_slice(extra);
-        v.extend_from_slice(&[
-            "--obs",
-            "run.manifest.jsonl",
-            "--obs-interval",
-            "500",
-            "--trace",
-            "run.trace.jsonl",
-            "--trace-interval",
-            "128",
-        ]);
-        v
-    };
-    let mut baseline: Option<(Vec<u8>, Vec<u8>, Vec<String>)> = None;
-    for workers in ["inproc", "1", "2", "4"] {
-        let d = dir.join(format!("w{workers}"));
-        std::fs::create_dir_all(&d).expect("create temp dir");
-        let mut args = base.clone();
-        if workers != "inproc" {
-            args.extend_from_slice(&["--workers", workers]);
-        }
-        let out = run_ipg(&d, &[], &args);
-        assert!(
-            out.status.success(),
-            "ipg {args:?} failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let trace = std::fs::read(d.join("run.trace.jsonl")).expect("read trace");
-        assert!(!trace.is_empty(), "trace file must not be empty");
-        let records = deterministic_records(&d.join("run.manifest.jsonl"));
-        match &baseline {
-            None => baseline = Some((out.stdout, trace, records)),
-            Some((out1, trace1, records1)) => {
-                assert_eq!(
-                    out1, &out.stdout,
-                    "{tag}: stdout differs between in-process and --workers {workers}"
-                );
-                assert_eq!(
-                    trace1, &trace,
-                    "{tag}: trace file differs between in-process and --workers {workers}"
-                );
-                assert_eq!(
-                    records1, &records,
-                    "{tag}: manifest records differ between in-process and --workers {workers}"
-                );
-            }
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn dist_run_is_byte_identical_to_in_process() {
-    assert_dist_matches_in_process("plain", &["ring-cn:l=3,nucleus=Q3", "0.02"]);
-}
-
-#[test]
-fn dist_faulted_run_is_byte_identical_to_in_process() {
-    // A scripted + rate fault campaign: detour routing, mid-run link and
-    // node kills, and unreachable-packet drops must all merge across the
-    // process boundary exactly as they do across threads.
-    assert_dist_matches_in_process(
-        "faults",
-        &[
-            "ring-cn:l=3,nucleus=Q3",
-            "0.02",
-            "--faults",
-            "script:link@600:0-1+node@800:5;rate:links=0.05,at=1000",
-        ],
-    );
-}
-
-#[test]
-fn dist_worker_count_is_clamped_to_the_shard_count() {
-    // 64 nodes — a single engine shard. `--workers 4` must degrade to
-    // one worker and still match the in-process run byte-for-byte.
-    assert_dist_matches_in_process("clamp", &["hsn:l=2,nucleus=Q2", "0.02"]);
 }
 
 #[test]

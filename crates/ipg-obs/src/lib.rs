@@ -504,6 +504,15 @@ impl Drop for Span {
     }
 }
 
+/// Is `line` a manifest record of the deterministic family (`window` or
+/// `metrics`)? Those carry only computation-derived values and must be
+/// byte-identical across runs of the same seed; every other family
+/// (`meta`, `span`, `rate`, `scaling`, `dist`) may carry wall-clock or
+/// host data.
+pub fn is_deterministic_record(line: &str) -> bool {
+    line.starts_with("{\"record\":\"window\"") || line.starts_with("{\"record\":\"metrics\"")
+}
+
 /// `git describe --always --dirty` of the current working tree, if git
 /// and a repository are available.
 pub fn git_describe() -> Option<String> {

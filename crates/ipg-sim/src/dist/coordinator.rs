@@ -24,7 +24,7 @@ use ipg_core::graph::Csr;
 use ipg_obs::{HistSnapshot, MetricSnapshot, Obs, ShardTracer, Trace, TraceConfig, ENGINE_TRACK};
 
 use crate::engine::{
-    dense_from_env, shard_layout, shard_link_arrays, DeliveryObs, RunTotals, SimConfig, SimResult,
+    shard_layout, shard_link_arrays, DeliveryObs, RunTotals, SimConfig, SimResult,
 };
 use crate::fault::FaultPlan;
 
@@ -186,7 +186,6 @@ pub fn run_dist(
     let run_span = obs.span("run");
     let track = obs.enabled();
     let track_links = track || dc.trace.is_some();
-    let dense = dense_from_env();
     let max_interval = global_max_interval(g, &module, cfg);
 
     // Contiguous shard ranges, sized as evenly as possible.
@@ -231,7 +230,6 @@ pub fn run_dist(
             window: dc.window,
             track,
             track_links,
-            dense,
             faulted: plan.is_some(),
             trace: dc
                 .trace

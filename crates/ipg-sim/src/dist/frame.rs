@@ -38,7 +38,7 @@ use crate::fault::{FaultEvent, FaultKind};
 /// Wire magic: the first three header bytes.
 const WIRE_MAGIC: [u8; 3] = *b"IPG";
 /// Wire format version; bumped on any layout change.
-pub(crate) const WIRE_VERSION: u8 = 1;
+pub(crate) const WIRE_VERSION: u8 = 2;
 /// Header size: magic(3) + version(1) + kind(1) + flags(1) + len(4).
 const HEADER_LEN: usize = 10;
 /// Refuse frames claiming more than 1 GiB of payload.
@@ -177,8 +177,16 @@ impl<'a> WireCursor<'a> {
         Ok(f64::from_bits(self.take_u64(what)?))
     }
 
+    /// A flag byte: exactly 0 or 1. Anything else is a forged or
+    /// misaligned frame, never a silent `true`.
     pub(crate) fn take_bool(&mut self, what: &str) -> std::result::Result<bool, String> {
-        Ok(self.take_u8(what)? != 0)
+        match self.take_u8(what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            v => Err(format!(
+                "invalid flag byte {v} for {what} (expected 0 or 1)"
+            )),
+        }
     }
 
     /// Element count prefix, validated against the bytes actually left:
@@ -604,7 +612,6 @@ pub(crate) struct SetupFrame {
     pub(crate) window: u32,
     pub(crate) track: bool,
     pub(crate) track_links: bool,
-    pub(crate) dense: bool,
     /// A fault plan is installed (possibly with zero events) — this
     /// changes engine behavior independent of the event list.
     pub(crate) faulted: bool,
@@ -631,7 +638,6 @@ impl DistFrame for SetupFrame {
         b.put_u32(self.window);
         b.put_bool(self.track);
         b.put_bool(self.track_links);
-        b.put_bool(self.dense);
         b.put_bool(self.faulted);
         match self.trace {
             Some((interval, capacity)) => {
@@ -661,7 +667,6 @@ impl DistFrame for SetupFrame {
         let window = c.take_u32("setup.window")?;
         let track = c.take_bool("setup.track")?;
         let track_links = c.take_bool("setup.track_links")?;
-        let dense = c.take_bool("setup.dense")?;
         let faulted = c.take_bool("setup.faulted")?;
         let has_trace = c.take_bool("setup.trace")?;
         let interval = c.take_u32("setup.trace.interval")?;
@@ -681,7 +686,6 @@ impl DistFrame for SetupFrame {
             window,
             track,
             track_links,
-            dense,
             faulted,
             trace,
             netspec,
@@ -1049,7 +1053,6 @@ mod tests {
             window: 500,
             track: true,
             track_links: true,
-            dense: false,
             faulted: true,
             trace: Some((64, 16384)),
             netspec: "ring-cn:l=3,nucleus=Q3".to_string(),
@@ -1294,6 +1297,25 @@ mod tests {
         let bytes = b.seal();
         let err = frame_from_bytes::<SetupFrame>(&bytes).unwrap_err();
         assert!(err.contains("fault kind"), "unexpected error: {err}");
+
+        // A flag byte is a two-value tag: 2..=255 behind a valid
+        // checksum must not decode as `true`, and the error names the
+        // field. `track` follows Setup's eight leading u32 fields.
+        let mut b = WireBuf::with_header(SetupFrame::KIND);
+        sample_setup().put_body(&mut b);
+        let track_at = HEADER_LEN + 32;
+        assert_eq!(b.bytes[track_at], 1);
+        for forged in [2u8, 0x7F, 0xFF] {
+            let mut f = WireBuf {
+                bytes: b.bytes.clone(),
+            };
+            f.bytes[track_at] = forged;
+            let err = frame_from_bytes::<SetupFrame>(&f.seal()).unwrap_err();
+            assert!(
+                err.contains("setup.track") && err.contains(&forged.to_string()),
+                "unexpected error: {err}"
+            );
+        }
     }
 
     #[test]

@@ -107,7 +107,9 @@ pub fn worker_main(
     let c_dropped = obs.counter("engine.dropped_unreachable");
     let dobs = DeliveryObs::attach(&obs);
 
-    let pr = cycle_params(setup.n, &setup.cfg, setup.max_interval, setup.dense);
+    // Workers always run the sparse kernel; the dense oracle is an
+    // in-process test switch (`Simulator::set_dense`).
+    let pr = cycle_params(setup.n, &setup.cfg, setup.max_interval, false);
     let trace_cfg = setup.trace.map(|(interval, capacity)| TraceConfig {
         interval,
         capacity: capacity as usize,

@@ -60,8 +60,8 @@
 //!   counters make empty slots and the end-of-run `tagged_in_flight`
 //!   accounting O(1).
 //!
-//! The dense iteration survives behind [`Simulator::set_dense`] (or
-//! `IPG_DENSE_ENGINE=1`) as the byte-equality oracle for tests.
+//! The dense iteration survives behind [`Simulator::set_dense`] as the
+//! byte-equality oracle for tests.
 //!
 //! # Routing
 //!
@@ -433,7 +433,7 @@ pub(crate) struct RunParams {
     pub(crate) total_cycles: u32,
     /// Dense-oracle mode: iterate every node and link as the pre-sparse
     /// engine did. Byte-identical to the sparse path by construction;
-    /// kept as the equality oracle (`IPG_DENSE_ENGINE=1` / `set_dense`).
+    /// kept as the equality oracle (`set_dense`).
     dense: bool,
 }
 
@@ -1143,13 +1143,6 @@ pub struct Simulator<R: Router = RoutingTable> {
     dense: bool,
 }
 
-/// Honor the `IPG_DENSE_ENGINE` escape hatch: any non-empty value other
-/// than `0` selects the dense oracle iteration for new simulators (both
-/// the packet engine and [`crate::wormhole::WormholeSim`]).
-pub(crate) fn dense_from_env() -> bool {
-    std::env::var_os("IPG_DENSE_ENGINE").is_some_and(|v| !v.is_empty() && v != "0")
-}
-
 /// The deterministic shard layout: `(shard_count, shard_size)` as a pure
 /// function of the node count — never of worker count or host state, so
 /// shard boundaries (and therefore results) are identical in-process and
@@ -1195,19 +1188,11 @@ pub(crate) fn shard_link_arrays(
 impl Simulator<RoutingTable> {
     /// Build a simulator for graph `g`. `module(u)` gives each node's
     /// module id (used to classify links as on-/off-module).
+    /// To observe the routing-table build, pass
+    /// `RoutingTable::new_instrumented(g, obs)` to
+    /// [`Simulator::with_router`] instead.
     pub fn new(g: &Csr, module: impl Fn(u32) -> u32, cfg: &SimConfig) -> Self {
-        Self::new_instrumented(g, module, cfg, &Obs::disabled())
-    }
-
-    /// [`Simulator::new`] with observability for the routing-table build.
-    pub fn new_instrumented(
-        g: &Csr,
-        module: impl Fn(u32) -> u32,
-        cfg: &SimConfig,
-        obs: &Obs,
-    ) -> Self {
-        let table = RoutingTable::new_instrumented(g, obs);
-        Self::with_router(table, g, module, cfg)
+        Self::with_router(RoutingTable::new(g), g, module, cfg)
     }
 }
 
@@ -1243,7 +1228,7 @@ impl<R: Router> Simulator<R> {
             shards,
             max_interval,
             plan: None,
-            dense: dense_from_env(),
+            dense: false,
         }
     }
 
@@ -1251,8 +1236,7 @@ impl<R: Router> Simulator<R> {
     /// kernel (`false`) for subsequent runs. The two are byte-identical
     /// in every observable — results, obs records, traces — by the
     /// DESIGN.md §13 activation invariant; the dense path survives as the
-    /// equality oracle for tests and benchmarks. `IPG_DENSE_ENGINE=1`
-    /// sets the same flag at construction time.
+    /// equality oracle for tests and benchmarks.
     pub fn set_dense(&mut self, dense: bool) {
         self.dense = dense;
     }
@@ -1330,23 +1314,19 @@ impl<R: Router> Simulator<R> {
 
     /// Run the simulation and collect statistics.
     pub fn run(&mut self, cfg: &SimConfig) -> SimResult {
-        self.run_instrumented(cfg, &Obs::disabled(), 0)
+        self.run_traced(cfg, &Obs::disabled(), 0, None).0
     }
 
-    /// [`Simulator::run`] with observability. When `obs` is enabled the
-    /// run emits phase spans (`run/warmup`, `run/measure`, `run/drain`),
-    /// packet counters, a tagged-latency histogram, per-link utilization
-    /// and queue-depth high-water histograms, and — when `window > 0` —
-    /// a `window` metrics snapshot every `window` cycles. A disabled
-    /// `obs` makes this identical to [`Simulator::run`].
-    pub fn run_instrumented(&mut self, cfg: &SimConfig, obs: &Obs, window: u32) -> SimResult {
-        self.run_traced(cfg, obs, window, None).0
-    }
-
-    /// [`Simulator::run_instrumented`] plus flight-recorder tracing.
-    /// When `trace` is set, every shard records sampled phase/gauge
-    /// events into a pre-allocated ring (see [`ipg_obs::trace`]) and the
-    /// drained [`Trace`] is returned alongside the result. Tracing
+    /// [`Simulator::run`] with observability and flight-recorder
+    /// tracing. When `obs` is enabled the run emits phase spans
+    /// (`run/warmup`, `run/measure`, `run/drain`), packet counters, a
+    /// tagged-latency histogram, per-link utilization and queue-depth
+    /// high-water histograms, and — when `window > 0` — a `window`
+    /// metrics snapshot every `window` cycles. When `trace` is set,
+    /// every shard records sampled phase/gauge events into a
+    /// pre-allocated ring (see [`ipg_obs::trace`]) and the drained
+    /// [`Trace`] is returned alongside the result. A disabled `obs` and
+    /// no `trace` make this identical to [`Simulator::run`]. Tracing
     /// reads simulation state but never writes it: the [`SimResult`]
     /// and all deterministic obs records are byte-identical with
     /// tracing on, off, and across `IPG_THREADS`.
@@ -1483,29 +1463,10 @@ pub fn run_uniform(g: &Csr, cfg: &SimConfig) -> SimResult {
     Simulator::new(g, |_| 0, cfg).run(cfg)
 }
 
-/// [`run_uniform`] with observability (see
-/// [`Simulator::run_instrumented`]).
-pub fn run_uniform_instrumented(g: &Csr, cfg: &SimConfig, obs: &Obs, window: u32) -> SimResult {
-    Simulator::new_instrumented(g, |_| 0, cfg, obs).run_instrumented(cfg, obs, window)
-}
-
 /// Convenience: build and run with a module map (off-module links use
 /// `cfg.off_module_interval`).
 pub fn run_clustered(g: &Csr, module: &[u32], cfg: &SimConfig) -> SimResult {
     Simulator::new(g, |u| module[u as usize], cfg).run(cfg)
-}
-
-/// [`run_clustered`] with observability (see
-/// [`Simulator::run_instrumented`]).
-pub fn run_clustered_instrumented(
-    g: &Csr,
-    module: &[u32],
-    cfg: &SimConfig,
-    obs: &Obs,
-    window: u32,
-) -> SimResult {
-    Simulator::new_instrumented(g, |u| module[u as usize], cfg, obs)
-        .run_instrumented(cfg, obs, window)
 }
 
 #[cfg(test)]
@@ -1964,27 +1925,85 @@ mod tests {
         assert_eq!(ts, td, "trace streams must be byte-identical");
     }
 
+    /// Everything a run lets the outside world see: the untraced result,
+    /// then the result, trace JSONL and deterministic (`window` +
+    /// `metrics`) records of the same run observed through an in-memory
+    /// `Obs` and the flight recorder.
+    fn observe<R: Router>(
+        mut sim: Simulator<R>,
+        cfg: &SimConfig,
+        dense: bool,
+        window: u32,
+        tc: &TraceConfig,
+    ) -> (SimResult, SimResult, String, Vec<String>) {
+        sim.set_dense(dense);
+        let plain = sim.run(cfg);
+        sim.validate_sparse_state();
+        let (obs, mem) = Obs::in_memory();
+        let (r, trace) = sim.run_traced(cfg, &obs, window, Some(tc));
+        obs.finish();
+        sim.validate_sparse_state();
+        let records = mem
+            .contents()
+            .lines()
+            .filter(|l| ipg_obs::is_deterministic_record(l))
+            .map(str::to_string)
+            .collect();
+        (plain, r, trace.unwrap().to_jsonl(), records)
+    }
+
     #[test]
     fn dense_oracle_matches_sparse_under_faults() {
         use crate::fault::{FaultPlan, FaultSpec};
         use crate::router::DetourRouter;
-        let g = classic::torus2d(24); // multi-shard
+        use ipg_core::tuple_routing::ShortestTupleRouter;
+        use ipg_networks::hier;
+
+        // A table-routed multi-shard torus with a node kill and rate kills.
+        let g = classic::torus2d(24);
         let cfg = light_cfg();
         let spec = FaultSpec::parse("script:node@600:7;rate:links=0.05,at=1500").unwrap();
-        let run = |dense: bool| {
+        let torus = |dense: bool| {
             let plan = FaultPlan::compile(&spec, &g, cfg.seed).unwrap();
             let router = DetourRouter::new(RoutingTable::new(&g), g.clone()).unwrap();
             let mut sim = Simulator::with_router(router, &g, |_| 0, &cfg);
             sim.set_fault_plan(Some(plan));
-            sim.set_dense(dense);
-            let r = sim.run(&cfg);
-            sim.validate_sparse_state();
-            r
+            observe(sim, &cfg, dense, 0, &TraceConfig::with_interval(100))
         };
         assert_eq!(
-            run(false),
-            run(true),
+            torus(false),
+            torus(true),
             "fault campaigns must not split the kernels"
+        );
+
+        // Exactly what `ipg simulate ring-cn:l=3,nucleus=Q2 0.03 --faults
+        // script:link@600:0-1+node@1200:5 --obs-interval 500
+        // --trace-interval 128` runs: the codec router under the detour
+        // wrapper, the nucleus module map, the CLI's schedule.
+        let tn = hier::ring_cn(3, classic::hypercube(2), "Q2");
+        let g = tn.build();
+        let (module, _) = tn.nucleus_partition();
+        let cfg = SimConfig {
+            injection_rate: 0.03,
+            warmup_cycles: 500,
+            measure_cycles: 2_000,
+            drain_cycles: 4_000,
+            ..SimConfig::default()
+        };
+        let spec = FaultSpec::parse("script:link@600:0-1+node@1200:5").unwrap();
+        let cli = |dense: bool| {
+            let plan = FaultPlan::compile(&spec, &g, cfg.seed).unwrap();
+            let codec = ShortestTupleRouter::new(tn.clone()).unwrap();
+            let router = DetourRouter::new(codec, g.clone()).unwrap();
+            let mut sim = Simulator::with_router(router, &g, |v| module[v as usize], &cfg);
+            sim.set_fault_plan(Some(plan));
+            observe(sim, &cfg, dense, 500, &TraceConfig::with_interval(128))
+        };
+        let (sparse, dense) = (cli(false), cli(true));
+        assert!(sparse.0.dropped_unreachable > 0, "the node kill must bite");
+        assert_eq!(
+            sparse, dense,
+            "the CLI's faulted ring-CN run must not split the kernels"
         );
     }
 

@@ -52,9 +52,8 @@
 //! cycle is swept again this cycle, exactly as the dense loop revisits
 //! it. `step_link` short-circuits on `demand == 0` in *both* modes, so
 //! even credit-stall counts (probe failures) match byte for byte; the
-//! dense loop (`IPG_DENSE_ENGINE=1`) is kept as the oracle.
+//! dense loop ([`WormholeSim::set_dense`]) is kept as the oracle.
 
-use crate::engine::dense_from_env;
 use crate::fault::{FaultPlan, LocalFault, ShardFaults};
 use crate::rng::{
     bernoulli, bernoulli_threshold, node_stream, InjectionSchedule, NodeRng, SCHEDULE_CHUNK,
@@ -271,16 +270,11 @@ pub struct WormholeSim<R: Router = RoutingTable> {
 }
 
 impl WormholeSim<RoutingTable> {
-    /// Build for a graph.
+    /// Build for a graph. To observe the routing-table build, pass
+    /// `RoutingTable::new_instrumented(g, obs)` to
+    /// [`WormholeSim::with_router`] instead.
     pub fn new(g: &Csr) -> Self {
-        Self::new_instrumented(g, &Obs::disabled())
-    }
-
-    /// [`WormholeSim::new`] with observability for the routing-table
-    /// build.
-    pub fn new_instrumented(g: &Csr, obs: &Obs) -> Self {
-        let table = RoutingTable::new_instrumented(g, obs);
-        Self::with_router(table, g)
+        Self::with_router(RoutingTable::new(g), g)
     }
 }
 
@@ -310,14 +304,14 @@ impl<R: Router> WormholeSim<R> {
             in_links,
             link_of,
             plan: None,
-            dense: dense_from_env(),
+            dense: false,
         }
     }
 
     /// Select the dense (every link, every cycle) oracle iteration
     /// instead of the worklist-driven sparse hot path. Both produce
     /// byte-identical outcomes and traces; dense exists as the
-    /// equivalence oracle for tests and `IPG_DENSE_ENGINE=1` runs.
+    /// equivalence oracle for tests.
     pub fn set_dense(&mut self, dense: bool) {
         self.dense = dense;
     }
@@ -360,29 +354,21 @@ impl<R: Router> WormholeSim<R> {
 
     /// Run the simulation.
     pub fn run(&self, cfg: &WormholeConfig) -> WormholeOutcome {
-        self.run_instrumented(cfg, &Obs::disabled(), 0)
+        self.run_traced(cfg, &Obs::disabled(), 0, None).0
     }
 
-    /// [`WormholeSim::run`] with observability: a `wormhole_run` span,
-    /// packet counters, a latency histogram, per-link utilization and
-    /// per-VC buffer high-water histograms, and — when `window > 0` — a
-    /// `window` metrics snapshot every `window` cycles. A disabled `obs`
-    /// makes this identical to [`WormholeSim::run`].
-    pub fn run_instrumented(
-        &self,
-        cfg: &WormholeConfig,
-        obs: &Obs,
-        window: u32,
-    ) -> WormholeOutcome {
-        self.run_traced(cfg, obs, window, None).0
-    }
-
-    /// [`WormholeSim::run_instrumented`] plus flight-recorder tracing:
-    /// per-sample `cycle` events (injection/delivery deltas, buffered
-    /// flits), hottest-link utilization, VC queue depths, and credit
-    /// stalls (buffer-full probe failures). The wormhole loop is
+    /// [`WormholeSim::run`] with observability and flight-recorder
+    /// tracing. An enabled `obs` gets a `wormhole_run` span, packet
+    /// counters, a latency histogram, per-link utilization and per-VC
+    /// buffer high-water histograms, and — when `window > 0` — a
+    /// `window` metrics snapshot every `window` cycles. A `trace` config
+    /// records per-sample `cycle` events (injection/delivery deltas,
+    /// buffered flits), hottest-link utilization, VC queue depths, and
+    /// credit stalls (buffer-full probe failures). The wormhole loop is
     /// sequential, so the whole run records on one shard track; as in
-    /// the packet engine, tracing reads state but never writes it.
+    /// the packet engine, tracing reads state but never writes it. A
+    /// disabled `obs` and no `trace` make this identical to
+    /// [`WormholeSim::run`].
     pub fn run_traced(
         &self,
         cfg: &WormholeConfig,
@@ -1338,13 +1324,45 @@ mod tests {
         assert_eq!(b.stats().dropped, 0);
     }
 
+    /// Everything a run lets the outside world see: the untraced
+    /// outcome, then the outcome, trace JSONL and deterministic
+    /// (`window` + `metrics`) records of the same run observed through an
+    /// in-memory `Obs` and the flight recorder. Outcomes compare by their
+    /// `Debug` form, which prints every statistic exactly.
+    fn observe<R: Router>(
+        sim: &mut WormholeSim<R>,
+        cfg: &WormholeConfig,
+        dense: bool,
+        window: u32,
+        tc: &TraceConfig,
+    ) -> (String, String, String, Vec<String>) {
+        sim.set_dense(dense);
+        let plain = sim.run(cfg);
+        let (obs, mem) = Obs::in_memory();
+        let (out, trace) = sim.run_traced(cfg, &obs, window, Some(tc));
+        obs.finish();
+        let records = mem
+            .contents()
+            .lines()
+            .filter(|l| ipg_obs::is_deterministic_record(l))
+            .map(str::to_string)
+            .collect();
+        (
+            format!("{plain:?}"),
+            format!("{out:?}"),
+            trace.unwrap().to_jsonl(),
+            records,
+        )
+    }
+
     #[test]
     fn dense_oracle_matches_sparse_wormhole_byte_for_byte() {
+        use ipg_core::tuple_routing::ShortestTupleRouter;
         // Congested multi-hop config: small buffers + long packets force
         // credit stalls and same-cycle multi-hop forwarding, the cases
-        // where sparse sweep order could plausibly diverge. Stats AND
-        // trace bytes must agree between the worklist sweep and the
-        // dense-oracle iteration.
+        // where sparse sweep order could plausibly diverge. Stats, trace
+        // bytes and deterministic records must agree between the
+        // worklist sweep and the dense-oracle iteration.
         let g = classic::torus2d(4);
         let mut sim = WormholeSim::new(&g);
         let cfg = WormholeConfig {
@@ -1356,20 +1374,32 @@ mod tests {
             ..WormholeConfig::default()
         };
         let tc = TraceConfig::with_interval(50);
-        sim.set_dense(false);
-        let (sparse, strace) = sim.run_traced(&cfg, &Obs::disabled(), 0, Some(&tc));
-        sim.set_dense(true);
-        let (dense, dtrace) = sim.run_traced(&cfg, &Obs::disabled(), 0, Some(&tc));
-        let (s, d) = (sparse.stats(), dense.stats());
-        assert!(s.injected > 0 && s.delivered > 0);
-        assert_eq!(s.injected, d.injected);
-        assert_eq!(s.delivered, d.delivered);
-        assert_eq!(s.dropped, d.dropped);
-        assert_eq!(s.avg_latency, d.avg_latency);
+        let out = sim.run(&cfg);
+        assert!(out.stats().injected > 0 && out.stats().delivered > 0);
         assert_eq!(
-            strace.unwrap().to_jsonl(),
-            dtrace.unwrap().to_jsonl(),
-            "sparse trace must be byte-identical to the dense oracle's"
+            observe(&mut sim, &cfg, false, 0, &tc),
+            observe(&mut sim, &cfg, true, 0, &tc),
+            "sparse run must be byte-identical to the dense oracle's"
+        );
+
+        // Exactly what `ipg simulate hsn:l=2,nucleus=Q2 0.05 --wormhole
+        // --vcs 3 --flits 4 --policy hop --obs-interval 500
+        // --trace-interval 128` runs: the codec router, hop-indexed VCs.
+        let tn = hier::hsn(2, classic::hypercube(2), "Q2");
+        let g = tn.build();
+        let mut sim = WormholeSim::with_router(ShortestTupleRouter::new(tn).unwrap(), &g);
+        let cfg = WormholeConfig {
+            vcs: 3,
+            packet_flits: 4,
+            injection_rate: 0.05,
+            policy: VcPolicy::HopIndexed,
+            ..WormholeConfig::default()
+        };
+        let tc = TraceConfig::with_interval(128);
+        assert_eq!(
+            observe(&mut sim, &cfg, false, 500, &tc),
+            observe(&mut sim, &cfg, true, 500, &tc),
+            "the CLI's wormhole run must not split the kernels"
         );
     }
 

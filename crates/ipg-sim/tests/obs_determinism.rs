@@ -9,9 +9,11 @@
 //! byte-identical metric dumps — and runs with and without observability
 //! attached must report identical simulation results.
 
+use ipg_core::graph::Csr;
 use ipg_networks::classic;
 use ipg_obs::Obs;
-use ipg_sim::engine::{run_uniform, run_uniform_instrumented, SimConfig, SimResult};
+use ipg_sim::engine::{run_uniform, SimConfig, SimResult, Simulator};
+use ipg_sim::RoutingTable;
 
 fn cfg(seed: u64) -> SimConfig {
     SimConfig {
@@ -24,20 +26,25 @@ fn cfg(seed: u64) -> SimConfig {
     }
 }
 
+/// A simulator whose routing-table build records into `obs` as well.
+fn observed_sim(g: &Csr, cfg: &SimConfig, obs: &Obs) -> Simulator {
+    Simulator::with_router(RoutingTable::new_instrumented(g, obs), g, |_| 0, cfg)
+}
+
 /// One instrumented run: returns (SimResult, final metric dump, the
 /// deterministic record lines of the manifest).
 fn run_once(seed: u64) -> (SimResult, String, String) {
     let g = classic::hypercube(6);
     let (obs, mem) = Obs::in_memory();
-    let result = run_uniform_instrumented(&g, &cfg(seed), &obs, 100);
+    let result = observed_sim(&g, &cfg(seed), &obs)
+        .run_traced(&cfg(seed), &obs, 100, None)
+        .0;
     let metrics = obs.metrics_json();
     obs.finish();
     let deterministic: Vec<String> = mem
         .contents()
         .lines()
-        .filter(|l| {
-            l.starts_with("{\"record\":\"window\"") || l.starts_with("{\"record\":\"metrics\"")
-        })
+        .filter(|l| ipg_obs::is_deterministic_record(l))
         .map(str::to_string)
         .collect();
     assert!(
@@ -72,7 +79,9 @@ fn observability_does_not_change_results() {
     let g = classic::hypercube(6);
     let plain = run_uniform(&g, &cfg(7));
     let (obs, _mem) = Obs::in_memory();
-    let watched = run_uniform_instrumented(&g, &cfg(7), &obs, 50);
+    let watched = observed_sim(&g, &cfg(7), &obs)
+        .run_traced(&cfg(7), &obs, 50, None)
+        .0;
     assert_eq!(plain, watched, "attaching obs must not perturb the run");
 }
 
@@ -85,16 +94,14 @@ fn tracing_does_not_change_results_or_deterministic_records() {
     let g = classic::hypercube(6);
     let run = |trace: Option<&TraceConfig>| {
         let (obs, mem) = Obs::in_memory();
-        let mut sim = ipg_sim::engine::Simulator::new_instrumented(&g, |_| 0, &cfg(7), &obs);
+        let mut sim = observed_sim(&g, &cfg(7), &obs);
         let (result, trace_out) = sim.run_traced(&cfg(7), &obs, 100, trace);
         let metrics = obs.metrics_json();
         obs.finish();
         let deterministic: Vec<String> = mem
             .contents()
             .lines()
-            .filter(|l| {
-                l.starts_with("{\"record\":\"window\"") || l.starts_with("{\"record\":\"metrics\"")
-            })
+            .filter(|l| ipg_obs::is_deterministic_record(l))
             .map(str::to_string)
             .collect();
         (result, metrics, deterministic.join("\n"), trace_out)
