@@ -20,10 +20,10 @@
 //!
 //! DET100/LAYER001/ALLOC001 are *graph rules*: their [`Rule::check`]
 //! bodies are empty and the findings come from [`crate::reach`], which
-//! walks the call graph the driver builds. DET003–DET008 are rows of one
-//! table-driven token rule (`BANNED_IDENTS`: id, scope, identifier list,
-//! message). DET003/DET004 are file-scoped special cases of DET100 — they
-//! share its sink tables ([`crate::reach::CLOCK_SINKS`] /
+//! walks the call graph the driver builds. DET001 and DET003–DET008 are
+//! rows of one table-driven token rule (`BANNED_IDENTS`: id, scope,
+//! identifier list, message). DET003/DET004 are file-scoped special
+//! cases of DET100 — they share its sink tables ([`crate::reach::CLOCK_SINKS`] /
 //! [`crate::reach::RNG_SINKS`]) so the fast per-file checks and the
 //! reachability pass can never disagree about what counts as a sink.
 //!
@@ -142,8 +142,10 @@ pub trait Rule {
 
 /// All shipped rules, in id order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
-    let mut rules: Vec<Box<dyn Rule>> = vec![Box::new(Det001), Box::new(Det002)];
-    for &r in BANNED_IDENTS {
+    // DET001 heads the table; DET002 sorts between it and DET003.
+    let (det001, det003_on) = BANNED_IDENTS.split_at(1);
+    let mut rules: Vec<Box<dyn Rule>> = vec![Box::new(det001[0]), Box::new(Det002)];
+    for &r in det003_on {
         rules.push(Box::new(r));
     }
     rules.push(Box::new(Det100));
@@ -340,54 +342,6 @@ pub fn is_suppressed(f: &Finding, sups: &[Suppression]) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// DET001 — default-hasher collections in hot modules
-// ---------------------------------------------------------------------------
-
-struct Det001;
-
-/// `ipg-core` modules on the build/route/solve hot paths, where PR 3
-/// removed hashing entirely or replaced it with `util::FxHashMap`.
-const HOT_MODULES: &[&str] = &[
-    "graph.rs",
-    "codec.rs",
-    "builder.rs",
-    "routing.rs",
-    "tuple_routing.rs",
-    "solve.rs",
-];
-
-impl Rule for Det001 {
-    fn id(&self) -> &'static str {
-        "DET001"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn describe(&self) -> &'static str {
-        "no default-hasher HashMap/HashSet in ipg-core hot modules (use util::FxHashMap)"
-    }
-    fn check(&self, ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-        if ctx.crate_name != "ipg-core" || !HOT_MODULES.contains(&ctx.file_name()) {
-            return;
-        }
-        for t in &ctx.lexed.tokens {
-            let TokKind::Ident(s) = &t.kind else { continue };
-            if (s == "HashMap" || s == "HashSet") && !ctx.in_test(t.line) {
-                self.emit(
-                    ctx,
-                    t.line,
-                    format!(
-                        "default-hasher `{s}` in hot module; use `util::FxHashMap` \
-                         or suppress with a determinism justification"
-                    ),
-                    out,
-                );
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // DET002 — unaudited parallel reductions
 // ---------------------------------------------------------------------------
 
@@ -480,7 +434,7 @@ fn audited(comments: &[Comment], line: u32) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// DET003–DET008 — banned identifiers in a scoped set of files
+// DET001, DET003–DET008 — banned identifiers in a scoped set of files
 // ---------------------------------------------------------------------------
 
 /// The files a [`BannedIdents`] row applies to.
@@ -553,12 +507,27 @@ impl Rule for BannedIdents {
     }
 }
 
+/// `ipg-core` modules on the build/route/solve hot paths, which use no
+/// hashing at all or `util::FxHashMap`.
+const HOT_MODULES: &[&str] = &[
+    "graph.rs",
+    "codec.rs",
+    "builder.rs",
+    "routing.rs",
+    "tuple_routing.rs",
+    "solve.rs",
+];
+
 /// `ipg-sim` modules whose per-cycle loops run (or may run) on worker
 /// threads.
 const SHARDED_MODULES: Scope = Scope::Files("ipg-sim", &["engine.rs", "wormhole.rs"]);
 
-/// DET003–DET008, in id order. Why each list is banned where it is:
+/// DET001 and DET003–DET008, in id order. Why each list is banned where
+/// it is:
 ///
+/// - DET001: default-hasher `HashMap`/`HashSet` iteration order varies
+///   per process; the `ipg-core` hot modules use `util::FxHashMap` or no
+///   hashing at all, and a justified exception carries a suppression.
 /// - DET003: wall-clock reads make output depend on the host. The sink
 ///   table is shared with the DET100 reachability pass.
 /// - DET004: sharded determinism requires every draw to come from a
@@ -586,6 +555,14 @@ const SHARDED_MODULES: Scope = Scope::Files("ipg-sim", &["engine.rs", "wormhole.
 ///   bytes whose layout drifts from DESIGN.md §15. `frame.rs` itself is
 ///   the sanctioned home.
 const BANNED_IDENTS: &[BannedIdents] = &[
+    BannedIdents {
+        id: "DET001",
+        describe: "no default-hasher HashMap/HashSet in ipg-core hot modules (use util::FxHashMap)",
+        scope: Scope::Files("ipg-core", HOT_MODULES),
+        idents: &["HashMap", "HashSet"],
+        what: "default-hasher",
+        why: "in hot module; use `util::FxHashMap` or suppress with a determinism justification",
+    },
     BannedIdents {
         id: "DET003",
         describe: "no Instant/SystemTime/available_parallelism outside ipg-obs and vendor/rayon",

@@ -10,6 +10,11 @@
 //! and wheel geometry are all pure functions of the node count — never
 //! of the worker count — delivered counts, manifests, and traces are
 //! byte-identical to the in-process engine for every worker count.
+//! Workers run the engine's own cycle driver and derive their shard
+//! geometry; the coordinator ships only each worker's shard range and
+//! link arrays, and shares the engine's metric registration
+//! (`EngineObs::attach`) and warmup/measure/drain spans with the
+//! in-process run.
 //!
 //! All socket traffic goes through [`super::frame`]; this file does no
 //! raw I/O (lint DET008). Timeouts use [`Duration`] only — wall-clock
@@ -24,7 +29,8 @@ use ipg_core::graph::Csr;
 use ipg_obs::{HistSnapshot, MetricSnapshot, Obs, ShardTracer, Trace, TraceConfig, ENGINE_TRACK};
 
 use crate::engine::{
-    shard_layout, shard_link_arrays, DeliveryObs, RunTotals, SimConfig, SimResult,
+    phase_span, shard_layout, shard_link_arrays, shard_span, window_end, EngineObs, RunTotals,
+    SimConfig, SimResult,
 };
 use crate::fault::FaultPlan;
 
@@ -108,25 +114,6 @@ impl Drop for Fleet {
     }
 }
 
-/// Scan for the global maximum link service interval without building
-/// any shard state; early-exits once the configured maximum is seen.
-fn global_max_interval(g: &Csr, module: &impl Fn(u32) -> u32, cfg: &SimConfig) -> u32 {
-    let on = cfg.on_module_interval.max(1);
-    let off = cfg.off_module_interval.max(1);
-    let ceiling = on.max(off);
-    let mut max_interval = 1u32;
-    'scan: for u in 0..g.node_count() as u32 {
-        for &v in g.neighbors(u) {
-            let iv = if module(u) == module(v) { on } else { off };
-            max_interval = max_interval.max(iv);
-            if max_interval == ceiling {
-                break 'scan;
-            }
-        }
-    }
-    max_interval
-}
-
 /// Fold one worker's cumulative metric snapshot into the coordinator
 /// registry as a delta against that worker's previous snapshot:
 /// counters delta-add, gauges max-fold, histograms bucket-delta-merge.
@@ -185,8 +172,6 @@ pub fn run_dist(
 
     let run_span = obs.span("run");
     let track = obs.enabled();
-    let track_links = track || dc.trace.is_some();
-    let max_interval = global_max_interval(g, &module, cfg);
 
     // Contiguous shard ranges, sized as evenly as possible.
     let per = shard_count / wcount;
@@ -221,15 +206,11 @@ pub fn run_dist(
         let (lo, hi) = range_of(w);
         io.frame_send(&SetupFrame {
             worker: w as u32,
-            workers: wcount as u32,
             n: n as u32,
-            shard_size,
             shard_lo: lo,
             shard_hi: hi,
-            max_interval,
             window: dc.window,
             track,
-            track_links,
             faulted: plan.is_some(),
             trace: dc
                 .trace
@@ -240,13 +221,10 @@ pub fn run_dist(
             faults: faults.clone(),
         })?;
         for si in lo..hi {
-            let base = si * shard_size;
-            let node_count = shard_size.min(n as u32 - base);
+            let (base, node_count) = shard_span(n as u32, shard_size, si);
             let (link_of, to, interval) = shard_link_arrays(g, &module, cfg, base, node_count);
             io.frame_send(&ShardLinksFrame {
                 shard: si,
-                base,
-                node_count,
                 link_of,
                 to,
                 interval,
@@ -266,10 +244,7 @@ pub fn run_dist(
     // Register the engine metrics the in-process run registers at run
     // start, so the registry's name set never depends on snapshot
     // timing. Values arrive as worker deltas.
-    obs.counter("engine.injected_tagged");
-    obs.counter("engine.injected_total");
-    obs.counter("engine.dropped_unreachable");
-    DeliveryObs::attach(obs);
+    EngineObs::attach(obs);
     let mut prev_metrics: Vec<BTreeMap<String, MetricSnapshot>> =
         (0..wcount).map(|_| BTreeMap::new()).collect();
 
@@ -286,16 +261,9 @@ pub fn run_dist(
         .collect();
 
     let total_cycles = cfg.warmup_cycles + cfg.measure_cycles + cfg.drain_cycles;
-    let mut phase_span = Some(obs.span("warmup"));
+    let mut span = Some(obs.span("warmup"));
     for cycle in 0..total_cycles {
-        if cycle == cfg.warmup_cycles {
-            phase_span.take();
-            phase_span = Some(obs.span("measure"));
-        }
-        if cycle == cfg.warmup_cycles + cfg.measure_cycles {
-            phase_span.take();
-            phase_span = Some(obs.span("drain"));
-        }
+        phase_span(obs, cfg, cycle, &mut span);
         // Read every worker's outbox in worker order; split each
         // message by destination worker, preserving origin-shard order
         // within the `pre` (origins below dest) and `post` (origins
@@ -342,22 +310,21 @@ pub fn run_dist(
             arr.pre.clear();
             arr.post.clear();
         }
-        if track && dc.window > 0 && (cycle + 1) % dc.window == 0 {
+        if let Some(at) = window_end(dc.window, cycle).filter(|_| track) {
             for w in 0..wcount {
                 let snap: SnapshotFrame = ios[w].frame_recv()?;
-                if snap.cycle != u64::from(cycle) + 1 {
+                if snap.cycle != at {
                     return Err(ios[w].fault(format!(
-                        "metric snapshot for cycle {} at window boundary {}",
-                        snap.cycle,
-                        u64::from(cycle) + 1
+                        "metric snapshot for cycle {} at window boundary {at}",
+                        snap.cycle
                     )));
                 }
                 absorb_worker_metrics(obs, &mut prev_metrics[w], snap.metrics);
             }
-            obs.emit_window(u64::from(cycle) + 1);
+            obs.emit_window(at);
         }
     }
-    phase_span.take();
+    drop(span);
 
     // Final frames, in worker order: totals, metrics, trace events.
     let mut totals = RunTotals::default();
@@ -381,10 +348,6 @@ pub fn run_dist(
             frame_bytes: fin.frame_bytes,
         });
     }
-    debug_assert_eq!(
-        totals.injected,
-        totals.delivered + totals.in_flight + totals.dropped
-    );
     drop(run_span);
 
     // Workers exit after their final frame; reap them and surface any

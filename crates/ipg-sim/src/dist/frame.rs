@@ -38,7 +38,7 @@ use crate::fault::{FaultEvent, FaultKind};
 /// Wire magic: the first three header bytes.
 const WIRE_MAGIC: [u8; 3] = *b"IPG";
 /// Wire format version; bumped on any layout change.
-pub(crate) const WIRE_VERSION: u8 = 2;
+pub(crate) const WIRE_VERSION: u8 = 3;
 /// Header size: magic(3) + version(1) + kind(1) + flags(1) + len(4).
 const HEADER_LEN: usize = 10;
 /// Refuse frames claiming more than 1 GiB of payload.
@@ -594,24 +594,19 @@ fn take_run_totals(c: &mut WireCursor<'_>) -> std::result::Result<RunTotals, Str
 // The seven frame types
 // ---------------------------------------------------------------------------
 
-/// Coordinator → worker, once: the complete run description.
+/// Coordinator → worker, once: the complete run description. The
+/// worker derives the shard geometry from `n` (`engine::shard_layout`).
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct SetupFrame {
     pub(crate) worker: u32,
-    pub(crate) workers: u32,
     pub(crate) n: u32,
-    pub(crate) shard_size: u32,
     /// Global index of the first shard this worker owns.
     pub(crate) shard_lo: u32,
     /// One past the last owned shard.
     pub(crate) shard_hi: u32,
-    /// Global maximum link service interval (wheel geometry must be
-    /// computed from the whole network, not the local shard range).
-    pub(crate) max_interval: u32,
     /// Window size for metric snapshots (0 = none).
     pub(crate) window: u32,
     pub(crate) track: bool,
-    pub(crate) track_links: bool,
     /// A fault plan is installed (possibly with zero events) — this
     /// changes engine behavior independent of the event list.
     pub(crate) faulted: bool,
@@ -629,15 +624,11 @@ impl DistFrame for SetupFrame {
 
     fn put_body(&self, b: &mut WireBuf) {
         b.put_u32(self.worker);
-        b.put_u32(self.workers);
         b.put_u32(self.n);
-        b.put_u32(self.shard_size);
         b.put_u32(self.shard_lo);
         b.put_u32(self.shard_hi);
-        b.put_u32(self.max_interval);
         b.put_u32(self.window);
         b.put_bool(self.track);
-        b.put_bool(self.track_links);
         b.put_bool(self.faulted);
         match self.trace {
             Some((interval, capacity)) => {
@@ -658,15 +649,11 @@ impl DistFrame for SetupFrame {
 
     fn take_body(c: &mut WireCursor<'_>) -> std::result::Result<Self, String> {
         let worker = c.take_u32("setup.worker")?;
-        let workers = c.take_u32("setup.workers")?;
         let n = c.take_u32("setup.n")?;
-        let shard_size = c.take_u32("setup.shard_size")?;
         let shard_lo = c.take_u32("setup.shard_lo")?;
         let shard_hi = c.take_u32("setup.shard_hi")?;
-        let max_interval = c.take_u32("setup.max_interval")?;
         let window = c.take_u32("setup.window")?;
         let track = c.take_bool("setup.track")?;
-        let track_links = c.take_bool("setup.track_links")?;
         let faulted = c.take_bool("setup.faulted")?;
         let has_trace = c.take_bool("setup.trace")?;
         let interval = c.take_u32("setup.trace.interval")?;
@@ -677,15 +664,11 @@ impl DistFrame for SetupFrame {
         let faults = take_fault_events(c)?;
         Ok(SetupFrame {
             worker,
-            workers,
             n,
-            shard_size,
             shard_lo,
             shard_hi,
-            max_interval,
             window,
             track,
-            track_links,
             faulted,
             trace,
             netspec,
@@ -696,12 +679,11 @@ impl DistFrame for SetupFrame {
 }
 
 /// Coordinator → worker, once per owned shard: the flattened link
-/// arrays, so the worker never materializes the full graph.
+/// arrays, so the worker never materializes the full graph. The shard's
+/// node range follows from the layout the worker derives from Setup.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct ShardLinksFrame {
     pub(crate) shard: u32,
-    pub(crate) base: u32,
-    pub(crate) node_count: u32,
     pub(crate) link_of: Vec<u32>,
     pub(crate) to: Vec<u32>,
     pub(crate) interval: Vec<u32>,
@@ -713,8 +695,6 @@ impl DistFrame for ShardLinksFrame {
 
     fn put_body(&self, b: &mut WireBuf) {
         b.put_u32(self.shard);
-        b.put_u32(self.base);
-        b.put_u32(self.node_count);
         b.put_u32_slice(&self.link_of);
         b.put_u32_slice(&self.to);
         b.put_u32_slice(&self.interval);
@@ -723,8 +703,6 @@ impl DistFrame for ShardLinksFrame {
     fn take_body(c: &mut WireCursor<'_>) -> std::result::Result<Self, String> {
         Ok(ShardLinksFrame {
             shard: c.take_u32("links.shard")?,
-            base: c.take_u32("links.base")?,
-            node_count: c.take_u32("links.node_count")?,
             link_of: c.take_u32_vec("links.link_of")?,
             to: c.take_u32_vec("links.to")?,
             interval: c.take_u32_vec("links.interval")?,
@@ -898,7 +876,7 @@ pub(crate) struct FrameIo {
 }
 
 impl FrameIo {
-    fn over(stream: UnixStream, worker: u32) -> FrameIo {
+    pub(crate) fn over(stream: UnixStream, worker: u32) -> FrameIo {
         FrameIo {
             stream,
             worker,
@@ -1044,15 +1022,11 @@ mod tests {
     fn sample_setup() -> SetupFrame {
         SetupFrame {
             worker: 2,
-            workers: 4,
             n: 4096,
-            shard_size: 128,
             shard_lo: 16,
             shard_hi: 24,
-            max_interval: 3,
             window: 500,
             track: true,
-            track_links: true,
             faulted: true,
             trace: Some((64, 16384)),
             netspec: "ring-cn:l=3,nucleus=Q3".to_string(),
@@ -1127,8 +1101,6 @@ mod tests {
         );
         let links = ShardLinksFrame {
             shard: 5,
-            base: 640,
-            node_count: 128,
             link_of: vec![0, 2, 4],
             to: vec![1, 2, 3, 4],
             interval: vec![1, 1, 3, 3],
@@ -1213,15 +1185,13 @@ mod tests {
         // inside a tiny payload must fail on the count check.
         let links = ShardLinksFrame {
             shard: 0,
-            base: 0,
-            node_count: 1,
             link_of: vec![0, 1],
             to: vec![1],
             interval: vec![1],
         };
         let mut bytes = frame_to_bytes(&links);
-        // link_of count lives right after the three leading u32s.
-        let off = HEADER_LEN + 12;
+        // link_of count lives right after the leading shard u32.
+        let off = HEADER_LEN + 4;
         bytes[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = frame_from_bytes::<ShardLinksFrame>(&bytes).unwrap_err();
         assert!(err.contains("checksum") || err.contains("overrun"));
@@ -1273,7 +1243,7 @@ mod tests {
         let mut b = WireBuf::with_header(SetupFrame::KIND);
         sample_setup().put_body(&mut b);
         // Corrupt a byte inside the netspec string ("ring-cn..." starts
-        // after the 12 fixed header fields; find it by searching).
+        // after the fixed-size fields; find it by searching).
         let pos = b
             .bytes
             .windows(4)
@@ -1300,10 +1270,10 @@ mod tests {
 
         // A flag byte is a two-value tag: 2..=255 behind a valid
         // checksum must not decode as `true`, and the error names the
-        // field. `track` follows Setup's eight leading u32 fields.
+        // field. `track` follows Setup's five leading u32 fields.
         let mut b = WireBuf::with_header(SetupFrame::KIND);
         sample_setup().put_body(&mut b);
-        let track_at = HEADER_LEN + 32;
+        let track_at = HEADER_LEN + 20;
         assert_eq!(b.bytes[track_at], 1);
         for forged in [2u8, 0x7F, 0xFF] {
             let mut f = WireBuf {
@@ -1391,12 +1361,11 @@ mod tests {
         }
 
         #[test]
-        fn prop_shard_links_roundtrip(shard in 0u32..u32::MAX, base in 0u32..u32::MAX,
+        fn prop_shard_links_roundtrip(shard in 0u32..u32::MAX,
                                       to in proptest::collection::vec(0u32..u32::MAX, 0..128)) {
             let interval: Vec<u32> = to.iter().map(|v| v % 7 + 1).collect();
             let f = ShardLinksFrame {
-                shard, base,
-                node_count: 1,
+                shard,
                 link_of: vec![0, to.len() as u32],
                 to, interval,
             };

@@ -1,21 +1,26 @@
 //! Worker process half of the multi-process simulation.
 //!
-//! A worker owns a contiguous range of the deterministic shard layout
-//! and runs the exact in-process cycle — parallel phase A, merge,
-//! parallel phase B — on its local shards. Departures bound for other
-//! workers' shards leave as an [`OutboxFrame`]; the coordinator's
-//! [`ArrivalsFrame`] comes back split into `pre` (from lower-id
-//! workers) and `post` (from higher-id workers) so local departures
-//! can be interleaved at exactly the position the in-process global
-//! shard-order merge gives them. Every byte crossing the process
-//! boundary goes through [`super::frame`] — this file performs no raw
-//! I/O (lint DET008).
+//! A worker drives its contiguous range `[shard_lo, shard_hi)` of the
+//! deterministic shard layout with the engine's cycle driver
+//! (`engine::ShardRange`) and adds only the frame exchange between the
+//! merge's two halves: departures for other workers' shards leave as an
+//! [`OutboxFrame`]; the coordinator's [`ArrivalsFrame`] comes back split
+//! into `pre` (from lower-id workers) and `post` (from higher-id ones),
+//! which the merge places around the local outboxes exactly where the
+//! in-process global shard-order merge puts them.
+//!
+//! Shard geometry is derived from the node count, and every shipped
+//! field the engine indexes with is checked first: a forged frame fails
+//! with an error naming the field and the worker, never a panic. Every
+//! byte crossing the process boundary goes through [`super::frame`] —
+//! this file performs no raw I/O (lint DET008).
 
 use ipg_core::error::{IpgError, Result};
-use ipg_core::fault::FaultView;
 use ipg_obs::{NullRecorder, Obs, ShardTracer, Trace, TraceConfig, ENGINE_TRACK};
 
-use crate::engine::{cycle_params, fold_link_telemetry, DeliveryObs, Links, Msg, RunTotals, Shard};
+use crate::engine::{
+    cycle_params, link_interval, shard_layout, shard_span, window_end, Shard, ShardRange,
+};
 use crate::fault::FaultPlan;
 use crate::router::Router;
 
@@ -45,6 +50,38 @@ fn planned_test_exit() -> Option<(u32, u32)> {
     Some((w.parse().ok()?, c.parse().ok()?))
 }
 
+/// Check one shard's shipped link arrays against what
+/// `Shard::assemble` and the cycle loop index with; names the first
+/// offending field.
+fn check_links(
+    sl: &ShardLinksFrame,
+    node_count: u32,
+    n: u32,
+    max_interval: u32,
+) -> Option<&'static str> {
+    let (link_of, links) = (&sl.link_of, sl.to.len());
+    if link_of.len() != node_count as usize + 1 {
+        Some("links.link_of: not one offset per node plus one")
+    } else if link_of[0] != 0
+        || link_of.windows(2).any(|w| w[0] > w[1])
+        || link_of[node_count as usize] as usize != links
+    {
+        Some("links.link_of: not monotone from 0 to the link count")
+    } else if sl.interval.len() != links {
+        Some("links.interval: not one per entry of links.to")
+    } else if sl.to.iter().any(|&v| v >= n) {
+        Some("links.to: names a node outside the network")
+    } else if sl
+        .interval
+        .iter()
+        .any(|iv| !(1..=max_interval).contains(iv))
+    {
+        Some("links.interval: outside 1..=the slower link class of setup.cfg")
+    } else {
+        None
+    }
+}
+
 /// Entry point for the hidden `worker` mode of a host binary: adopt
 /// the coordinator channel from stdin, rebuild the router via
 /// `build_router`, run the sharded cycle loop, and ship a final frame.
@@ -54,9 +91,39 @@ pub fn worker_main(
     build_router: impl FnOnce(&WorkerSetup) -> std::result::Result<Box<dyn Router>, String>,
     rss_probe: impl Fn() -> u64,
 ) -> Result<()> {
-    let mut io = FrameIo::worker_channel()?;
+    serve(FrameIo::worker_channel()?, build_router, rss_probe)
+}
+
+/// The worker side of the protocol over an adopted channel.
+fn serve(
+    mut io: FrameIo,
+    build_router: impl FnOnce(&WorkerSetup) -> std::result::Result<Box<dyn Router>, String>,
+    rss_probe: impl Fn() -> u64,
+) -> Result<()> {
     let setup: SetupFrame = io.frame_recv()?;
     io.tag_worker(setup.worker);
+    let (lo, hi) = (setup.shard_lo, setup.shard_hi);
+    let (shard_count, shard_size) = shard_layout(setup.n as usize);
+    if lo >= hi || hi as usize > shard_count {
+        return Err(io.fault(format!(
+            "setup.shard_lo/shard_hi [{lo}, {hi}) is not a non-empty range of the \
+             {shard_count} shards of {} nodes",
+            setup.n
+        )));
+    }
+    // The coordinator builds every link from `cfg`, so the slower link
+    // class bounds them all. `cycle_params` sizes the wheel and the run
+    // from these in u32.
+    let c = &setup.cfg;
+    let max_interval = link_interval(c, true).max(link_interval(c, false));
+    let wheel = max_interval.checked_mul(c.message_length.max(1));
+    if wheel.and_then(|w| w.checked_add(1)).is_none() {
+        return Err(io.fault("setup.cfg: arrival wheel size overflows u32".to_string()));
+    }
+    let cycles = c.warmup_cycles.checked_add(c.measure_cycles);
+    if cycles.and_then(|m| m.checked_add(c.drain_cycles)).is_none() {
+        return Err(io.fault("setup.cfg: cycle count overflows u32".to_string()));
+    }
 
     let ws = WorkerSetup {
         netspec: setup.netspec.clone(),
@@ -73,9 +140,8 @@ pub fn worker_main(
     }
 
     // Local shards, assembled from shipped link arrays (never a CSR).
-    let local_shards = (setup.shard_hi - setup.shard_lo) as usize;
-    let mut shards = Vec::with_capacity(local_shards);
-    for si in setup.shard_lo..setup.shard_hi {
+    let mut shards = Vec::with_capacity((hi - lo) as usize);
+    for si in lo..hi {
         let sl: ShardLinksFrame = io.frame_recv()?;
         if sl.shard != si {
             return Err(io.fault(format!(
@@ -83,11 +149,16 @@ pub fn worker_main(
                 sl.shard
             )));
         }
+        let (base, node_count) = shard_span(setup.n, shard_size, si);
+        if let Some(why) = check_links(&sl, node_count, setup.n, max_interval) {
+            return Err(io.fault(format!("shard {si} of {} nodes: {why}", setup.n)));
+        }
         shards.push(Shard::assemble(
-            sl.base,
-            sl.node_count,
+            base,
+            node_count,
             sl.link_of,
-            Links::from_arrays(sl.to, sl.interval),
+            sl.to,
+            sl.interval,
         ));
     }
 
@@ -102,48 +173,33 @@ pub fn worker_main(
     } else {
         Obs::disabled()
     };
-    let c_injected = obs.counter("engine.injected_tagged");
-    let c_injected_all = obs.counter("engine.injected_total");
-    let c_dropped = obs.counter("engine.dropped_unreachable");
-    let dobs = DeliveryObs::attach(&obs);
-
-    // Workers always run the sparse kernel; the dense oracle is an
-    // in-process test switch (`Simulator::set_dense`).
-    let pr = cycle_params(setup.n, &setup.cfg, setup.max_interval, false);
     let trace_cfg = setup.trace.map(|(interval, capacity)| TraceConfig {
         interval,
         capacity: capacity as usize,
     });
-    for (idx, sh) in shards.iter_mut().enumerate() {
-        sh.prepare_run(
-            setup.cfg.seed,
-            pr.wheel_len,
-            setup.track,
-            setup.track_links,
-            plan.as_ref(),
-            trace_cfg.as_ref(),
-            (setup.shard_lo + idx as u32) as u16,
-        );
-    }
+    // Workers always run the sparse kernel; the dense oracle is an
+    // in-process test switch (`Simulator::set_dense`).
+    let pr = cycle_params(setup.n, &setup.cfg, max_interval, false);
+    let mut range = ShardRange::prepare(
+        &mut shards,
+        lo,
+        pr,
+        router.as_ref(),
+        plan.as_ref(),
+        &obs,
+        trace_cfg.as_ref(),
+    );
 
     io.frame_send(&ReadyFrame {
         worker: setup.worker,
     })?;
 
-    // The full-network fault view: faults anywhere can matter locally
-    // (a router detour target, a dead destination node).
-    let mut view = FaultView::new(setup.n as usize);
-    let mut fault_cursor = 0usize;
     let kill_at = planned_test_exit();
-
     let mut out_frame = OutboxFrame {
         cycle: 0,
         launched_total: 0,
         msgs: Vec::new(),
     };
-    let mut local_pending: Vec<Msg> = Vec::new();
-    let router_ref: &dyn Router = router.as_ref();
-
     for cycle in 0..pr.total_cycles {
         io.note_cycle(u64::from(cycle));
         if kill_at == Some((setup.worker, cycle)) {
@@ -153,48 +209,13 @@ pub fn worker_main(
                 detail: "test-injected worker exit (IPG_DIST_TEST_EXIT)".to_string(),
             });
         }
-        if let Some(p) = plan.as_ref() {
-            p.apply_due(&mut fault_cursor, cycle, &mut view);
-        }
-        let fv: Option<&FaultView> = plan.as_ref().map(|_| &view);
+        range.phase_a(cycle);
 
-        // Phase A on local shards, exactly the in-process parallel call.
-        rayon::slice::par_for_each_mut(&mut shards, |_, sh| {
-            sh.phase_a(
-                cycle,
-                &pr,
-                router_ref,
-                fv,
-                &c_injected,
-                &c_injected_all,
-                &c_dropped,
-            );
-        });
-
-        // Split departures: remote ones ship, local ones are held in
-        // shard order so absorption can reproduce the global merge.
         out_frame.cycle = cycle;
         out_frame.msgs.clear();
-        local_pending.clear();
-        let mut launched = 0u32;
-        for sh in &mut shards {
-            launched += sh.outbox.len() as u32;
-            for &msg in sh.outbox.iter() {
-                let dest_shard = msg.to / setup.shard_size;
-                if (setup.shard_lo..setup.shard_hi).contains(&dest_shard) {
-                    local_pending.push(msg);
-                } else {
-                    out_frame.msgs.push(msg);
-                }
-            }
-            sh.outbox.clear();
-        }
-        out_frame.launched_total = launched;
+        out_frame.launched_total = range.phase_split(&mut out_frame.msgs);
         io.frame_send(&out_frame)?;
 
-        // Absorb arrivals in global shard order: messages from workers
-        // below us, then our own, then workers above us — each stream
-        // already ordered by origin shard.
         let arrivals: ArrivalsFrame = io.frame_recv()?;
         if arrivals.cycle != cycle {
             return Err(io.fault(format!(
@@ -202,31 +223,29 @@ pub fn worker_main(
                 arrivals.cycle
             )));
         }
-        for msg in arrivals
-            .pre
-            .iter()
-            .chain(&local_pending)
-            .chain(&arrivals.post)
-        {
-            let dest_shard = msg.to / setup.shard_size;
-            let Some(sh) = shards.get_mut(dest_shard.wrapping_sub(setup.shard_lo) as usize) else {
-                return Err(io.fault(format!(
-                    "arrival for node {} lands in shard {dest_shard}, outside [{}, {})",
-                    msg.to, setup.shard_lo, setup.shard_hi
-                )));
+        // The merge and phase B index wheels, shards and nodes with these.
+        for m in arrivals.pre.iter().chain(&arrivals.post) {
+            let field = if m.to >= setup.n || !(lo..hi).contains(&(m.to / shard_size)) {
+                "to"
+            } else if m.dst >= setup.n {
+                "dst"
+            } else if m.slot >= pr.wheel_len {
+                "slot"
+            } else {
+                continue;
             };
-            sh.wheel_push(*msg);
+            return Err(io.fault(format!(
+                "arrivals.{field} out of range in {m:?} (shards [{lo}, {hi}) of a {}-node \
+                 network, {}-slot wheel)",
+                setup.n, pr.wheel_len
+            )));
         }
+        range.phase_merge(&arrivals.pre, &arrivals.post);
+        range.phase_b(cycle);
 
-        // Phase B at the next cycle boundary's wheel slot.
-        let slot = ((cycle + 1) % pr.wheel_len) as usize;
-        rayon::slice::par_for_each_mut(&mut shards, |_, sh| {
-            sh.phase_b(cycle, slot, &pr, router_ref, fv, &dobs, &c_dropped);
-        });
-
-        if setup.track && setup.window > 0 && (cycle + 1) % setup.window == 0 {
+        if let Some(at) = window_end(setup.window, cycle).filter(|_| setup.track) {
             io.frame_send(&SnapshotFrame {
-                cycle: u64::from(cycle) + 1,
+                cycle: at,
                 metrics: obs.snapshot_metrics(),
             })?;
         }
@@ -234,27 +253,15 @@ pub fn worker_main(
 
     // Totals are partial here — packets cross worker boundaries, so
     // conservation only holds after the coordinator absorbs everyone.
-    let totals = RunTotals::fold_shards(&shards);
-    if setup.track {
-        fold_link_telemetry(&shards, &obs, &totals, pr.total_cycles);
-    }
-
-    let (trace_events, trace_dropped) = match trace_cfg.as_ref() {
-        Some(tc) => {
-            let tracers: Vec<ShardTracer> =
-                shards.iter_mut().filter_map(|s| s.tracer.take()).collect();
-            // A blank engine-track tracer: the coordinator owns the real
-            // merge track. Collect sorts local events exactly as the
-            // in-process drain would within this worker's shard range.
-            let t = Trace::collect(
-                tc.interval.max(1),
-                tracers,
-                ShardTracer::new(ENGINE_TRACK, tc),
-            );
-            (t.events, t.dropped)
-        }
-        None => (Vec::new(), 0),
-    };
+    let (totals, tracers) = range.finish(&obs);
+    // A blank engine-track tracer: the coordinator owns the real merge
+    // track. Collect sorts local events exactly as the in-process drain
+    // would within this worker's shard range.
+    let (trace_events, trace_dropped) = trace_cfg.as_ref().map_or((Vec::new(), 0), |tc| {
+        let blank = ShardTracer::new(ENGINE_TRACK, tc);
+        let t = Trace::collect(tc.interval.max(1), tracers, blank);
+        (t.events, t.dropped)
+    });
 
     io.note_cycle(u64::from(pr.total_cycles));
     let fin = FinalFrame {
@@ -268,4 +275,170 @@ pub fn worker_main(
     };
     io.frame_send(&fin)?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{shard_link_arrays, Msg, SimConfig};
+    use crate::table::RoutingTable;
+    use ipg_core::graph::Csr;
+    use ipg_networks::classic;
+
+    /// 514 nodes: 4 shards of 129, the last one 127 nodes short of a
+    /// full shard, so node ids past `n` still map into the layout.
+    fn ring() -> Csr {
+        classic::ring(514)
+    }
+
+    /// Worker 1 owning shards `[2, 4)` of a three-cycle run.
+    fn setup() -> SetupFrame {
+        SetupFrame {
+            worker: 1,
+            n: 514,
+            shard_lo: 2,
+            shard_hi: 4,
+            window: 0,
+            track: false,
+            faulted: false,
+            trace: None,
+            netspec: "ring:514".to_string(),
+            cfg: SimConfig {
+                injection_rate: 0.5,
+                warmup_cycles: 0,
+                measure_cycles: 3,
+                drain_cycles: 0,
+                ..SimConfig::default()
+            },
+            faults: Vec::new(),
+        }
+    }
+
+    fn links(g: &Csr, si: u32) -> ShardLinksFrame {
+        let (base, node_count) = shard_span(514, 129, si);
+        let (link_of, to, interval) =
+            shard_link_arrays(g, |_| 0, &SimConfig::default(), base, node_count);
+        ShardLinksFrame {
+            shard: si,
+            link_of,
+            to,
+            interval,
+        }
+    }
+
+    /// Run [`serve`] on a thread against a scripted coordinator that
+    /// sends `setup` and `shard_links`, then answers cycle 0's outbox
+    /// with `pre` as arrivals and every later cycle with none.
+    fn drive(setup: &SetupFrame, shard_links: &[ShardLinksFrame], pre: Vec<Msg>) -> Result<()> {
+        let g = ring();
+        let (ours, theirs) = std::os::unix::net::UnixStream::pair().unwrap();
+        let (mut coord, worker) = (FrameIo::over(ours, 1), FrameIo::over(theirs, u32::MAX));
+        std::thread::scope(|s| {
+            let run = s.spawn(|| {
+                let build =
+                    |_: &WorkerSetup| Ok(Box::new(RoutingTable::new(&g)) as Box<dyn Router>);
+                serve(worker, build, || 0)
+            });
+            // Sends fail once the worker has rejected a frame and hung
+            // up; the worker's own error is the result under test.
+            let _ = coord.frame_send(setup);
+            for sl in shard_links {
+                let _ = coord.frame_send(sl);
+            }
+            if coord.frame_recv::<ReadyFrame>().is_ok() {
+                let mut pre = Some(pre);
+                for cycle in 0..3 {
+                    if coord.frame_recv::<OutboxFrame>().is_err() {
+                        break;
+                    }
+                    let arrivals = ArrivalsFrame {
+                        cycle,
+                        pre: pre.take().unwrap_or_default(),
+                        post: Vec::new(),
+                    };
+                    let _ = coord.frame_send(&arrivals);
+                }
+                let _ = coord.frame_recv::<FinalFrame>();
+            }
+            drop(coord);
+            run.join().expect("worker must not panic")
+        })
+    }
+
+    #[test]
+    fn forged_frames_fail_with_the_field_and_the_worker() {
+        let g = ring();
+        let good_links = [links(&g, 2), links(&g, 3)];
+        let arrival = Msg {
+            to: 300,
+            dst: 301,
+            born: 0,
+            tagged: false,
+            slot: 1,
+        };
+        drive(&setup(), &good_links, vec![arrival]).expect("well-formed frames run");
+
+        let mut cases: Vec<(&str, SetupFrame, Vec<ShardLinksFrame>, Vec<Msg>)> = Vec::new();
+        for (lo, hi) in [(3, 2), (2, 2), (2, 5)] {
+            let s = SetupFrame {
+                shard_lo: lo,
+                shard_hi: hi,
+                ..setup()
+            };
+            cases.push((
+                "setup.shard_lo/shard_hi",
+                s,
+                good_links.to_vec(),
+                Vec::new(),
+            ));
+        }
+        for forge in [
+            |c: &mut SimConfig| c.off_module_interval = u32::MAX,
+            |c: &mut SimConfig| c.drain_cycles = u32::MAX,
+        ] {
+            let mut s = setup();
+            forge(&mut s.cfg);
+            cases.push(("setup.cfg", s, good_links.to_vec(), Vec::new()));
+        }
+        let forge = |field: &'static str, f: fn(&mut ShardLinksFrame)| {
+            let mut ls = good_links.to_vec();
+            f(&mut ls[1]);
+            (field, setup(), ls, Vec::new())
+        };
+        cases.push(forge("links.link_of", |l| {
+            l.link_of.pop();
+        }));
+        cases.push(forge("links.link_of", |l| l.link_of.swap(1, 2)));
+        cases.push(forge("links.link_of", |l| {
+            *l.link_of.last_mut().unwrap() -= 1
+        }));
+        cases.push(forge("links.link_of", |l| l.link_of[0] = 1));
+        cases.push(forge("links.interval", |l| {
+            l.interval.pop();
+        }));
+        cases.push(forge("links.to", |l| l.to[3] = 514));
+        cases.push(forge("links.interval", |l| l.interval[3] = 0));
+        cases.push(forge("links.interval", |l| l.interval[3] = 2));
+        for (field, m) in [
+            ("arrivals.to", Msg { to: 5, ..arrival }),
+            ("arrivals.to", Msg { to: 515, ..arrival }),
+            (
+                "arrivals.dst",
+                Msg {
+                    dst: 514,
+                    ..arrival
+                },
+            ),
+            ("arrivals.slot", Msg { slot: 2, ..arrival }),
+        ] {
+            cases.push((field, setup(), good_links.to_vec(), vec![m]));
+        }
+        for (field, s, ls, pre) in cases {
+            let err = drive(&s, &ls, pre).expect_err(field).to_string();
+            assert!(
+                err.contains(field) && err.contains("worker 1"),
+                "{field}: unexpected error: {err}"
+            );
+        }
+    }
 }

@@ -28,6 +28,11 @@
 //!    accumulators, atomic obs counters) or re-enqueueing them on the next
 //!    local link FIFO.
 //!
+//! One driver, `ShardRange`, runs these steps over a contiguous run of
+//! shards: [`Simulator`] over all of them, the dist worker over its own,
+//! adding only the frame exchange between the merge's two halves
+//! (`phase_split`, `phase_merge`; DESIGN.md §15).
+//!
 //! Randomness comes from [`crate::rng::node_stream`]: one counter-based
 //! stream per node, so a node's draws depend only on `(seed, node id,
 //! draw index)` — the engine is bit-identical for every `IPG_THREADS`,
@@ -79,7 +84,7 @@ use crate::table::RoutingTable;
 use crate::worklist::Worklist;
 use ipg_core::fault::FaultView;
 use ipg_core::graph::Csr;
-use ipg_obs::{Obs, ShardTracer, Trace, TraceConfig, ENGINE_TRACK};
+use ipg_obs::{Counter, Histogram, Obs, ShardTracer, Span, Trace, TraceConfig, ENGINE_TRACK};
 use rand::Rng;
 
 /// Destination selection for injected packets.
@@ -279,7 +284,7 @@ impl Pool {
 
 /// Per-link state, struct-of-arrays over the links owned by one shard.
 #[derive(Default)]
-pub(crate) struct Links {
+struct Links {
     to: Vec<u32>,
     interval: Vec<u32>,
     next_free: Vec<u64>,
@@ -291,22 +296,6 @@ pub(crate) struct Links {
 impl Links {
     fn len(&self) -> usize {
         self.to.len()
-    }
-
-    /// Rebuild link state from bare `to`/`interval` arrays, e.g. ones a
-    /// distributed worker received over the frame protocol. Queues start
-    /// empty, exactly as after a sequence of [`Links::push`] calls.
-    pub(crate) fn from_arrays(to: Vec<u32>, interval: Vec<u32>) -> Links {
-        debug_assert_eq!(to.len(), interval.len());
-        let nl = to.len();
-        Links {
-            to,
-            interval,
-            next_free: vec![0; nl],
-            qhead: vec![NIL; nl],
-            qtail: vec![NIL; nl],
-            qlen: vec![0; nl],
-        }
     }
 
     #[inline]
@@ -332,25 +321,15 @@ impl Links {
     }
 }
 
-#[derive(Clone, Copy, Default)]
-struct ShardStats {
-    injected: u64,
-    delivered: u64,
-    unmeasured: u64,
-    dropped: u64,
-    latency_sum: u64,
-    max_latency: u32,
-}
-
 /// One contiguous node range with everything its cycle work touches:
 /// link FIFOs, packet pool, per-node RNG streams, outbox, arrival wheel.
-/// Crate-visible so the distributed worker (`dist::worker`) can drive
-/// the same phase-A/merge/phase-B machinery over its local shard range.
+/// Crate-visible so the distributed worker (`dist::worker`) can assemble
+/// its local shards; only [`ShardRange`] drives them.
 pub(crate) struct Shard {
     /// First global node id.
-    pub(crate) base: u32,
+    base: u32,
     /// Nodes in this shard.
-    pub(crate) node_count: u32,
+    node_count: u32,
     /// Per-node offsets into `links` (length `node_count + 1`).
     link_of: Vec<u32>,
     /// Local node index owning each link (the inverse of `link_of`).
@@ -376,9 +355,9 @@ pub(crate) struct Shard {
     tagged_queued: u64,
     wheel_live: u64,
     tagged_wheel: u64,
-    pub(crate) outbox: Vec<Msg>,
+    outbox: Vec<Msg>,
     wheel: Vec<Vec<Msg>>,
-    stats: ShardStats,
+    stats: RunTotals,
     link_busy: Vec<u64>,
     queue_hw: Vec<u32>,
     /// This shard's slice of the run's fault plan (empty when no plan).
@@ -390,24 +369,31 @@ pub(crate) struct Shard {
     /// off). Owned by the shard, so tracing in the parallel phases is
     /// lock-free; events carry only computation-derived payloads, so
     /// simulation state and results are untouched (DESIGN.md §11).
-    pub(crate) tracer: Option<ShardTracer>,
+    tracer: Option<ShardTracer>,
 }
 
-/// Delivery-side observability handles shared by every shard in phase B.
-/// Counters and histograms are atomic, so concurrent updates from worker
-/// threads commute and barrier-time values stay deterministic.
-pub(crate) struct DeliveryObs {
-    delivered: ipg_obs::Counter,
-    unmeasured: ipg_obs::Counter,
-    latency: ipg_obs::Histogram,
+/// Every per-cycle metric handle the shards write, shared by all shards
+/// of a run. Counters and histograms are atomic, so concurrent updates
+/// from worker threads commute and barrier-time values stay
+/// deterministic.
+pub(crate) struct EngineObs {
+    injected: Counter,
+    injected_all: Counter,
+    dropped: Counter,
+    delivered: Counter,
+    unmeasured: Counter,
+    latency: Histogram,
 }
 
-impl DeliveryObs {
-    /// Register (or re-attach to) the delivery metrics on `obs`. Name
-    /// set must stay in lockstep between the in-process engine and the
-    /// distributed worker so merged registries line up.
-    pub(crate) fn attach(obs: &Obs) -> DeliveryObs {
-        DeliveryObs {
+impl EngineObs {
+    /// Register (or re-attach to) the per-cycle engine metrics on `obs`.
+    /// The in-process run, the dist worker and the dist coordinator all
+    /// attach here, so merged registries line up name for name.
+    pub(crate) fn attach(obs: &Obs) -> EngineObs {
+        EngineObs {
+            injected: obs.counter("engine.injected_tagged"),
+            injected_all: obs.counter("engine.injected_total"),
+            dropped: obs.counter("engine.dropped_unreachable"),
             delivered: obs.counter("engine.delivered_tagged"),
             unmeasured: obs.counter("engine.delivered_unmeasured"),
             latency: obs.histogram("engine.latency_cycles"),
@@ -415,10 +401,30 @@ impl DeliveryObs {
     }
 }
 
+/// Switch `span` at the top of `cycle` when a run phase starts there:
+/// `measure` after the warmup, `drain` after the measurement window.
+/// The caller opens `warmup` before the first cycle. Shared by the
+/// in-process run and the dist coordinator.
+pub(crate) fn phase_span(obs: &Obs, cfg: &SimConfig, cycle: u32, span: &mut Option<Span>) {
+    let drain_at = cfg.warmup_cycles + cfg.measure_cycles;
+    for (at, name) in [(cfg.warmup_cycles, "measure"), (drain_at, "drain")] {
+        if cycle == at {
+            span.take();
+            *span = Some(obs.span(name));
+        }
+    }
+}
+
+/// The metric window boundary the end of `cycle` reaches (none if 0).
+pub(crate) fn window_end(window: u32, cycle: u32) -> Option<u64> {
+    (window > 0 && (cycle + 1) % window == 0).then(|| u64::from(cycle) + 1)
+}
+
 /// Parameters of one run, copied into every shard closure.
 #[derive(Clone, Copy)]
 pub(crate) struct RunParams {
     n: u32,
+    seed: u64,
     injection_rate: f64,
     /// `rng::bernoulli_threshold(injection_rate)`, precomputed once: the
     /// injection draw is the single hottest RNG site in the engine.
@@ -438,10 +444,11 @@ pub(crate) struct RunParams {
 }
 
 /// Derive one run's [`RunParams`] from the config. `max_interval` must
-/// be the **global** maximum link service interval of the whole network
-/// — a distributed worker receives it from the coordinator rather than
-/// computing it from its local shard range, or wheel geometry (and
-/// therefore arrival timing) would diverge between processes.
+/// bound the service interval of **every** link of the network, not
+/// just the local shard range's: a head advance as long as the wheel
+/// would land in a slot drained too early. Any larger bound times
+/// arrivals identically, so a distributed worker derives it from the
+/// config's two link classes instead of scanning the graph.
 pub(crate) fn cycle_params(n: u32, cfg: &SimConfig, max_interval: u32, dense: bool) -> RunParams {
     let msg_len = cfg.message_length.max(1);
     // Arrival wheel: one slot per possible head-advance value. A link
@@ -451,6 +458,7 @@ pub(crate) fn cycle_params(n: u32, cfg: &SimConfig, max_interval: u32, dense: bo
     let wheel_len = max_interval * msg_len + 1;
     RunParams {
         n,
+        seed: cfg.seed,
         injection_rate: cfg.injection_rate,
         inj_threshold: bernoulli_threshold(cfg.injection_rate),
         traffic: cfg.traffic,
@@ -470,10 +478,10 @@ pub(crate) fn cycle_params(n: u32, cfg: &SimConfig, max_interval: u32, dense: bo
     }
 }
 
-/// Per-run totals folded from shard stat accumulators. The distributed
-/// worker ships these in its final frame; the coordinator absorbs every
-/// worker's totals and converts the sum to a [`SimResult`] with exactly
-/// the in-process arithmetic.
+/// Per-run totals, also each shard's accumulators. The distributed
+/// worker ships its range's sum in its final frame; the coordinator
+/// absorbs every worker's totals and converts the sum to a [`SimResult`]
+/// with exactly the in-process arithmetic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct RunTotals {
     pub(crate) injected: u64,
@@ -486,21 +494,6 @@ pub(crate) struct RunTotals {
 }
 
 impl RunTotals {
-    /// Sum the per-shard accumulators (and O(1) in-flight counters).
-    pub(crate) fn fold_shards(shards: &[Shard]) -> RunTotals {
-        let mut t = RunTotals::default();
-        for sh in shards {
-            t.injected += sh.stats.injected;
-            t.delivered += sh.stats.delivered;
-            t.unmeasured += sh.stats.unmeasured;
-            t.dropped += sh.stats.dropped;
-            t.latency_sum += sh.stats.latency_sum;
-            t.max_latency = t.max_latency.max(sh.stats.max_latency);
-            t.in_flight += sh.tagged_in_flight();
-        }
-        t
-    }
-
     /// Fold another total in (coordinator-side aggregation).
     pub(crate) fn absorb(&mut self, o: &RunTotals) {
         self.injected += o.injected;
@@ -512,13 +505,17 @@ impl RunTotals {
         self.in_flight += o.in_flight;
     }
 
-    /// The [`SimResult`] these totals describe.
+    /// The [`SimResult`] these whole-run totals describe.
     pub(crate) fn into_sim_result(
         self,
         n: u64,
         measure_cycles: u32,
         total_cycles: u32,
     ) -> SimResult {
+        debug_assert_eq!(
+            self.injected,
+            self.delivered + self.in_flight + self.dropped
+        );
         SimResult {
             injected: self.injected,
             delivered: self.delivered,
@@ -537,45 +534,29 @@ impl RunTotals {
     }
 }
 
-/// End-of-run link telemetry: fold per-link busy/high-water figures into
-/// the utilization histograms and gauges, plus the in-flight and link
-/// totals. Shared by the in-process track block and the distributed
-/// worker (whose local registry ships to the coordinator), so metric
-/// names and observation sequences match exactly.
-pub(crate) fn fold_link_telemetry(
-    shards: &[Shard],
-    obs: &Obs,
-    totals: &RunTotals,
-    total_cycles: u32,
-) {
-    obs.counter("engine.in_flight_at_end").add(totals.in_flight);
-    let links_total: usize = shards.iter().map(|s| s.links.len()).sum();
-    obs.counter("engine.links").add(links_total as u64);
-    let h_util = obs.histogram("engine.link_utilization_pct");
-    let g_util = obs.gauge("engine.link_utilization_max_pct");
-    let h_qhw = obs.histogram("engine.queue_depth_high_water");
-    let g_qhw = obs.gauge("engine.queue_depth_max");
-    for sh in shards {
-        for (busy, hw) in sh.link_busy.iter().zip(&sh.queue_hw) {
-            let pct = (busy * 100 / u64::from(total_cycles.max(1))).min(100);
-            h_util.observe(pct);
-            g_util.record_max(pct);
-            h_qhw.observe(u64::from(*hw));
-            g_qhw.record_max(u64::from(*hw));
-        }
-    }
-}
-
 impl Shard {
     /// Construct a quiescent shard over `[base, base + node_count)` from
-    /// its per-node link offsets and link arrays. `link_owner` is derived
-    /// from `link_of`; all run state starts empty until
-    /// [`Shard::prepare_run`]. Used by both the in-process constructor
-    /// and the distributed worker (which receives `link_of`/links over
-    /// the frame protocol instead of walking a CSR).
-    pub(crate) fn assemble(base: u32, node_count: u32, link_of: Vec<u32>, links: Links) -> Shard {
+    /// its per-node link offsets and `(to, interval)` link arrays; run
+    /// state starts empty until [`Shard::prepare_run`]. The dist worker
+    /// checks shipped arrays against these preconditions first.
+    pub(crate) fn assemble(
+        base: u32,
+        node_count: u32,
+        link_of: Vec<u32>,
+        to: Vec<u32>,
+        interval: Vec<u32>,
+    ) -> Shard {
         debug_assert_eq!(link_of.len(), node_count as usize + 1);
-        let nl = links.len();
+        debug_assert_eq!(to.len(), interval.len());
+        let nl = to.len();
+        let links = Links {
+            to,
+            interval,
+            next_free: vec![0; nl],
+            qhead: vec![NIL; nl],
+            qtail: vec![NIL; nl],
+            qlen: vec![0; nl],
+        };
         let mut link_owner = Vec::with_capacity(nl);
         for local in 0..node_count as usize {
             for _ in link_of[local]..link_of[local + 1] {
@@ -605,7 +586,7 @@ impl Shard {
             tagged_wheel: 0,
             outbox: Vec::new(),
             wheel: Vec::new(),
-            stats: ShardStats::default(),
+            stats: RunTotals::default(),
             link_busy: Vec::new(),
             queue_hw: Vec::new(),
             faults: ShardFaults::default(),
@@ -620,11 +601,9 @@ impl Shard {
     /// tracer. `track_id` is the tracer's track number — the shard's
     /// **global** shard index, which equals the local index in-process
     /// but not in a distributed worker that owns shards `[lo, hi)`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn prepare_run(
+    fn prepare_run(
         &mut self,
-        seed: u64,
-        wheel_len: u32,
+        pr: &RunParams,
         track: bool,
         track_links: bool,
         plan: Option<&FaultPlan>,
@@ -640,7 +619,7 @@ impl Shard {
         }
         self.pool.reset();
         self.rngs = (self.base..self.base + self.node_count)
-            .map(|v| node_stream(seed, v))
+            .map(|v| node_stream(pr.seed, v))
             .collect();
         self.sched.reset();
         self.active_links.clear();
@@ -653,8 +632,8 @@ impl Shard {
         self.tagged_wheel = 0;
         self.outbox.clear();
         self.wheel.clear();
-        self.wheel.resize_with(wheel_len as usize, Vec::new);
-        self.stats = ShardStats::default();
+        self.wheel.resize_with(pr.wheel_len as usize, Vec::new);
+        self.stats = RunTotals::default();
         self.link_busy = vec![0u64; if track_links { nl } else { 0 }];
         self.queue_hw = vec![0u32; if track { nl } else { 0 }];
         self.link_dead = vec![false; if plan.is_some() { nl } else { 0 }];
@@ -672,11 +651,10 @@ impl Shard {
     }
 
     /// Append one merged arrival to the wheel, maintaining the occupancy
-    /// counters. The only sanctioned wheel insertion — both the
-    /// in-process merge and the distributed worker's arrival absorption
-    /// go through it, so in-flight accounting can never desync.
+    /// counters. The only sanctioned wheel insertion — the range merge
+    /// goes through it, so in-flight accounting can never desync.
     #[inline]
-    pub(crate) fn wheel_push(&mut self, msg: Msg) {
+    fn wheel_push(&mut self, msg: Msg) {
         self.wheel[msg.slot as usize].push(msg);
         self.wheel_live += 1;
         if msg.tagged {
@@ -748,7 +726,7 @@ impl Shard {
         tagged: bool,
         router: &R,
         fv: Option<&FaultView>,
-        c_dropped: &ipg_obs::Counter,
+        c_dropped: &Counter,
     ) {
         let hop = match fv {
             Some(view) => router.next_hop_faulted(at, dst, view),
@@ -777,7 +755,7 @@ impl Shard {
     /// the `SimResult` conservation invariant; the counter sees every
     /// drop.
     #[inline]
-    fn drop_packet(&mut self, tagged: bool, c_dropped: &ipg_obs::Counter) {
+    fn drop_packet(&mut self, tagged: bool, c_dropped: &Counter) {
         if tagged {
             self.stats.dropped += 1;
         }
@@ -793,7 +771,7 @@ impl Shard {
         f: LocalFault,
         router: &R,
         view: &FaultView,
-        c_dropped: &ipg_obs::Counter,
+        c_dropped: &Counter,
     ) {
         match f {
             LocalFault::Link(li) => {
@@ -844,17 +822,15 @@ impl Shard {
         pr: &RunParams,
         router: &R,
         fv: Option<&FaultView>,
-        c_injected: &ipg_obs::Counter,
-        c_injected_all: &ipg_obs::Counter,
-        c_dropped: &ipg_obs::Counter,
+        eo: &EngineObs,
     ) {
         let tagged = cycle >= pr.tag_lo && cycle < pr.tag_hi;
         if tagged {
             self.stats.injected += 1;
-            c_injected.incr();
+            eo.injected.incr();
         }
-        c_injected_all.incr();
-        self.accept(src, dst, cycle, tagged, router, fv, c_dropped);
+        eo.injected_all.incr();
+        self.accept(src, dst, cycle, tagged, router, fv, &eo.dropped);
     }
 
     /// Serve link `li`: if it is alive, free, and non-empty, launch its
@@ -896,20 +872,17 @@ impl Shard {
     /// order-independent across shards. Sparse by default: injection
     /// comes off the chunked schedule, service off the active-link
     /// worklist; `pr.dense` re-enables the full scans as the oracle.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn phase_a<R: Router + ?Sized>(
+    fn phase_a<R: Router + ?Sized>(
         &mut self,
         cycle: u32,
         pr: &RunParams,
         router: &R,
         fv: Option<&FaultView>,
-        c_injected: &ipg_obs::Counter,
-        c_injected_all: &ipg_obs::Counter,
-        c_dropped: &ipg_obs::Counter,
+        eo: &EngineObs,
     ) {
         if let Some(view) = fv {
             while let Some(f) = self.faults.next_due(cycle) {
-                self.apply_fault(f, router, view, c_dropped);
+                self.apply_fault(f, router, view, &eo.dropped);
             }
         }
         let mut injected_now = 0u32;
@@ -929,17 +902,7 @@ impl Shard {
                     continue;
                 };
                 injected_now += 1;
-                self.inject_one(
-                    src,
-                    dst,
-                    cycle,
-                    pr,
-                    router,
-                    fv,
-                    c_injected,
-                    c_injected_all,
-                    c_dropped,
-                );
+                self.inject_one(src, dst, cycle, pr, router, fv, eo);
             }
         } else {
             if self.sched.needs_refill(cycle) {
@@ -965,17 +928,7 @@ impl Shard {
                     continue; // died mid-chunk: the dense loop skips too
                 }
                 injected_now += 1;
-                self.inject_one(
-                    src,
-                    dst,
-                    cycle,
-                    pr,
-                    router,
-                    fv,
-                    c_injected,
-                    c_injected_all,
-                    c_dropped,
-                );
+                self.inject_one(src, dst, cycle, pr, router, fv, eo);
             }
         }
         if pr.dense {
@@ -1014,16 +967,14 @@ impl Shard {
     /// Phase B: drain this cycle boundary's arrival wheel slot — deliver
     /// or re-enqueue. Counter/histogram updates are atomic adds, so their
     /// end-of-phase values are independent of shard interleaving.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn phase_b<R: Router + ?Sized>(
+    fn phase_b<R: Router + ?Sized>(
         &mut self,
         cycle: u32,
         slot: usize,
         pr: &RunParams,
         router: &R,
         fv: Option<&FaultView>,
-        dobs: &DeliveryObs,
-        c_dropped: &ipg_obs::Counter,
+        eo: &EngineObs,
     ) {
         let sampling = self
             .tracer
@@ -1041,7 +992,7 @@ impl Shard {
             }
             if fv.is_some_and(|view| view.node_dead(msg.to)) {
                 // dead nodes neither deliver nor forward
-                self.drop_packet(msg.tagged, c_dropped);
+                self.drop_packet(msg.tagged, &eo.dropped);
                 continue;
             }
             if msg.to == msg.dst {
@@ -1051,14 +1002,22 @@ impl Shard {
                     let lat = cycle + 1 - msg.born + pr.tail_penalty;
                     self.stats.latency_sum += u64::from(lat);
                     self.stats.max_latency = self.stats.max_latency.max(lat);
-                    dobs.delivered.incr();
-                    dobs.latency.observe(u64::from(lat));
+                    eo.delivered.incr();
+                    eo.latency.observe(u64::from(lat));
                 } else {
                     self.stats.unmeasured += 1;
-                    dobs.unmeasured.incr();
+                    eo.unmeasured.incr();
                 }
             } else {
-                self.accept(msg.to, msg.dst, msg.born, msg.tagged, router, fv, c_dropped);
+                self.accept(
+                    msg.to,
+                    msg.dst,
+                    msg.born,
+                    msg.tagged,
+                    router,
+                    fv,
+                    &eo.dropped,
+                );
             }
         }
         let drained = msgs.len() as u32;
@@ -1088,7 +1047,7 @@ impl Shard {
     /// Tagged packets still buffered (link FIFOs or the arrival wheel).
     /// O(1): reads the occupancy counters maintained by the fifo helpers
     /// and the wheel merge instead of re-walking every FIFO and slot.
-    pub(crate) fn tagged_in_flight(&self) -> u64 {
+    fn tagged_in_flight(&self) -> u64 {
         self.tagged_queued + self.tagged_wheel
     }
 }
@@ -1135,7 +1094,6 @@ fn pick_destination(n: u32, src: u32, traffic: Traffic, rng: &mut NodeRng) -> Op
 pub struct Simulator<R: Router = RoutingTable> {
     n: usize,
     router: R,
-    shard_size: u32,
     shards: Vec<Shard>,
     max_interval: u32,
     plan: Option<FaultPlan>,
@@ -1151,6 +1109,25 @@ pub(crate) fn shard_layout(n: usize) -> (usize, u32) {
     let shard_count = (n / SHARD_TARGET_NODES).clamp(1, MAX_SHARDS);
     let shard_size = n.div_ceil(shard_count).max(1) as u32;
     (shard_count, shard_size)
+}
+
+/// `(base, node_count)` of shard `si` in the layout of `n` nodes whose
+/// shards hold `shard_size` nodes (the last one possibly fewer).
+pub(crate) fn shard_span(n: u32, shard_size: u32, si: u32) -> (u32, u32) {
+    let base = si * shard_size;
+    (base, shard_size.min(n - base))
+}
+
+/// The service interval of a link: `cfg.on_module_interval` when both
+/// endpoints share a module, `cfg.off_module_interval` otherwise, and
+/// never below 1.
+pub(crate) fn link_interval(cfg: &SimConfig, same_module: bool) -> u32 {
+    if same_module {
+        cfg.on_module_interval
+    } else {
+        cfg.off_module_interval
+    }
+    .max(1)
 }
 
 /// Flatten one shard's outgoing links from the graph: per-node offsets
@@ -1171,18 +1148,178 @@ pub(crate) fn shard_link_arrays(
     let mut interval = Vec::new();
     for u in base..base + node_count {
         for &v in g.neighbors(u) {
-            let iv = if module(u) == module(v) {
-                cfg.on_module_interval
-            } else {
-                cfg.off_module_interval
-            }
-            .max(1);
             to.push(v);
-            interval.push(iv);
+            interval.push(link_interval(cfg, module(u) == module(v)));
         }
         link_of.push(to.len() as u32);
     }
     (link_of, to, interval)
+}
+
+/// The cycle driver: a contiguous run `[lo, hi)` of the shard layout
+/// through one run. Each cycle is `phase_a`, `phase_split`,
+/// `phase_merge`, `phase_b`; after the last one, `finish`.
+pub(crate) struct ShardRange<'a, R: Router + ?Sized> {
+    shards: &'a mut [Shard],
+    /// Global index of `shards[0]`.
+    lo: u32,
+    shard_size: u32,
+    /// The range covers every shard, so no departure leaves it.
+    whole: bool,
+    pr: RunParams,
+    router: &'a R,
+    plan: Option<&'a FaultPlan>,
+    /// The full-network fault view, mutated only between the parallel
+    /// phases: shards always read a settled view, so fault application
+    /// order can never depend on the worker count.
+    view: FaultView,
+    fault_cursor: usize,
+    eo: EngineObs,
+}
+
+impl<'a, R: Router + ?Sized> ShardRange<'a, R> {
+    /// Reset `shards` — global shards `lo..lo + shards.len()` — for a
+    /// fresh run and attach the engine metrics to `obs`.
+    pub(crate) fn prepare(
+        shards: &'a mut [Shard],
+        lo: u32,
+        pr: RunParams,
+        router: &'a R,
+        plan: Option<&'a FaultPlan>,
+        obs: &Obs,
+        trace: Option<&TraceConfig>,
+    ) -> Self {
+        let track = obs.enabled();
+        // Link-busy accounting feeds both the end-of-run utilization
+        // histograms (obs) and the sampled link-utilization trace
+        // events, so it is kept when either consumer is active.
+        let track_links = track || trace.is_some();
+        for (i, sh) in shards.iter_mut().enumerate() {
+            let track_id = (lo + i as u32) as u16;
+            sh.prepare_run(&pr, track, track_links, plan, trace, track_id);
+        }
+        let (shard_count, shard_size) = shard_layout(pr.n as usize);
+        ShardRange {
+            whole: lo == 0 && shards.len() == shard_count,
+            shards,
+            lo,
+            shard_size,
+            pr,
+            router,
+            plan,
+            view: FaultView::new(pr.n as usize),
+            fault_cursor: 0,
+            eo: EngineObs::attach(obs),
+        }
+    }
+
+    /// Phase A: apply the faults due this cycle to the view, then run
+    /// every shard's phase A in parallel.
+    pub(crate) fn phase_a(&mut self, cycle: u32) {
+        if let Some(p) = self.plan {
+            p.apply_due(&mut self.fault_cursor, cycle, &mut self.view);
+        }
+        let fv = self.plan.map(|_| &self.view);
+        let (pr, router, eo) = (&self.pr, self.router, &self.eo);
+        rayon::slice::par_for_each_mut(self.shards, |_, sh| {
+            sh.phase_a(cycle, pr, router, fv, eo);
+        });
+    }
+
+    /// First half of the merge: move departures bound for shards outside
+    /// the range into `remote`, in order. Returns every departure
+    /// launched this cycle, local and remote.
+    pub(crate) fn phase_split(&mut self, remote: &mut Vec<Msg>) -> u32 {
+        let mut launched = 0u32;
+        let (lo, hi) = (self.lo, self.lo + self.shards.len() as u32);
+        let (shard_size, whole) = (self.shard_size, self.whole);
+        for sh in self.shards.iter_mut() {
+            launched += sh.outbox.len() as u32;
+            if !whole {
+                // `retain` visits each message once, in order.
+                sh.outbox.retain(|msg| {
+                    let local = (lo..hi).contains(&(msg.to / shard_size));
+                    if !local {
+                        remote.push(*msg);
+                    }
+                    local
+                });
+            }
+        }
+        launched
+    }
+
+    /// Second half of the merge: push arrivals onto their wheels in
+    /// global shard order — `pre` (from shards below the range), the
+    /// local outboxes in shard order, then `post` (from shards above).
+    pub(crate) fn phase_merge(&mut self, pre: &[Msg], post: &[Msg]) {
+        for &msg in pre {
+            self.land(msg);
+        }
+        for si in 0..self.shards.len() {
+            let mut outbox = std::mem::take(&mut self.shards[si].outbox);
+            for &msg in &outbox {
+                self.land(msg);
+            }
+            // return the drained buffer so steady-state cycles don't allocate
+            outbox.clear();
+            self.shards[si].outbox = outbox;
+        }
+        for &msg in post {
+            self.land(msg);
+        }
+    }
+
+    #[inline]
+    fn land(&mut self, msg: Msg) {
+        self.shards[(msg.to / self.shard_size - self.lo) as usize].wheel_push(msg);
+    }
+
+    /// Phase B: every shard drains its wheel slot for the next cycle
+    /// boundary, in parallel.
+    pub(crate) fn phase_b(&mut self, cycle: u32) {
+        let slot = ((cycle + 1) % self.pr.wheel_len) as usize;
+        let fv = self.plan.map(|_| &self.view);
+        let (pr, router, eo) = (&self.pr, self.router, &self.eo);
+        rayon::slice::par_for_each_mut(self.shards, |_, sh| {
+            sh.phase_b(cycle, slot, pr, router, fv, eo);
+        });
+    }
+
+    /// End the run: the summed totals, the end-of-run link telemetry
+    /// folded into `obs` when it is enabled, and the shard tracers.
+    pub(crate) fn finish(self, obs: &Obs) -> (RunTotals, Vec<ShardTracer>) {
+        let mut t = RunTotals::default();
+        for sh in self.shards.iter() {
+            t.absorb(&sh.stats);
+            t.in_flight += sh.tagged_in_flight();
+        }
+        if obs.enabled() {
+            obs.counter("engine.in_flight_at_end").add(t.in_flight);
+            let links_total: usize = self.shards.iter().map(|s| s.links.len()).sum();
+            obs.counter("engine.links").add(links_total as u64);
+            let h_util = obs.histogram("engine.link_utilization_pct");
+            let g_util = obs.gauge("engine.link_utilization_max_pct");
+            let h_qhw = obs.histogram("engine.queue_depth_high_water");
+            let g_qhw = obs.gauge("engine.queue_depth_max");
+            let cycles = u64::from(self.pr.total_cycles.max(1));
+            for sh in self.shards.iter() {
+                for (busy, hw) in sh.link_busy.iter().zip(&sh.queue_hw) {
+                    let pct = (busy * 100 / cycles).min(100);
+                    h_util.observe(pct);
+                    g_util.record_max(pct);
+                    h_qhw.observe(u64::from(*hw));
+                    g_qhw.record_max(u64::from(*hw));
+                }
+            }
+        }
+        let tracers = self
+            .shards
+            .iter_mut()
+            .filter_map(|sh| sh.tracer.take())
+            .collect();
+        (t, tracers)
+    }
 }
 
 impl Simulator<RoutingTable> {
@@ -1206,25 +1343,15 @@ impl<R: Router> Simulator<R> {
         let (shard_count, shard_size) = shard_layout(n);
         let mut shards = Vec::with_capacity(shard_count);
         let mut max_interval = 1u32;
-        let mut base = 0u32;
-        while (base as usize) < n {
-            let node_count = shard_size.min(n as u32 - base);
+        for si in 0..shard_count as u32 {
+            let (base, node_count) = shard_span(n as u32, shard_size, si);
             let (link_of, to, interval) = shard_link_arrays(g, &module, cfg, base, node_count);
-            for &iv in &interval {
-                max_interval = max_interval.max(iv);
-            }
-            shards.push(Shard::assemble(
-                base,
-                node_count,
-                link_of,
-                Links::from_arrays(to, interval),
-            ));
-            base += node_count;
+            max_interval = interval.iter().fold(max_interval, |m, &iv| m.max(iv));
+            shards.push(Shard::assemble(base, node_count, link_of, to, interval));
         }
         Simulator {
             n,
             router,
-            shard_size,
             shards,
             max_interval,
             plan: None,
@@ -1338,121 +1465,39 @@ impl<R: Router> Simulator<R> {
         trace: Option<&TraceConfig>,
     ) -> (SimResult, Option<Trace>) {
         let run_span = obs.span("run");
-        let c_injected = obs.counter("engine.injected_tagged");
-        let c_injected_all = obs.counter("engine.injected_total");
-        let c_dropped = obs.counter("engine.dropped_unreachable");
-        let dobs = DeliveryObs::attach(obs);
-        let track = obs.enabled();
-
-        let total_cycles = cfg.warmup_cycles + cfg.measure_cycles + cfg.drain_cycles;
         let pr = cycle_params(self.n as u32, cfg, self.max_interval, self.dense);
-        let wheel_len = pr.wheel_len;
-
-        // Link-busy accounting feeds both the end-of-run utilization
-        // histograms (obs) and the sampled link-utilization trace
-        // events, so it is kept when either consumer is active.
-        let track_links = track || trace.is_some();
         let plan = self.plan.as_ref();
-        for (si, sh) in self.shards.iter_mut().enumerate() {
-            sh.prepare_run(
-                cfg.seed,
-                wheel_len,
-                track,
-                track_links,
-                plan,
-                trace,
-                si as u16,
-            );
-        }
+        let mut range =
+            ShardRange::prepare(&mut self.shards, 0, pr, &self.router, plan, obs, trace);
         let mut engine_tracer = trace.map(|tc| ShardTracer::new(ENGINE_TRACK, tc));
-
-        let shard_size = self.shard_size;
-        let router = &self.router;
-        // The fault view is mutated only here, sequentially, between
-        // parallel phases: workers always read a settled view, so fault
-        // application order can never depend on the worker count.
-        let mut view = FaultView::new(self.n);
-        let mut fault_cursor = 0usize;
-        let mut phase_span = Some(obs.span("warmup"));
-        for cycle in 0..total_cycles {
-            if cycle == cfg.warmup_cycles {
-                phase_span.take();
-                phase_span = Some(obs.span("measure"));
-            }
-            if cycle == cfg.warmup_cycles + cfg.measure_cycles {
-                phase_span.take();
-                phase_span = Some(obs.span("drain"));
-            }
-            if let Some(p) = plan {
-                p.apply_due(&mut fault_cursor, cycle, &mut view);
-            }
-            let fv: Option<&FaultView> = plan.map(|_| &view);
-            // Phase A: injection + link service, per shard in parallel.
-            rayon::slice::par_for_each_mut(&mut self.shards, |_, sh| {
-                sh.phase_a(
-                    cycle,
-                    &pr,
-                    router,
-                    fv,
-                    &c_injected,
-                    &c_injected_all,
-                    &c_dropped,
-                );
-            });
-            // Merge: route each departure to its destination shard's
-            // arrival wheel. Shard order + in-shard (node, link) order
-            // make slot contents worker-count invariant.
-            let mut moved = 0u32;
-            for si in 0..self.shards.len() {
-                let outbox = std::mem::take(&mut self.shards[si].outbox);
-                moved += outbox.len() as u32;
-                for msg in &outbox {
-                    self.shards[(msg.to / shard_size) as usize].wheel_push(*msg);
-                }
-                let mut buf = outbox;
-                buf.clear();
-                self.shards[si].outbox = buf;
-            }
+        // One range covers every shard: nothing is remote, and the merge
+        // has no `pre`/`post` arrivals.
+        let mut remote = Vec::new();
+        let mut span = Some(obs.span("warmup"));
+        for cycle in 0..pr.total_cycles {
+            phase_span(obs, cfg, cycle, &mut span);
+            range.phase_a(cycle);
+            let moved = range.phase_split(&mut remote);
+            range.phase_merge(&[], &[]);
             if let Some(t) = engine_tracer.as_mut() {
                 if t.sampled(u64::from(cycle)) {
                     t.merge(u64::from(cycle), moved);
                 }
             }
-            // Phase B: arrivals scheduled for the *next* cycle boundary.
-            let slot = ((cycle + 1) % wheel_len) as usize;
-            rayon::slice::par_for_each_mut(&mut self.shards, |_, sh| {
-                sh.phase_b(cycle, slot, &pr, router, fv, &dobs, &c_dropped);
-            });
-            if window > 0 && (cycle + 1) % window == 0 {
-                obs.emit_window(u64::from(cycle) + 1);
+            range.phase_b(cycle);
+            if let Some(at) = window_end(window, cycle) {
+                obs.emit_window(at);
             }
         }
-        phase_span.take();
+        drop(span);
 
-        let totals = RunTotals::fold_shards(&self.shards);
-        debug_assert_eq!(
-            totals.injected,
-            totals.delivered + totals.in_flight + totals.dropped
-        );
-
-        if track {
-            fold_link_telemetry(&self.shards, obs, &totals, total_cycles);
-        }
+        let (totals, tracers) = range.finish(obs);
         drop(run_span);
 
-        let trace_out = match (trace, engine_tracer) {
-            (Some(tc), Some(eng)) => {
-                let tracers: Vec<ShardTracer> = self
-                    .shards
-                    .iter_mut()
-                    .filter_map(|sh| sh.tracer.take())
-                    .collect();
-                Some(Trace::collect(tc.interval.max(1), tracers, eng))
-            }
-            _ => None,
-        };
-
-        let result = totals.into_sim_result(self.n as u64, cfg.measure_cycles, total_cycles);
+        let trace_out = trace
+            .zip(engine_tracer)
+            .map(|(tc, eng)| Trace::collect(tc.interval.max(1), tracers, eng));
+        let result = totals.into_sim_result(self.n as u64, cfg.measure_cycles, pr.total_cycles);
         (result, trace_out)
     }
 }
@@ -2005,6 +2050,124 @@ mod tests {
             sparse, dense,
             "the CLI's faulted ring-CN run must not split the kernels"
         );
+    }
+
+    /// Drive `sim`'s shards as one range per `[cuts[k], cuts[k + 1])`
+    /// through the worker's steps in one process: each range hands its
+    /// remote departures over, and every range merges what lower ranges
+    /// sent as `pre` and what higher ranges sent as `post`, both in
+    /// origin order. The wheel is one slot longer than the single
+    /// range's, as a worker sizing it from the config may make it.
+    /// Returns the summed result and the shard trace.
+    fn run_split<R: Router>(
+        sim: &mut Simulator<R>,
+        cfg: &SimConfig,
+        cuts: &[u32],
+        tc: &TraceConfig,
+    ) -> (SimResult, Vec<ipg_obs::trace::TraceEvent>) {
+        let pr = cycle_params(sim.n as u32, cfg, sim.max_interval + 1, false);
+        let shard_size = shard_layout(sim.n).1;
+        let obs = Obs::disabled();
+        let mut rest: &mut [Shard] = &mut sim.shards;
+        let mut ranges = Vec::new();
+        for w in cuts.windows(2) {
+            let (mine, tail) = rest.split_at_mut((w[1] - w[0]) as usize);
+            rest = tail;
+            let plan = sim.plan.as_ref();
+            ranges.push(ShardRange::prepare(
+                mine,
+                w[0],
+                pr,
+                &sim.router,
+                plan,
+                &obs,
+                Some(tc),
+            ));
+        }
+        assert!(rest.is_empty(), "cuts must cover every shard");
+        let mut remote: Vec<Vec<Msg>> = vec![Vec::new(); ranges.len()];
+        for cycle in 0..pr.total_cycles {
+            for (r, out) in ranges.iter_mut().zip(&mut remote) {
+                r.phase_a(cycle);
+                out.clear();
+                r.phase_split(out);
+            }
+            for (k, r) in ranges.iter_mut().enumerate() {
+                let (mut pre, mut post) = (Vec::new(), Vec::new());
+                for (j, out) in remote.iter().enumerate() {
+                    let (lo, hi) = (cuts[k], cuts[k + 1]);
+                    let to_k = out
+                        .iter()
+                        .filter(|m| (lo..hi).contains(&(m.to / shard_size)));
+                    if j < k {
+                        pre.extend(to_k);
+                    } else if j > k {
+                        post.extend(to_k);
+                    }
+                }
+                r.phase_merge(&pre, &post);
+                r.phase_b(cycle);
+            }
+        }
+        let mut totals = RunTotals::default();
+        let mut tracers = Vec::new();
+        for r in ranges {
+            let (t, tr) = r.finish(&obs);
+            totals.absorb(&t);
+            tracers.extend(tr);
+        }
+        let trace = Trace::collect(tc.interval, tracers, ShardTracer::new(ENGINE_TRACK, tc));
+        let result = totals.into_sim_result(sim.n as u64, cfg.measure_cycles, pr.total_cycles);
+        (result, trace.events)
+    }
+
+    #[test]
+    fn split_ranges_merge_like_one_range() {
+        use crate::fault::{FaultPlan, FaultSpec};
+        use crate::router::DetourRouter;
+        use ipg_core::tuple_routing::ShortestTupleRouter;
+        use ipg_networks::hier;
+
+        // The determinism matrix's faulted multi-shard config: 512
+        // nodes in 4 shards, the codec router under the detour wrapper.
+        let tn = hier::ring_cn(3, classic::hypercube(3), "Q3");
+        let g = tn.build();
+        let (module, _) = tn.nucleus_partition();
+        let cfg = SimConfig {
+            injection_rate: 0.02,
+            warmup_cycles: 500,
+            measure_cycles: 2_000,
+            drain_cycles: 2_000,
+            ..SimConfig::default()
+        };
+        let spec =
+            FaultSpec::parse("script:link@600:0-1+node@800:5;rate:links=0.05,at=1000").unwrap();
+        let sim = || {
+            let plan = FaultPlan::compile(&spec, &g, cfg.seed).unwrap();
+            let codec = ShortestTupleRouter::new(tn.clone()).unwrap();
+            let router = DetourRouter::new(codec, g.clone()).unwrap();
+            let mut sim = Simulator::with_router(router, &g, |v| module[v as usize], &cfg);
+            sim.set_fault_plan(Some(plan));
+            sim
+        };
+        let tc = TraceConfig::with_interval(128);
+        let (whole, trace) = sim().run_traced(&cfg, &Obs::disabled(), 0, Some(&tc));
+        let shard_events: Vec<_> = trace
+            .unwrap()
+            .events
+            .into_iter()
+            .filter(|e| e.shard != ENGINE_TRACK)
+            .collect();
+        assert_eq!(shard_layout(g.node_count()).0, 4);
+        assert!(whole.dropped_unreachable > 0, "the node kill must bite");
+        for cuts in [&[0, 2, 4][..], &[0, 1, 3, 4][..]] {
+            let (split, events) = run_split(&mut sim(), &cfg, cuts, &tc);
+            assert_eq!(split, whole, "ranges {cuts:?} must merge like one range");
+            assert!(
+                events == shard_events,
+                "ranges {cuts:?}: shard trace differs"
+            );
+        }
     }
 
     #[test]

@@ -314,9 +314,10 @@ impl FaultPlan {
             if ev.cycle > cycle {
                 break;
             }
+            // Type-qualified: the call graph resolves bare `.kill_link` by name.
             match ev.kind {
-                FaultKind::Link(u, v) => view.kill_link(u, v),
-                FaultKind::Node(v) => view.kill_node(v),
+                FaultKind::Link(u, v) => FaultView::kill_link(view, u, v),
+                FaultKind::Node(v) => FaultView::kill_node(view, v),
             }
             *cursor += 1;
         }
