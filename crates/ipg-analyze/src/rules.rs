@@ -440,7 +440,9 @@ fn audited(comments: &[Comment], line: u32) -> bool {
 /// The files a [`BannedIdents`] row applies to.
 #[derive(Clone, Copy)]
 enum Scope {
-    /// Files of crate `.0` whose file name is listed in `.1`.
+    /// Library files (`src/**`) of crate `.0` whose file name is listed
+    /// in `.1`: the scope names modules, not integration tests that
+    /// happen to share a module's file name.
     Files(&'static str, &'static [&'static str]),
     /// Files of crate `.0` under path prefix `.1`, except the file named `.2`.
     Under(&'static str, &'static str, &'static str),
@@ -452,7 +454,9 @@ impl Scope {
     fn covers(self, ctx: &FileCtx<'_>) -> bool {
         match self {
             Scope::Files(krate, files) => {
-                ctx.crate_name == krate && files.contains(&ctx.file_name())
+                ctx.kind == FileKind::Lib
+                    && ctx.crate_name == krate
+                    && files.contains(&ctx.file_name())
             }
             Scope::Under(krate, prefix, except) => {
                 ctx.crate_name == krate
@@ -547,7 +551,7 @@ const SHARDED_MODULES: Scope = Scope::Files("ipg-sim", &["engine.rs", "wormhole.
 ///   worklist bit and the queue state to change together, so membership
 ///   changes only through the counted `Worklist::insert` / `remove`; a
 ///   loop that flips bits directly can skip (or double-service) work
-///   relative to the dense oracle.
+///   relative to the reference model (`ipg-sim/tests/reference/`).
 /// - DET008: the dist coordinator/worker move every byte through
 ///   `dist::frame`, which owns the length-prefix/checksum discipline and
 ///   the read-all-then-write-all deadlock argument; an ad-hoc
@@ -1074,6 +1078,14 @@ mod tests {
             FileKind::Lib
         )
         .is_empty());
+        // so is an integration test that shares a module's file name
+        let reference = run_on(
+            src,
+            "ipg-sim",
+            "crates/ipg-sim/tests/reference/wormhole.rs",
+            FileKind::Test,
+        );
+        assert!(reference.is_empty(), "{reference:?}");
     }
 
     #[test]

@@ -15,13 +15,7 @@
 //!    simulates it directly. Recorded with the table's memory bound so
 //!    the claim is auditable. `codec.cycles_per_sec` here is the sparse
 //!    worklist kernel — the headline steady-state number.
-//! 3. *sparse vs dense* — the same 2^20-node schedule run through the
-//!    dense oracle (`Simulator::set_dense`) and the default worklist
-//!    kernel on one `Simulator`, asserting the two `SimResult`s are
-//!    identical (DESIGN.md §13's byte-identity contract) and recording
-//!    the speedup. At injection 0.002 only ~0.2% of links carry traffic
-//!    in a given cycle, which is exactly the regime the worklists target.
-//! 4. *flight-recorder overhead* — the common config rerun with the
+//! 3. *flight-recorder overhead* — the common config rerun with the
 //!    per-shard trace rings attached at the default sampling interval,
 //!    against an untraced run of the same schedule. The arms are
 //!    interleaved and each reports its *median* over `TRACE_SAMPLES`
@@ -29,8 +23,7 @@
 //!    (`noise_floor_pct`) so a sub-noise reading — positive or negative —
 //!    is reported as insignificant rather than as a real cost. The
 //!    `within_budget` flag is the ≤ 5% commitment from DESIGN.md §11.
-//!
-//! 5. *multi-process sharding* — the beyond-table CN(5,Q4) schedule run
+//! 4. *multi-process sharding* — the beyond-table CN(5,Q4) schedule run
 //!    through `dist::run_dist` at 1/2/4 workers (delivered counts must
 //!    match the in-process run), then CN(2,Q11) at 2^22 nodes — past
 //!    the in-process CLI cap — both distributed and in-process, so the
@@ -91,23 +84,6 @@ struct BeyondTableCase {
     table_bytes_required: u64,
     delivered: u64,
     codec: BackendTiming,
-}
-
-#[derive(Serialize)]
-struct SparseVsDenseCase {
-    network: String,
-    nodes: usize,
-    cycles: u32,
-    injection_rate: f64,
-    /// Dense oracle (`set_dense(true)`): every link and node visited
-    /// every cycle — the pre-worklist engine.
-    dense_cycles_per_sec: f64,
-    /// Default worklist kernel on the identical schedule.
-    sparse_cycles_per_sec: f64,
-    speedup: f64,
-    /// The two runs must produce equal `SimResult`s (the sparse kernel's
-    /// contract is byte-identity, not approximation).
-    results_identical: bool,
 }
 
 #[derive(Serialize)]
@@ -198,7 +174,6 @@ struct SimBench {
     ipg_threads: usize,
     common: CommonCase,
     beyond_table: BeyondTableCase,
-    sparse_vs_dense: SparseVsDenseCase,
     trace_overhead: TraceOverheadCase,
     dist: DistCase,
 }
@@ -341,17 +316,17 @@ fn main() {
     let g_big = big.build();
     let (class_big, _) = big.nucleus_partition();
     let name_big = big.name.clone();
-    let big_for_router = big.clone();
     let (codec_big, delivered_big) = time_backend(
         rep.obs(),
         "beyond/codec",
         &g_big,
         &class_big,
         &big_cfg,
-        || ShortestTupleRouter::new(big_for_router).expect("l=5 is within the codec router bound"),
+        || ShortestTupleRouter::new(big).expect("l=5 is within the codec router bound"),
     );
+    let cycles_big = f64::from(total_cycles(&big_cfg));
     let beyond = BeyondTableCase {
-        network: name_big.clone(),
+        network: name_big,
         nodes: n_big as usize,
         cycles: total_cycles(&big_cfg),
         injection_rate: big_cfg.injection_rate,
@@ -359,37 +334,6 @@ fn main() {
         delivered: delivered_big,
         codec: codec_big,
     };
-
-    // -- sparse worklist kernel vs dense oracle on the same schedule ------
-    eprintln!("sparse-vs-dense config: {} ({} nodes)", name_big, n_big);
-    let router = ShortestTupleRouter::new(big).expect("l=5 is within the codec router bound");
-    let mut sim = Simulator::with_router(router, &g_big, |v| class_big[v as usize], &big_cfg);
-    let cycles_big = f64::from(total_cycles(&big_cfg));
-    sim.set_dense(true);
-    let span = rep.obs().span("sparse_vs_dense/dense");
-    let r_dense = sim.run(&big_cfg);
-    let dense_secs = span.elapsed_secs().unwrap_or(0.0).max(1e-9);
-    drop(span);
-    sim.set_dense(false);
-    let span = rep.obs().span("sparse_vs_dense/sparse");
-    let r_sparse = sim.run(&big_cfg);
-    let sparse_secs = span.elapsed_secs().unwrap_or(0.0).max(1e-9);
-    drop(span);
-    let sparse_vs_dense = SparseVsDenseCase {
-        network: name_big,
-        nodes: n_big as usize,
-        cycles: total_cycles(&big_cfg),
-        injection_rate: big_cfg.injection_rate,
-        dense_cycles_per_sec: cycles_big / dense_secs,
-        sparse_cycles_per_sec: cycles_big / sparse_secs,
-        speedup: dense_secs / sparse_secs,
-        results_identical: r_dense == r_sparse,
-    };
-    assert!(
-        sparse_vs_dense.results_identical,
-        "sparse kernel diverged from the dense oracle on {}",
-        sparse_vs_dense.network
-    );
 
     // -- flight-recorder overhead on the common config --------------------
     const TRACE_SAMPLES: u32 = 5;
@@ -586,7 +530,6 @@ fn main() {
         ipg_threads: rayon::current_num_threads(),
         common,
         beyond_table: beyond,
-        sparse_vs_dense,
         trace_overhead,
         dist,
     };
@@ -638,14 +581,6 @@ fn main() {
         out.common.speedup_steady_state,
         out.beyond_table.network,
         out.beyond_table.table_bytes_required >> 30
-    );
-    println!(
-        "  sparse worklist kernel on {}: {:.1} -> {:.1} cycles/s ({:.2}x, results_identical={})",
-        out.sparse_vs_dense.network,
-        out.sparse_vs_dense.dense_cycles_per_sec,
-        out.sparse_vs_dense.sparse_cycles_per_sec,
-        out.sparse_vs_dense.speedup,
-        out.sparse_vs_dense.results_identical
     );
     println!(
         "  flight recorder @ interval {}: {:.0} -> {:.0} cycles/s ({:+.2}% overhead, \

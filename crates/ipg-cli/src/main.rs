@@ -364,12 +364,24 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
                 }
                 workers = Some(w);
             }
+            flag if flag.starts_with("--") => {
+                return Err(format!("unknown simulate flag `{flag}`; try `ipg help`"));
+            }
             _ => positional.push(a),
         }
+    }
+    if let Some(extra) = positional.get(2) {
+        return Err(format!(
+            "unexpected argument `{extra}`: simulate takes a network and an optional rate"
+        ));
     }
     if workers.is_some() && wormhole {
         return Err("--workers applies to the packet engine only, not --wormhole".into());
     }
+    // Check the environment knob a `--workers` run reads before any work.
+    let workers = workers
+        .map(|w| dist_timeout().map(|t| (w, t)))
+        .transpose()?;
     let netspec = positional.first().ok_or("simulate needs a network")?;
     // The multi-process path admits larger networks: workers route by
     // tuple codec without materializing the graph, so the memory bound
@@ -379,11 +391,14 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     } else {
         parse(netspec)?
     };
-    let rate: f64 = positional
-        .get(1)
-        .map(|s| s.parse().map_err(|_| format!("bad rate `{s}`")))
-        .transpose()?
-        .unwrap_or(0.01);
+    let rate: f64 = match positional.get(1) {
+        Some(s) => s
+            .parse()
+            .ok()
+            .filter(|r| (0.0..=1.0).contains(r))
+            .ok_or_else(|| format!("bad rate `{s}`: expected a number in [0, 1]"))?,
+        None => 0.01,
+    };
     let cfg = SimConfig {
         injection_rate: rate,
         warmup_cycles: 500,
@@ -517,7 +532,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         // per-worker RSS/frame gauges — which sit outside the
         // deterministic record family).
         let (r, trace) = match workers {
-            Some(w) => {
+            Some((w, read_timeout)) => {
                 drop(router); // coordinator never routes; workers rebuild their own
                 let exe = std::env::current_exe()
                     .map_err(|e| format!("cannot locate the worker binary: {e}"))?;
@@ -525,17 +540,13 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
                     .to_str()
                     .ok_or("worker binary path is not valid UTF-8")?
                     .to_string();
-                let timeout = std::env::var("IPG_DIST_TIMEOUT")
-                    .ok()
-                    .and_then(|s| s.parse::<u64>().ok())
-                    .unwrap_or(120);
                 let dc = ipg_sim::dist::DistConfig {
                     workers: w,
                     worker_argv: vec![exe, "worker".into()],
                     netspec: (*netspec).clone(),
                     window: obs_interval,
                     trace: trace_cfg.clone(),
-                    read_timeout: std::time::Duration::from_secs(timeout.max(1)),
+                    read_timeout,
                 };
                 let run = ipg_sim::dist::run_dist(
                     &net.graph,
@@ -580,6 +591,20 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         println!("manifest:   {}", p.display());
     }
     Ok(())
+}
+
+/// How long a `--workers` coordinator waits on a worker frame:
+/// `IPG_DIST_TIMEOUT` seconds (a positive whole number) when set, else
+/// 120 s.
+fn dist_timeout() -> Result<std::time::Duration, String> {
+    let secs = match std::env::var("IPG_DIST_TIMEOUT") {
+        Ok(s) => s.parse().ok().filter(|&t: &u64| t > 0).ok_or_else(|| {
+            format!("IPG_DIST_TIMEOUT must be a positive whole number of seconds, got `{s}`")
+        })?,
+        Err(std::env::VarError::NotPresent) => 120,
+        Err(e) => return Err(format!("IPG_DIST_TIMEOUT: {e}")),
+    };
+    Ok(std::time::Duration::from_secs(secs))
 }
 
 /// The hidden `ipg worker` mode: adopt the coordinator socket from

@@ -22,13 +22,12 @@
 //! - **trace** — `--trace` off vs on at `IPG_THREADS=2`; stdout's
 //!   `trace:` line is dropped and only stdout and records are compared.
 //!
-//! Sparse kernel vs dense oracle is not a CLI axis: the oracle is an
-//! in-process switch. The two `sparse_*_kernel_matches_dense_oracle_end_to_end`
-//! tests at the bottom compare the CLI's (sparse) streams with an
-//! in-process dense run of the same config; the engines'
-//! `dense_oracle_matches_sparse_under_faults` and
-//! `dense_oracle_matches_sparse_wormhole_byte_for_byte` compare both
-//! kernels on these configs without the CLI.
+//! The engines' oracle is not a CLI axis: it is a reference model that
+//! only `ipg-sim`'s tests run (`crates/ipg-sim/tests/oracle.rs`, which
+//! covers the two configs below). The two
+//! `sparse_*_kernel_matches_dense_oracle_end_to_end` tests at the bottom
+//! (named for the in-engine oracle the reference model replaced) hold
+//! the `ipg` binary's streams to an in-process run of the same config.
 //!
 //! A mismatch names the stream, the axis, both variants, the 1-based
 //! number of the first differing line and both lines; trace lines carry
@@ -288,21 +287,20 @@ matrix! {
     }
 }
 
-/// The CLI runs only the sparse kernel. Its three streams for `args` at
-/// `IPG_THREADS=2` must equal what the dense oracle produces in-process
-/// on the same config: `oracle` returns the expected stdout result block,
-/// the trace JSONL and the in-memory manifest, all from a `set_dense(true)`
-/// run.
-fn check_against_dense_oracle(
+/// The `ipg` binary's three streams for `args` at `IPG_THREADS=2` must
+/// equal what the engine produces in-process on the same config:
+/// `in_process` returns the expected stdout result block, the trace JSONL
+/// and the in-memory manifest of that run.
+fn check_against_in_process(
     name: &str,
     args: &[&str],
-    oracle: impl Fn() -> (String, String, String),
+    in_process: impl Fn() -> (String, String, String),
 ) {
-    let dir = std::env::temp_dir().join(format!("ipg-oracle-{name}-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("ipg-inproc-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let cli = run(&dir, Axis::Threads, "2", args, TRACED);
     let _ = std::fs::remove_dir_all(&dir);
-    let (block, trace, manifest) = oracle();
+    let (block, trace, manifest) = in_process();
     let (meta, events) = trace.split_once('\n').expect("trace has a header line");
     let mut lines: Vec<&str> = manifest
         .lines()
@@ -312,21 +310,23 @@ fn check_against_dense_oracle(
     let records: String = lines.iter().map(|l| format!("{l}\n")).collect();
     let mut report = Vec::new();
     if !cli.stdout.contains(&block) {
-        report.push(format!("stdout lacks the oracle's result block:\n{block}"));
+        report.push(format!(
+            "stdout lacks the in-process result block:\n{block}"
+        ));
     }
     report.extend(divergence(
         "trace",
-        ("dense", &format!("{events}{meta}\n")),
-        ("sparse", cli.trace.as_deref().expect("traced run")),
+        ("in-process", &format!("{events}{meta}\n")),
+        ("cli", cli.trace.as_deref().expect("traced run")),
     ));
     report.extend(divergence(
         "records",
-        ("dense", &records),
-        ("sparse", &cli.records),
+        ("in-process", &records),
+        ("cli", &cli.records),
     ));
     assert!(
         report.is_empty(),
-        "ipg {args:?}: the CLI's sparse run diverges from the dense oracle:\n  {}\n{}",
+        "ipg {args:?}: the CLI's run diverges from the in-process run:\n  {}\n{}",
         report.join("\n  "),
         cli.stdout
     );
@@ -350,7 +350,7 @@ fn sparse_packet_kernel_matches_dense_oracle_end_to_end() {
         "--faults",
         faults,
     ];
-    check_against_dense_oracle("packet", &args, || {
+    check_against_in_process("packet", &args, || {
         // What `simulate` builds for these args: the codec router under
         // the detour wrapper, the nucleus module map, the CLI's schedule.
         let tn = hier::ring_cn(3, classic::hypercube(2), "Q2");
@@ -368,7 +368,6 @@ fn sparse_packet_kernel_matches_dense_oracle_end_to_end() {
         let router = DetourRouter::new(ShortestTupleRouter::new(tn).unwrap(), g.clone()).unwrap();
         let mut sim = Simulator::with_router(router, &g, |v| module[v as usize], &cfg);
         sim.set_fault_plan(Some(plan));
-        sim.set_dense(true);
         let (obs, mem) = ipg_obs::Obs::in_memory();
         let tc = ipg_obs::TraceConfig::with_interval(128);
         let (r, trace) = sim.run_traced(&cfg, &obs, 500, Some(&tc));
@@ -410,10 +409,10 @@ fn sparse_wormhole_kernel_matches_dense_oracle_end_to_end() {
         "--policy",
         "hop",
     ];
-    check_against_dense_oracle("wormhole", &args, || {
+    check_against_in_process("wormhole", &args, || {
         let tn = hier::hsn(2, classic::hypercube(2), "Q2");
         let g = tn.build();
-        let mut sim = WormholeSim::with_router(ShortestTupleRouter::new(tn).unwrap(), &g);
+        let sim = WormholeSim::with_router(ShortestTupleRouter::new(tn).unwrap(), &g);
         let cfg = WormholeConfig {
             vcs: 3,
             packet_flits: 4,
@@ -421,13 +420,12 @@ fn sparse_wormhole_kernel_matches_dense_oracle_end_to_end() {
             policy: VcPolicy::HopIndexed,
             ..WormholeConfig::default()
         };
-        sim.set_dense(true);
         let (obs, mem) = ipg_obs::Obs::in_memory();
         let tc = ipg_obs::TraceConfig::with_interval(128);
         let (out, trace) = sim.run_traced(&cfg, &obs, 500, Some(&tc));
         obs.finish();
         let WormholeOutcome::Completed(s) = out else {
-            panic!("the dense oracle deadlocked on the CLI's wormhole config");
+            panic!("the in-process run deadlocked on the CLI's wormhole config");
         };
         let block = format!(
             "mode:       wormhole (3 VCs, 4-flit packets)\ninjected:   {}\n\

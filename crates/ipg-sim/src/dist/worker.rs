@@ -177,9 +177,7 @@ fn serve(
         interval,
         capacity: capacity as usize,
     });
-    // Workers always run the sparse kernel; the dense oracle is an
-    // in-process test switch (`Simulator::set_dense`).
-    let pr = cycle_params(setup.n, &setup.cfg, max_interval, false);
+    let pr = cycle_params(setup.n, &setup.cfg, max_interval);
     let mut range = ShardRange::prepare(
         &mut shards,
         lo,

@@ -48,25 +48,26 @@
 //!
 //! # Sparse cycle kernel
 //!
-//! At low injection rates almost every dense per-cycle iteration visits
-//! an idle node or an empty FIFO. The engine therefore runs **sparse by
-//! default** (DESIGN.md §13):
+//! At low injection rates almost every node is idle and almost every
+//! FIFO is empty in a given cycle, so a cycle only touches the work in
+//! flight (DESIGN.md §13):
 //!
 //! - injection decisions are drawn ahead of time in node-major chunks
-//!   from the same per-node streams ([`crate::rng::InjectionSchedule`]),
-//!   so each cycle touches only the nodes that actually inject — the
-//!   draw sequence per node is unchanged, so results stay byte-identical
-//!   to the dense loop;
+//!   ([`crate::rng::InjectionSchedule`]); its contract is the per-node
+//!   cycle-major draw order — one Bernoulli per cycle from the node's
+//!   stream, each success followed by its destination draws, exactly as
+//!   if every live node drew every cycle;
 //! - link service iterates a [`crate::worklist::Worklist`] of non-empty
-//!   FIFOs in ascending link order (the relative order the dense loop
-//!   visited them in), maintained by the `fifo_push`/`fifo_pop` helpers
-//!   that every queue mutation — including fault drains — goes through;
+//!   FIFOs in ascending (CSR) link order, maintained by the
+//!   `fifo_push`/`fifo_pop` helpers that every queue mutation —
+//!   including fault drains — goes through;
 //! - phase B's arrival wheel is indexed by slot already; occupancy
 //!   counters make empty slots and the end-of-run `tagged_in_flight`
 //!   accounting O(1).
 //!
-//! The dense iteration survives behind [`Simulator::set_dense`] as the
-//! byte-equality oracle for tests.
+//! The oracle is a reference model outside the crate
+//! (`tests/reference/packet.rs`): every node draws every cycle, every
+//! link is visited, and it must produce the same [`SimResult`].
 //!
 //! # Routing
 //!
@@ -76,9 +77,7 @@
 //! (O(1) memory per query), which lifts the node-count ceiling entirely.
 
 use crate::fault::{FaultPlan, LocalFault, ShardFaults};
-use crate::rng::{
-    bernoulli, bernoulli_threshold, node_stream, InjectionSchedule, NodeRng, SCHEDULE_CHUNK,
-};
+use crate::rng::{node_stream, InjectionSchedule, NodeRng, SCHEDULE_CHUNK};
 use crate::router::Router;
 use crate::table::RoutingTable;
 use crate::worklist::Worklist;
@@ -340,8 +339,7 @@ pub(crate) struct Shard {
     /// Chunked injection events precomputed from the node streams.
     sched: InjectionSchedule,
     /// Links with a non-empty FIFO. Iterated ascending by the phase-A
-    /// service loop — the same relative order the dense `0..links` scan
-    /// serviced them in, so launch sequences are byte-identical.
+    /// service loop, so links launch in CSR order.
     active_links: Worklist,
     /// Scratch for snapshotting `active_links` while the loop mutates it.
     active_scratch: Vec<u32>,
@@ -426,9 +424,6 @@ pub(crate) struct RunParams {
     n: u32,
     seed: u64,
     injection_rate: f64,
-    /// `rng::bernoulli_threshold(injection_rate)`, precomputed once: the
-    /// injection draw is the single hottest RNG site in the engine.
-    inj_threshold: u64,
     traffic: Traffic,
     msg_len: u32,
     store_forward: bool,
@@ -437,10 +432,6 @@ pub(crate) struct RunParams {
     pub(crate) wheel_len: u32,
     tail_penalty: u32,
     pub(crate) total_cycles: u32,
-    /// Dense-oracle mode: iterate every node and link as the pre-sparse
-    /// engine did. Byte-identical to the sparse path by construction;
-    /// kept as the equality oracle (`set_dense`).
-    dense: bool,
 }
 
 /// Derive one run's [`RunParams`] from the config. `max_interval` must
@@ -449,7 +440,7 @@ pub(crate) struct RunParams {
 /// would land in a slot drained too early. Any larger bound times
 /// arrivals identically, so a distributed worker derives it from the
 /// config's two link classes instead of scanning the graph.
-pub(crate) fn cycle_params(n: u32, cfg: &SimConfig, max_interval: u32, dense: bool) -> RunParams {
+pub(crate) fn cycle_params(n: u32, cfg: &SimConfig, max_interval: u32) -> RunParams {
     let msg_len = cfg.message_length.max(1);
     // Arrival wheel: one slot per possible head-advance value. A link
     // with service interval k serves one message per k·L cycles; the
@@ -460,7 +451,6 @@ pub(crate) fn cycle_params(n: u32, cfg: &SimConfig, max_interval: u32, dense: bo
         n,
         seed: cfg.seed,
         injection_rate: cfg.injection_rate,
-        inj_threshold: bernoulli_threshold(cfg.injection_rate),
         traffic: cfg.traffic,
         msg_len,
         store_forward: cfg.switching == Switching::StoreForward,
@@ -474,7 +464,6 @@ pub(crate) fn cycle_params(n: u32, cfg: &SimConfig, max_interval: u32, dense: bo
             Switching::CutThrough => (msg_len - 1) * cfg.on_module_interval,
         },
         total_cycles: cfg.warmup_cycles + cfg.measure_cycles + cfg.drain_cycles,
-        dense,
     }
 }
 
@@ -810,8 +799,8 @@ impl Shard {
         }
     }
 
-    /// Shared injection tail for the dense and scheduled paths: stat and
-    /// counter updates plus routing the new packet into a FIFO.
+    /// Inject one scheduled packet: stat and counter updates plus routing
+    /// it into a FIFO.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn inject_one<R: Router + ?Sized>(
@@ -869,9 +858,8 @@ impl Shard {
     /// Phase A: apply kills due this cycle (plan order), then injection
     /// (node order), then link service (link order), launching departures
     /// into the local outbox. Counter updates are atomic adds,
-    /// order-independent across shards. Sparse by default: injection
-    /// comes off the chunked schedule, service off the active-link
-    /// worklist; `pr.dense` re-enables the full scans as the oracle.
+    /// order-independent across shards. Injection comes off the chunked
+    /// schedule, service off the active-link worklist.
     fn phase_a<R: Router + ?Sized>(
         &mut self,
         cycle: u32,
@@ -885,69 +873,42 @@ impl Shard {
                 self.apply_fault(f, router, view, &eo.dropped);
             }
         }
+        if self.sched.needs_refill(cycle) {
+            // Node-major chunk refill in the per-node cycle-major draw
+            // order (see [`InjectionSchedule`]).
+            let base = self.base;
+            let (n, traffic) = (pr.n, pr.traffic);
+            self.sched.refill(
+                cycle..cycle + SCHEDULE_CHUNK.min(pr.total_cycles - cycle),
+                self.node_count,
+                pr.injection_rate,
+                &mut self.rngs,
+                |local| fv.is_some_and(|view| view.node_dead(base + local)),
+                |local, rng| pick_destination(n, base + local, traffic, rng),
+            );
+        }
         let mut injected_now = 0u32;
-        if pr.dense {
-            for local in 0..self.node_count {
-                let src = self.base + local;
-                if fv.is_some_and(|view| view.node_dead(src)) {
-                    continue; // dead nodes neither draw nor inject
-                }
-                let inject = bernoulli(&mut self.rngs[local as usize], pr.inj_threshold);
-                if !inject {
-                    continue;
-                }
-                let Some(dst) =
-                    pick_destination(pr.n, src, pr.traffic, &mut self.rngs[local as usize])
-                else {
-                    continue;
-                };
-                injected_now += 1;
-                self.inject_one(src, dst, cycle, pr, router, fv, eo);
+        // Index iteration: `inject_one` needs `&mut self` while the due
+        // bucket borrows `self.sched`.
+        for i in 0..self.sched.due(cycle).len() {
+            let (local, dst) = self.sched.due(cycle)[i];
+            let src = self.base + local;
+            if fv.is_some_and(|view| view.node_dead(src)) {
+                continue; // died mid-chunk: its pre-drawn events are void
             }
-        } else {
-            if self.sched.needs_refill(cycle) {
-                // Node-major chunk refill: replays the dense per-node draw
-                // sequence exactly (see [`InjectionSchedule`]).
-                let base = self.base;
-                let (n, traffic) = (pr.n, pr.traffic);
-                self.sched.refill(
-                    cycle..cycle + SCHEDULE_CHUNK.min(pr.total_cycles - cycle),
-                    self.node_count,
-                    pr.injection_rate,
-                    &mut self.rngs,
-                    |local| fv.is_some_and(|view| view.node_dead(base + local)),
-                    |local, rng| pick_destination(n, base + local, traffic, rng),
-                );
-            }
-            // Index iteration: `inject_one` needs `&mut self` while the
-            // due bucket borrows `self.sched`.
-            for i in 0..self.sched.due(cycle).len() {
-                let (local, dst) = self.sched.due(cycle)[i];
-                let src = self.base + local;
-                if fv.is_some_and(|view| view.node_dead(src)) {
-                    continue; // died mid-chunk: the dense loop skips too
-                }
-                injected_now += 1;
-                self.inject_one(src, dst, cycle, pr, router, fv, eo);
-            }
+            injected_now += 1;
+            self.inject_one(src, dst, cycle, pr, router, fv, eo);
         }
-        if pr.dense {
-            for li in 0..self.links.len() {
-                self.launch(li, cycle, pr);
-            }
-        } else {
-            // Snapshot the non-empty links in ascending order — the same
-            // relative order the dense scan serviced them in. A launch can
-            // only *empty* a local FIFO (arrivals land via the wheel next
-            // phase), so the snapshot covers every link with work.
-            let mut scratch = std::mem::take(&mut self.active_scratch);
-            scratch.clear();
-            self.active_links.collect_into(&mut scratch);
-            for &li in &scratch {
-                self.launch(li as usize, cycle, pr);
-            }
-            self.active_scratch = scratch;
+        // Snapshot the non-empty links in ascending order. A launch can
+        // only *empty* a local FIFO (arrivals land via the wheel next
+        // phase), so the snapshot covers every link with work.
+        let mut scratch = std::mem::take(&mut self.active_scratch);
+        scratch.clear();
+        self.active_links.collect_into(&mut scratch);
+        for &li in &scratch {
+            self.launch(li as usize, cycle, pr);
         }
+        self.active_scratch = scratch;
         let launched = self.outbox.len() as u64;
         if let Some(t) = self.tracer.as_mut() {
             if t.sampled(u64::from(cycle)) {
@@ -1097,8 +1058,6 @@ pub struct Simulator<R: Router = RoutingTable> {
     shards: Vec<Shard>,
     max_interval: u32,
     plan: Option<FaultPlan>,
-    /// Dense-oracle mode (see [`Simulator::set_dense`]).
-    dense: bool,
 }
 
 /// The deterministic shard layout: `(shard_count, shard_size)` as a pure
@@ -1355,17 +1314,7 @@ impl<R: Router> Simulator<R> {
             shards,
             max_interval,
             plan: None,
-            dense: false,
         }
-    }
-
-    /// Select the dense oracle iteration (`true`) or the default sparse
-    /// kernel (`false`) for subsequent runs. The two are byte-identical
-    /// in every observable — results, obs records, traces — by the
-    /// DESIGN.md §13 activation invariant; the dense path survives as the
-    /// equality oracle for tests and benchmarks.
-    pub fn set_dense(&mut self, dense: bool) {
-        self.dense = dense;
     }
 
     /// Recompute every sparse-kernel counter and worklist bit from the
@@ -1465,7 +1414,7 @@ impl<R: Router> Simulator<R> {
         trace: Option<&TraceConfig>,
     ) -> (SimResult, Option<Trace>) {
         let run_span = obs.span("run");
-        let pr = cycle_params(self.n as u32, cfg, self.max_interval, self.dense);
+        let pr = cycle_params(self.n as u32, cfg, self.max_interval);
         let plan = self.plan.as_ref();
         let mut range =
             ShardRange::prepare(&mut self.shards, 0, pr, &self.router, plan, obs, trace);
@@ -1952,106 +1901,6 @@ mod tests {
         assert!(a.dropped_unreachable > 0, "node 7 dies with traffic around");
     }
 
-    #[test]
-    fn dense_oracle_matches_sparse_byte_for_byte() {
-        let g = classic::torus2d(24); // multi-shard
-        let cfg = light_cfg();
-        let run = |dense: bool| {
-            let mut sim = Simulator::new(&g, |_| 0, &cfg);
-            sim.set_dense(dense);
-            let tc = TraceConfig::with_interval(100);
-            let (r, trace) = sim.run_traced(&cfg, &Obs::disabled(), 0, Some(&tc));
-            sim.validate_sparse_state();
-            (r, trace.unwrap().to_jsonl())
-        };
-        let (rs, ts) = run(false);
-        let (rd, td) = run(true);
-        assert_eq!(rs, rd, "sparse result must equal the dense oracle");
-        assert_eq!(ts, td, "trace streams must be byte-identical");
-    }
-
-    /// Everything a run lets the outside world see: the untraced result,
-    /// then the result, trace JSONL and deterministic (`window` +
-    /// `metrics`) records of the same run observed through an in-memory
-    /// `Obs` and the flight recorder.
-    fn observe<R: Router>(
-        mut sim: Simulator<R>,
-        cfg: &SimConfig,
-        dense: bool,
-        window: u32,
-        tc: &TraceConfig,
-    ) -> (SimResult, SimResult, String, Vec<String>) {
-        sim.set_dense(dense);
-        let plain = sim.run(cfg);
-        sim.validate_sparse_state();
-        let (obs, mem) = Obs::in_memory();
-        let (r, trace) = sim.run_traced(cfg, &obs, window, Some(tc));
-        obs.finish();
-        sim.validate_sparse_state();
-        let records = mem
-            .contents()
-            .lines()
-            .filter(|l| ipg_obs::is_deterministic_record(l))
-            .map(str::to_string)
-            .collect();
-        (plain, r, trace.unwrap().to_jsonl(), records)
-    }
-
-    #[test]
-    fn dense_oracle_matches_sparse_under_faults() {
-        use crate::fault::{FaultPlan, FaultSpec};
-        use crate::router::DetourRouter;
-        use ipg_core::tuple_routing::ShortestTupleRouter;
-        use ipg_networks::hier;
-
-        // A table-routed multi-shard torus with a node kill and rate kills.
-        let g = classic::torus2d(24);
-        let cfg = light_cfg();
-        let spec = FaultSpec::parse("script:node@600:7;rate:links=0.05,at=1500").unwrap();
-        let torus = |dense: bool| {
-            let plan = FaultPlan::compile(&spec, &g, cfg.seed).unwrap();
-            let router = DetourRouter::new(RoutingTable::new(&g), g.clone()).unwrap();
-            let mut sim = Simulator::with_router(router, &g, |_| 0, &cfg);
-            sim.set_fault_plan(Some(plan));
-            observe(sim, &cfg, dense, 0, &TraceConfig::with_interval(100))
-        };
-        assert_eq!(
-            torus(false),
-            torus(true),
-            "fault campaigns must not split the kernels"
-        );
-
-        // Exactly what `ipg simulate ring-cn:l=3,nucleus=Q2 0.03 --faults
-        // script:link@600:0-1+node@1200:5 --obs-interval 500
-        // --trace-interval 128` runs: the codec router under the detour
-        // wrapper, the nucleus module map, the CLI's schedule.
-        let tn = hier::ring_cn(3, classic::hypercube(2), "Q2");
-        let g = tn.build();
-        let (module, _) = tn.nucleus_partition();
-        let cfg = SimConfig {
-            injection_rate: 0.03,
-            warmup_cycles: 500,
-            measure_cycles: 2_000,
-            drain_cycles: 4_000,
-            ..SimConfig::default()
-        };
-        let spec = FaultSpec::parse("script:link@600:0-1+node@1200:5").unwrap();
-        let cli = |dense: bool| {
-            let plan = FaultPlan::compile(&spec, &g, cfg.seed).unwrap();
-            let codec = ShortestTupleRouter::new(tn.clone()).unwrap();
-            let router = DetourRouter::new(codec, g.clone()).unwrap();
-            let mut sim = Simulator::with_router(router, &g, |v| module[v as usize], &cfg);
-            sim.set_fault_plan(Some(plan));
-            observe(sim, &cfg, dense, 500, &TraceConfig::with_interval(128))
-        };
-        let (sparse, dense) = (cli(false), cli(true));
-        assert!(sparse.0.dropped_unreachable > 0, "the node kill must bite");
-        assert_eq!(
-            sparse, dense,
-            "the CLI's faulted ring-CN run must not split the kernels"
-        );
-    }
-
     /// Drive `sim`'s shards as one range per `[cuts[k], cuts[k + 1])`
     /// through the worker's steps in one process: each range hands its
     /// remote departures over, and every range merges what lower ranges
@@ -2065,7 +1914,7 @@ mod tests {
         cuts: &[u32],
         tc: &TraceConfig,
     ) -> (SimResult, Vec<ipg_obs::trace::TraceEvent>) {
-        let pr = cycle_params(sim.n as u32, cfg, sim.max_interval + 1, false);
+        let pr = cycle_params(sim.n as u32, cfg, sim.max_interval + 1);
         let shard_size = shard_layout(sim.n).1;
         let obs = Obs::disabled();
         let mut rest: &mut [Shard] = &mut sim.shards;

@@ -98,29 +98,29 @@ pub fn bernoulli(rng: &mut NodeRng, threshold: u64) -> bool {
 
 /// Cycles covered per [`InjectionSchedule::refill`]. Large enough that a
 /// node's generator state stays in registers across a whole chunk of
-/// Bernoulli draws (the dense engine re-touches every node's ~32-byte
+/// Bernoulli draws (a per-cycle loop would re-touch every node's ~32-byte
 /// state every cycle — pure memory traffic at low injection rates);
 /// small enough that a shard's per-cycle event buckets stay cache-sized.
 pub const SCHEDULE_CHUNK: u32 = 256;
 
-/// Chunked injection schedule: the sparse engines' replacement for the
-/// per-cycle "every node draws its Bernoulli" loop.
+/// Chunked injection schedule: how both engines draw injections.
 ///
-/// A node's stream position depends only on how many draws it has made
-/// ([`node_stream`]), so its next `SCHEDULE_CHUNK` cycles of injection
-/// decisions can be drawn **ahead of time, node-major** — the per-node
-/// draw sequence (and therefore every drawn value) is identical to the
-/// dense cycle-major order, because streams never interleave across
-/// nodes. The refill records `(node, destination)` events bucketed by
-/// cycle; the per-cycle hot path then touches only nodes that actually
-/// inject.
+/// The contract is the **per-node cycle-major draw order**: node `v`'s
+/// stream yields one Bernoulli per cycle, each success followed at once
+/// by the destination draws, exactly as if every live node drew from its
+/// stream every cycle (the order the test-only reference model draws
+/// in). A node's stream position depends only on how many draws it has
+/// made ([`node_stream`]), so its next `SCHEDULE_CHUNK` cycles of
+/// decisions can be drawn **ahead of time, node-major** without changing
+/// any drawn value, because streams never interleave across nodes. The
+/// refill records `(node, destination)` events bucketed by cycle; the
+/// per-cycle hot path then touches only nodes that actually inject.
 ///
 /// Nodes dead at refill time are skipped (they can never draw again —
 /// kills are permanent). Nodes that die *mid-chunk* have events already
 /// recorded past their death; callers must filter those at execution
-/// time with the same `node_dead` check the dense loop used. The extra
-/// pre-drawn values are unobservable: a dead node's stream is never
-/// consulted again.
+/// time with a `node_dead` check. The extra pre-drawn values are
+/// unobservable: a dead node's stream is never consulted again.
 #[derive(Default)]
 pub struct InjectionSchedule {
     /// First cycle the current chunk covers.
@@ -128,7 +128,7 @@ pub struct InjectionSchedule {
     /// Cycles covered (0 = nothing buffered; forces a refill).
     span: u32,
     /// Per cycle-offset event buckets: `(local node, destination)` in
-    /// node order — the order the dense injection loop used.
+    /// node order.
     buckets: Vec<Vec<(u32, u32)>>,
 }
 
@@ -150,9 +150,9 @@ impl InjectionSchedule {
 
     /// Draw injection decisions for the half-open `cycles` range from
     /// each live node's stream. `skip(local)` exempts dead nodes from
-    /// drawing; `pick(local, rng)` draws the destination exactly as the
-    /// dense path would (returning `None` for self-mapped patterns, which
-    /// consume their draws but inject nothing).
+    /// drawing; `pick(local, rng)` draws the destination right after a
+    /// successful Bernoulli (returning `None` for self-mapped patterns,
+    /// which consume their draws but inject nothing).
     pub fn refill(
         &mut self,
         cycles: core::ops::Range<u32>,

@@ -1,12 +1,12 @@
 //! Sparse active-set worklists for the cycle engines.
 //!
-//! At low injection rates almost every per-cycle iteration of a dense
+//! At low injection rates almost every per-cycle iteration of a full
 //! `for li in 0..links` / `for node in 0..n` loop visits something with
 //! no work. The engines instead maintain a [`Worklist`] per event
 //! source: a fixed-capacity bitset plus a membership count, iterated in
-//! **ascending index order** — the same relative order the dense loops
-//! used, so switching to sparse iteration cannot reorder any observable
-//! effect (outbox contents, RNG draws, stat updates).
+//! **ascending index order** — the full loop's order restricted to the
+//! entries with work, so no observable effect (outbox contents, RNG
+//! draws, stat updates) is reordered.
 //!
 //! The backing [`FixedBitSet`] is vendored here (dependency-free, ~60
 //! lines) rather than pulled from crates.io; the build is hermetic.
@@ -167,7 +167,7 @@ impl Worklist {
     /// iteration styles; exposed so a caller can run a **live cursor
     /// sweep** — ascending traversal that *does* observe insertions made
     /// at indices ahead of the cursor while it runs (the wormhole step
-    /// loop needs exactly this to match dense link order, where a flit
+    /// loop needs exactly this to keep CSR link order, where a flit
     /// forwarded to a higher-numbered node can move again in the same
     /// cycle).
     #[inline]

@@ -36,28 +36,27 @@
 //!
 //! # Sparse flit hot path
 //!
-//! The simulator is sparse by default (DESIGN.md §13): injection is
-//! precomputed in node-major chunks ([`crate::rng::InjectionSchedule`]),
-//! and the per-cycle link-service loop iterates a node [`Worklist`]
-//! instead of every link. The activation invariant is **exact**, not
-//! lazy: node `u` is on the worklist iff `demand[u] > 0`, where
-//! `demand[u]` counts `u`'s pending source-queue packets plus the flits
-//! buffered on `u`'s input VCs — precisely the state `step_link` can
-//! act on. Every queue mutation routes through `demand_add`/`demand_sub`
-//! (and the `buf_push`/`buf_pop` buffer helpers), so the bit and the
-//! queue state change together and the worklist is identical in dense
-//! and sparse mode. The sweep is a **live cursor** over ascending node
-//! ids — the dense link-major order, since links are CSR-grouped by
-//! source node — so a flit forwarded to a higher-numbered node this
-//! cycle is swept again this cycle, exactly as the dense loop revisits
-//! it. `step_link` short-circuits on `demand == 0` in *both* modes, so
-//! even credit-stall counts (probe failures) match byte for byte; the
-//! dense loop ([`WormholeSim::set_dense`]) is kept as the oracle.
+//! A cycle touches only the work in flight (DESIGN.md §13): injection
+//! is precomputed in node-major chunks ([`crate::rng::InjectionSchedule`],
+//! whose contract is the per-node cycle-major draw order), and the
+//! per-cycle link-service loop iterates a node [`Worklist`] instead of
+//! every link. The activation invariant is **exact**, not lazy: node `u`
+//! is on the worklist iff `demand[u] > 0`, where `demand[u]` counts
+//! `u`'s pending source-queue packets plus the flits buffered on `u`'s
+//! input VCs — precisely the state `step_link` can act on. Every queue
+//! mutation routes through `demand_add`/`demand_sub` (and the
+//! `buf_push`/`buf_pop` buffer helpers), so the bit and the queue state
+//! change together. The sweep is a **live cursor** over ascending node
+//! ids — CSR link order, since links are grouped by source node — so a
+//! flit forwarded to a higher-numbered node this cycle is swept again
+//! this cycle. `step_link` returns early on `demand == 0`: a speed rule
+//! only, since a node without demand has nothing any VC probe could
+//! move. The oracle is a reference model outside the crate
+//! (`tests/reference/wormhole.rs`) that steps every link every cycle
+//! and must reach the same [`WormholeOutcome`].
 
 use crate::fault::{FaultPlan, LocalFault, ShardFaults};
-use crate::rng::{
-    bernoulli, bernoulli_threshold, node_stream, InjectionSchedule, NodeRng, SCHEDULE_CHUNK,
-};
+use crate::rng::{node_stream, InjectionSchedule, NodeRng, SCHEDULE_CHUNK};
 use crate::router::Router;
 use crate::table::RoutingTable;
 use crate::worklist::Worklist;
@@ -264,9 +263,6 @@ pub struct WormholeSim<R: Router = RoutingTable> {
     link_of: Vec<u32>,
     /// compiled fault campaign applied by every run (None = fault-free).
     plan: Option<FaultPlan>,
-    /// iterate every link per cycle instead of the node worklist (the
-    /// dense oracle; see the module docs).
-    dense: bool,
 }
 
 impl WormholeSim<RoutingTable> {
@@ -304,16 +300,7 @@ impl<R: Router> WormholeSim<R> {
             in_links,
             link_of,
             plan: None,
-            dense: false,
         }
-    }
-
-    /// Select the dense (every link, every cycle) oracle iteration
-    /// instead of the worklist-driven sparse hot path. Both produce
-    /// byte-identical outcomes and traces; dense exists as the
-    /// equivalence oracle for tests.
-    pub fn set_dense(&mut self, dense: bool) {
-        self.dense = dense;
     }
 
     /// Install (or clear) a compiled fault plan for subsequent runs. Dead
@@ -438,8 +425,6 @@ impl<R: Router> WormholeSim<R> {
             in_flits: vec![0; self.n],
             in_nodes: 0,
             buffered_total: 0,
-            dense: self.dense,
-            inj_threshold: bernoulli_threshold(cfg.injection_rate),
         };
         let outcome = run.execute(obs, window);
         if track {
@@ -516,10 +501,10 @@ struct Run<'a, R: Router> {
     /// packets destroyed by the fault campaign.
     dropped: u64,
     c_dropped: Counter,
-    /// chunked node-major injection precompute (sparse mode only).
+    /// chunked node-major injection precompute.
     sched: InjectionSchedule,
     /// nodes with demand (pending source packets or buffered input
-    /// flits); bit set iff `demand > 0`, in dense and sparse mode alike.
+    /// flits); bit set iff `demand > 0`.
     active: Worklist,
     /// snapshot buffer for the ejection pass over `active`.
     scratch: Vec<u32>,
@@ -531,10 +516,6 @@ struct Run<'a, R: Router> {
     in_nodes: u32,
     /// flits buffered network-wide (replaces the per-cycle arena scan).
     buffered_total: u64,
-    /// dense-oracle iteration? (copied from the parent simulator)
-    dense: bool,
-    /// `rng::bernoulli_threshold(cfg.injection_rate)`, precomputed once.
-    inj_threshold: u64,
 }
 
 impl<R: Router> Run<'_, R> {
@@ -599,9 +580,9 @@ impl<R: Router> Run<'_, R> {
         f
     }
 
-    /// Inject one packet `src → dst` (`dst != src`), replicating the
-    /// dense bookkeeping order: count the injection, then refuse the
-    /// launch if the faulted graph has no usable route.
+    /// Inject one packet `src → dst` (`dst != src`): count the
+    /// injection, then refuse the launch if the faulted graph has no
+    /// usable route.
     fn enqueue_packet(&mut self, src: u32, dst: u32, cycle: u32) {
         self.injected += 1;
         self.c_injected.incr();
@@ -621,32 +602,6 @@ impl<R: Router> Run<'_, R> {
     }
 
     fn inject(&mut self, cycle: u32) {
-        if self.dense {
-            for src in 0..self.sim.n as u32 {
-                if self.faulted && self.view.node_dead(src) {
-                    continue; // dead nodes neither draw their stream nor inject
-                }
-                let rng = &mut self.rngs[src as usize];
-                if !bernoulli(rng, self.inj_threshold) {
-                    continue;
-                }
-                let dst = match &self.cfg.traffic {
-                    WormTraffic::Uniform => {
-                        let mut d = rng.gen_range(0..self.sim.n as u32 - 1);
-                        if d >= src {
-                            d += 1;
-                        }
-                        d
-                    }
-                    WormTraffic::Fixed(map) => map[src as usize],
-                };
-                if dst == src {
-                    continue;
-                }
-                self.enqueue_packet(src, dst, cycle);
-            }
-            return;
-        }
         if self.sched.needs_refill(cycle) {
             let n = self.sim.n as u32;
             let cfg = self.cfg;
@@ -667,7 +622,7 @@ impl<R: Router> Run<'_, R> {
                         Some(d)
                     }
                     // fixed patterns consume no destination draw; a
-                    // self-mapped source injects nothing (as dense)
+                    // self-mapped source injects nothing
                     WormTraffic::Fixed(map) => {
                         let d = map[src as usize];
                         (d != src).then_some(d)
@@ -822,9 +777,9 @@ impl<R: Router> Run<'_, R> {
         }
         let u = self.sim.link_from[link as usize];
         if self.demand[u as usize] == 0 {
-            // Nothing at u to send — skip the VC probes. Shared by both
-            // modes so even credit-stall counts match: a probe failure is
-            // only a stall when there was demand behind it.
+            // Nothing at u to send, so no probe could move a flit. A
+            // probe failure only counts as a credit stall with demand
+            // behind it.
             return false;
         }
         for probe in 0..self.cfg.vcs {
@@ -952,20 +907,12 @@ impl<R: Router> Run<'_, R> {
         true
     }
 
-    /// Eject flits that reached their destination.
-    ///
-    /// Each `(link, vc)` buffer is drained independently and the
-    /// delivered/latency updates commute, so dense (link-major) and
-    /// sparse (active nodes → their in-links) orders produce identical
-    /// state and stats.
+    /// Eject flits that reached their destination, visiting only the
+    /// in-links of nodes with buffered input flits. Each `(link, vc)`
+    /// buffer is drained independently and the delivered/latency updates
+    /// commute, so the visiting order does not matter.
     fn eject(&mut self, cycle: u32) -> bool {
         let mut moved = false;
-        if self.dense {
-            for link in 0..self.sim.link_to.len() as u32 {
-                moved |= self.eject_link(link, cycle);
-            }
-            return moved;
-        }
         // Snapshot: every node with buffered input flits has demand > 0
         // and is therefore on the worklist; ejection only shrinks it.
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -1022,26 +969,18 @@ impl<R: Router> Run<'_, R> {
             }
             self.inject(cycle);
             let mut moved = false;
-            if self.dense {
-                for link in 0..self.sim.link_from.len() as u32 {
+            // Live cursor sweep over demand nodes in ascending order —
+            // CSR link order (links are grouped by source). A node
+            // activated *ahead* of the cursor by a flit delivered this
+            // cycle is swept this cycle; one activated behind the cursor
+            // waits for the next cycle.
+            let mut cursor = 0u32;
+            while let Some(u) = self.active.next_active(cursor) {
+                cursor = u + 1;
+                let lo = self.sim.link_of[u as usize];
+                let hi = self.sim.link_of[u as usize + 1];
+                for link in lo..hi {
                     moved |= self.step_link(link);
-                }
-            } else {
-                // Live cursor sweep over demand nodes in ascending order —
-                // the dense link-major order (links are CSR-grouped by
-                // source). A node activated *ahead* of the cursor by a
-                // flit delivered this cycle is swept this cycle, exactly
-                // as the dense loop reaches its links later; one activated
-                // behind the cursor waits for the next cycle, exactly as
-                // the dense loop has already passed it.
-                let mut cursor = 0u32;
-                while let Some(u) = self.active.next_active(cursor) {
-                    cursor = u + 1;
-                    let lo = self.sim.link_of[u as usize];
-                    let hi = self.sim.link_of[u as usize + 1];
-                    for link in lo..hi {
-                        moved |= self.step_link(link);
-                    }
                 }
             }
             moved |= self.eject(cycle);
@@ -1322,156 +1261,6 @@ mod tests {
         assert_eq!(a.stats().delivered, b.stats().delivered);
         assert_eq!(a.stats().avg_latency, b.stats().avg_latency);
         assert_eq!(b.stats().dropped, 0);
-    }
-
-    /// Everything a run lets the outside world see: the untraced
-    /// outcome, then the outcome, trace JSONL and deterministic
-    /// (`window` + `metrics`) records of the same run observed through an
-    /// in-memory `Obs` and the flight recorder. Outcomes compare by their
-    /// `Debug` form, which prints every statistic exactly.
-    fn observe<R: Router>(
-        sim: &mut WormholeSim<R>,
-        cfg: &WormholeConfig,
-        dense: bool,
-        window: u32,
-        tc: &TraceConfig,
-    ) -> (String, String, String, Vec<String>) {
-        sim.set_dense(dense);
-        let plain = sim.run(cfg);
-        let (obs, mem) = Obs::in_memory();
-        let (out, trace) = sim.run_traced(cfg, &obs, window, Some(tc));
-        obs.finish();
-        let records = mem
-            .contents()
-            .lines()
-            .filter(|l| ipg_obs::is_deterministic_record(l))
-            .map(str::to_string)
-            .collect();
-        (
-            format!("{plain:?}"),
-            format!("{out:?}"),
-            trace.unwrap().to_jsonl(),
-            records,
-        )
-    }
-
-    #[test]
-    fn dense_oracle_matches_sparse_wormhole_byte_for_byte() {
-        use ipg_core::tuple_routing::ShortestTupleRouter;
-        // Congested multi-hop config: small buffers + long packets force
-        // credit stalls and same-cycle multi-hop forwarding, the cases
-        // where sparse sweep order could plausibly diverge. Stats, trace
-        // bytes and deterministic records must agree between the
-        // worklist sweep and the dense-oracle iteration.
-        let g = classic::torus2d(4);
-        let mut sim = WormholeSim::new(&g);
-        let cfg = WormholeConfig {
-            vcs: 8,
-            buffer_flits: 1,
-            packet_flits: 8,
-            injection_rate: 0.05,
-            cycles: 2_000,
-            ..WormholeConfig::default()
-        };
-        let tc = TraceConfig::with_interval(50);
-        let out = sim.run(&cfg);
-        assert!(out.stats().injected > 0 && out.stats().delivered > 0);
-        assert_eq!(
-            observe(&mut sim, &cfg, false, 0, &tc),
-            observe(&mut sim, &cfg, true, 0, &tc),
-            "sparse run must be byte-identical to the dense oracle's"
-        );
-
-        // Exactly what `ipg simulate hsn:l=2,nucleus=Q2 0.05 --wormhole
-        // --vcs 3 --flits 4 --policy hop --obs-interval 500
-        // --trace-interval 128` runs: the codec router, hop-indexed VCs.
-        let tn = hier::hsn(2, classic::hypercube(2), "Q2");
-        let g = tn.build();
-        let mut sim = WormholeSim::with_router(ShortestTupleRouter::new(tn).unwrap(), &g);
-        let cfg = WormholeConfig {
-            vcs: 3,
-            packet_flits: 4,
-            injection_rate: 0.05,
-            policy: VcPolicy::HopIndexed,
-            ..WormholeConfig::default()
-        };
-        let tc = TraceConfig::with_interval(128);
-        assert_eq!(
-            observe(&mut sim, &cfg, false, 500, &tc),
-            observe(&mut sim, &cfg, true, 500, &tc),
-            "the CLI's wormhole run must not split the kernels"
-        );
-    }
-
-    #[test]
-    fn dense_oracle_matches_sparse_wormhole_under_faults() {
-        // Fault campaigns exercise the remaining activation paths: purge
-        // (network-wide flit removal), refused launches, and mid-chunk
-        // node deaths filtered out of the precomputed schedule.
-        use crate::fault::FaultSpec;
-        use crate::router::DetourRouter;
-        let g = classic::hypercube(5);
-        let router = DetourRouter::new(RoutingTable::new(&g), g.clone()).unwrap();
-        let mut sim = WormholeSim::with_router(router, &g);
-        let spec = FaultSpec::parse("script:node@500:3+link@800:0-1+link@800:4-5").unwrap();
-        let plan = FaultPlan::compile(&spec, &g, 0xabcd).unwrap();
-        sim.set_fault_plan(Some(plan));
-        let cfg = WormholeConfig {
-            vcs: 6,
-            injection_rate: 0.02,
-            cycles: 6_000,
-            ..WormholeConfig::default()
-        };
-        let tc = TraceConfig::with_interval(100);
-        sim.set_dense(false);
-        let (sparse, strace) = sim.run_traced(&cfg, &Obs::disabled(), 0, Some(&tc));
-        sim.set_dense(true);
-        let (dense, dtrace) = sim.run_traced(&cfg, &Obs::disabled(), 0, Some(&tc));
-        let (s, d) = (sparse.stats(), dense.stats());
-        assert!(s.dropped > 0, "the fault campaign must bite");
-        assert_eq!(s.injected, d.injected);
-        assert_eq!(s.delivered, d.delivered);
-        assert_eq!(s.dropped, d.dropped);
-        assert_eq!(s.avg_latency, d.avg_latency);
-        assert_eq!(strace.unwrap().to_jsonl(), dtrace.unwrap().to_jsonl());
-    }
-
-    #[test]
-    fn dense_oracle_matches_sparse_on_deadlock() {
-        // The deadlock detector runs off the shared `moved`/buffered
-        // state, so both modes must wedge at the same cycle with the
-        // same stuck-packet census.
-        let g = classic::ring(8);
-        let mut sim = WormholeSim::new(&g);
-        let fixed: Vec<u32> = (0..8u32).map(|i| (i + 3) % 8).collect();
-        let cfg = WormholeConfig {
-            vcs: 1,
-            buffer_flits: 1,
-            packet_flits: 8,
-            injection_rate: 0.5,
-            cycles: 20_000,
-            deadlock_threshold: 300,
-            policy: VcPolicy::Single,
-            traffic: WormTraffic::Fixed(fixed),
-            ..WormholeConfig::default()
-        };
-        sim.set_dense(false);
-        let a = sim.run(&cfg);
-        sim.set_dense(true);
-        let b = sim.run(&cfg);
-        match (a, b) {
-            (
-                WormholeOutcome::Deadlocked {
-                    at_cycle: ca,
-                    stuck_packets: pa,
-                },
-                WormholeOutcome::Deadlocked {
-                    at_cycle: cb,
-                    stuck_packets: pb,
-                },
-            ) => assert_eq!((ca, pa), (cb, pb)),
-            _ => panic!("both modes must deadlock"),
-        }
     }
 
     #[test]

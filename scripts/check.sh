@@ -40,8 +40,10 @@ stage "cargo test (pool auto-sized)"
 # Both test passes include the determinism matrix
 # (crates/ipg-cli/tests/determinism.rs: stdout, trace and manifest
 # records byte-identical across IPG_THREADS, --workers and --trace) and
-# the in-process sparse-vs-dense oracle tests, so the oracle runs on the
-# auto-sized pool here and on a sequential pool below.
+# the reference-model oracle (crates/ipg-sim/tests/oracle.rs: both
+# engines against a single-shard plain-loop model), so the engines are
+# held to the reference on the auto-sized pool here and on a sequential
+# pool below.
 cargo test -q
 
 stage "cargo test (IPG_THREADS=1, sequential pool)"

@@ -653,139 +653,13 @@ proptest! {
     }
 }
 
-/// Sparse-vs-dense equivalence battery (DESIGN.md §13): the worklist
-/// kernels must reproduce the dense oracle byte for byte on random
-/// super-IP specs × random traffic × optional fault campaigns. A
-/// deterministic parameter sweep rather than a proptest strategy — each
-/// case builds a routing table and runs several simulations, so the
-/// sweep is kept to a dozen hand-spread points (seeds derived by
-/// SplitMix so the traffic still varies run to run of the suite).
-#[test]
-fn sparse_engine_matches_dense_oracle_on_random_specs() {
-    for case in 0usize..12 {
-        let (l, family, kind, traffic_kind, fault_kind) =
-            (2 + case % 2, case % 4, (case / 2) % 4, case % 2, case % 3);
-        let seed = (case as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 16;
-        use ipgraph::sim::{FaultPlan, FaultSpec, SimConfig, Simulator, Traffic};
-        let nuc = match kind {
-            0 => NucleusSpec::hypercube(1),
-            1 => NucleusSpec::hypercube(2),
-            2 => NucleusSpec::complete(3),
-            _ => NucleusSpec::ring(4),
-        };
-        let spec = super_family(family, l, nuc);
-        if spec.expected_size().unwrap() <= 600 {
-            let tn = TupleNetwork::from_spec(&spec).unwrap();
-            let g = tn.build();
-            let n = g.node_count() as u32;
-            let traffic = match traffic_kind {
-                0 => Traffic::Uniform,
-                _ => Traffic::Hotspot {
-                    fraction: 0.3,
-                    target: n / 2,
-                },
-            };
-            let cfg = SimConfig {
-                injection_rate: 0.05,
-                warmup_cycles: 40,
-                measure_cycles: 120,
-                drain_cycles: 240,
-                seed,
-                traffic,
-                ..SimConfig::default()
-            };
-            let mut sim = Simulator::new(&g, |v| v / 4, &cfg);
-            let fault = match fault_kind {
-                0 => None,
-                1 => Some(format!("script:node@60:{}", n / 2)),
-                _ => Some("rate:links=0.02,at=90".to_string()),
-            };
-            if let Some(f) = fault {
-                let fs = FaultSpec::parse(&f).unwrap();
-                sim.set_fault_plan(Some(FaultPlan::compile(&fs, &g, seed ^ 0xfa17).unwrap()));
-            }
-            sim.set_dense(false);
-            let sparse = sim.run(&cfg);
-            sim.validate_sparse_state();
-            sim.set_dense(true);
-            let dense = sim.run(&cfg);
-            sim.validate_sparse_state();
-            assert_eq!(sparse, dense, "{}: sparse != dense oracle", spec.name);
-        }
-    }
-}
-
-/// Wormhole arm of the equivalence battery: stats (and deadlock
-/// verdicts) must agree between the worklist sweep and the dense oracle
-/// across families, traffic shapes, and fault campaigns.
-#[test]
-fn sparse_wormhole_matches_dense_oracle_on_random_specs() {
-    for case in 0usize..8 {
-        let (l, family, traffic_kind, faulted) =
-            (2 + case % 2, case % 4, (case / 2) % 2, case % 3 == 0);
-        let seed = (case as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9) >> 16;
-        use ipgraph::sim::wormhole::{WormTraffic, WormholeConfig};
-        use ipgraph::sim::{FaultPlan, FaultSpec, WormholeSim};
-        let spec = super_family(family, l, NucleusSpec::hypercube(1 + family % 2));
-        if spec.expected_size().unwrap() <= 600 {
-            let tn = TupleNetwork::from_spec(&spec).unwrap();
-            let g = tn.build();
-            let n = g.node_count() as u32;
-            let traffic = match traffic_kind {
-                0 => WormTraffic::Uniform,
-                // many-to-one onto the middle node (self-maps inject nothing)
-                _ => {
-                    WormTraffic::Fixed((0..n).map(|v| if v % 3 == 0 { n / 2 } else { v }).collect())
-                }
-            };
-            let cfg = WormholeConfig {
-                vcs: 8,
-                injection_rate: 0.02,
-                cycles: 800,
-                seed,
-                traffic,
-                ..WormholeConfig::default()
-            };
-            let mut sim = WormholeSim::new(&g);
-            if faulted {
-                let fs = FaultSpec::parse("rate:links=0.02,at=200").unwrap();
-                sim.set_fault_plan(Some(FaultPlan::compile(&fs, &g, seed ^ 0xfa17).unwrap()));
-            }
-            sim.set_dense(false);
-            let sparse = sim.run(&cfg);
-            sim.set_dense(true);
-            let dense = sim.run(&cfg);
-            match (sparse, dense) {
-                (
-                    ipgraph::sim::WormholeOutcome::Completed(s),
-                    ipgraph::sim::WormholeOutcome::Completed(d),
-                ) => {
-                    assert_eq!(s.injected, d.injected, "{}", spec.name);
-                    assert_eq!(s.delivered, d.delivered, "{}", spec.name);
-                    assert_eq!(s.dropped, d.dropped, "{}", spec.name);
-                    assert_eq!(s.avg_latency, d.avg_latency, "{}", spec.name);
-                }
-                (
-                    ipgraph::sim::WormholeOutcome::Deadlocked {
-                        at_cycle: ca,
-                        stuck_packets: pa,
-                    },
-                    ipgraph::sim::WormholeOutcome::Deadlocked {
-                        at_cycle: cb,
-                        stuck_packets: pb,
-                    },
-                ) => assert_eq!((ca, pa), (cb, pb), "{}", spec.name),
-                _ => panic!("{}: one mode deadlocked, the other completed", spec.name),
-            }
-        }
-    }
-}
-
 /// Regression (DESIGN.md §13 activation invariant, fault event source):
 /// a mid-run fault must re-activate exactly the right state — queues the
 /// kill drained fall off the worklist, re-routed traffic re-populates
-/// it — and the sparse run must stay byte-equal to the dense oracle
-/// across the fault boundary, with the adaptive router still delivering.
+/// it — so the worklists and counters re-derived from the queues agree
+/// after the run, a rerun reproduces the result, and the adaptive router
+/// keeps delivering. `ipg-sim`'s oracle tests hold this config to the
+/// reference model.
 #[test]
 fn fault_reactivation_keeps_sparse_state_exact() {
     use ipgraph::sim::table::RoutingTable;
@@ -805,15 +679,14 @@ fn fault_reactivation_keeps_sparse_state_exact() {
     // kill a node mid-measurement and a batch of links during drain
     let spec = FaultSpec::parse("script:node@300:5;rate:links=0.05,at=700").unwrap();
     sim.set_fault_plan(Some(FaultPlan::compile(&spec, &g, 0xfa17).unwrap()));
-    sim.set_dense(false);
-    let sparse = sim.run(&cfg);
+    let first = sim.run(&cfg);
     sim.validate_sparse_state();
-    sim.set_dense(true);
-    let dense = sim.run(&cfg);
+    let again = sim.run(&cfg);
     sim.validate_sparse_state();
-    assert_eq!(sparse, dense, "fault campaign desynchronized the worklists");
-    assert!(
-        sparse.delivered > 0,
-        "adaptive routing must keep delivering"
+    assert_eq!(first, again, "fault campaign desynchronized the worklists");
+    assert_eq!(
+        first.injected,
+        first.delivered + first.in_flight_at_end + first.dropped_unreachable
     );
+    assert!(first.delivered > 0, "adaptive routing must keep delivering");
 }
