@@ -8,9 +8,14 @@
 //! build and route speedups per instance — the numbers later PRs regress
 //! against.
 //!
-//! Usage: `bench_report <criterion.jsonl>`
+//! `bench_report --render-docs` instead rewrites the generated blocks of
+//! README.md, EXPERIMENTS.md and DESIGN.md from `results/BENCH_sim.json`
+//! (see `ipg_bench::bench_sim`); `scripts/bench.sh` runs it right after
+//! `sim_bench`.
+//!
+//! Usage: `bench_report <criterion.jsonl>` | `bench_report --render-docs`
 
-use ipg_bench::write_json;
+use ipg_bench::{bench_sim, workspace_root, write_json};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs;
@@ -47,10 +52,29 @@ struct Report {
     route_speedup: BTreeMap<String, f64>,
 }
 
+/// Rewrite every generated block of the docs from the committed JSON.
+fn render_docs() {
+    let bench = bench_sim::load().unwrap_or_else(|e| panic!("{e}"));
+    for name in bench_sim::DOC_FILES {
+        let path = workspace_root().join(name);
+        let doc = fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {name}: {e}"));
+        let rendered = bench_sim::render(&doc, &bench).unwrap_or_else(|e| panic!("{name}: {e}"));
+        if rendered == doc {
+            println!("{name}: up to date");
+        } else {
+            fs::write(&path, rendered).unwrap_or_else(|e| panic!("write {name}: {e}"));
+            println!("{name}: rendered");
+        }
+    }
+}
+
 fn main() {
     let path = std::env::args()
         .nth(1)
-        .expect("usage: bench_report <criterion.jsonl>");
+        .expect("usage: bench_report <criterion.jsonl> | --render-docs");
+    if path == "--render-docs" {
+        return render_docs();
+    }
     let data = fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
 
     let mut cases: Vec<Case> = Vec::new();

@@ -1,199 +1,107 @@
-//! Simulation-engine throughput: table-backed vs table-free routing.
+//! Simulation-engine benchmark: the two measurements `ipg_perf` does not
+//! make, distilled into `results/BENCH_sim.json`.
 //!
-//! Four experiments, distilled into `results/BENCH_sim.json`:
+//! 1. *table vs codec* — symmetric ring-CN(2,Q6), 8192 nodes, the largest
+//!    spec both routing backends can load. The table backend pays the
+//!    all-pairs BFS precompute; the codec backend routes arithmetically
+//!    on tuple digits. Both run the same cycle schedule in `PAIRS`
+//!    alternating table/codec pairs, and each backend reports the median
+//!    and quartiles of its router build and run times. The end-to-end
+//!    ratio is the user-visible `ipg simulate` speedup; the steady-state
+//!    ratio isolates the per-cycle cost.
+//! 2. *memory split* — complete-CN(2,Q11) at 2^22 nodes, past the
+//!    in-process CLI cap, run through `dist::run_dist` with `WORKERS`
+//!    workers in one process and on the in-process engine in another.
+//!    The first process's `VmHWM` is the coordinator peak, the second's
+//!    the single-process peak; the workers report their own.
 //!
-//! 1. *common config* — the largest network both backends can load
-//!    (symmetric ring-CN(2,Q6), 8192 nodes). The table backend pays the
-//!    all-pairs BFS precompute the pre-sharding engine always paid; the
-//!    codec backend routes arithmetically on tuple digits. Both run the
-//!    same cycle schedule, so the end-to-end ratio is the user-visible
-//!    `ipg simulate` speedup and the steady-state ratio isolates the
-//!    per-cycle cost.
-//! 2. *beyond the table* — CN(5,Q4) at 2^20 nodes. The dense next-hop
-//!    table would need N² · 4 B = 4 TiB (and ~N·M BFS work), so the
-//!    table engine cannot load this network at all; the codec backend
-//!    simulates it directly. Recorded with the table's memory bound so
-//!    the claim is auditable. `codec.cycles_per_sec` here is the sparse
-//!    worklist kernel — the headline steady-state number.
-//! 3. *flight-recorder overhead* — the common config rerun with the
-//!    per-shard trace rings attached at the default sampling interval,
-//!    against an untraced run of the same schedule. The arms are
-//!    interleaved and each reports its *median* over `TRACE_SAMPLES`
-//!    runs; the signed delta is compared against the within-arm spread
-//!    (`noise_floor_pct`) so a sub-noise reading — positive or negative —
-//!    is reported as insignificant rather than as a real cost. The
-//!    `within_budget` flag is the ≤ 5% commitment from DESIGN.md §11.
-//! 4. *multi-process sharding* — the beyond-table CN(5,Q4) schedule run
-//!    through `dist::run_dist` at 1/2/4 workers (delivered counts must
-//!    match the in-process run), then CN(2,Q11) at 2^22 nodes — past
-//!    the in-process CLI cap — both distributed and in-process, so the
-//!    per-worker vs single-process peak-RSS split is on record. On a
-//!    1-core host the win is the *memory ceiling*, not cycles/sec: see
-//!    EXPERIMENTS.md. RSS readings come from `VmHWM`, a monotone
-//!    per-process high-water mark, so harness-side snapshots are
-//!    ordered smallest-arm-first and each bounds everything before it;
-//!    worker processes are fresh per run and their readings are exact.
+//! Every reading comes from a fresh child process (this binary
+//! re-executed as `__arm <name>`, printing one JSON line), so no
+//! high-water mark or warm cache carries over from an earlier arm. The
+//! parent exits non-zero, before writing anything, when the children's
+//! delivered counts disagree: table vs codec, and dist vs in-process.
+//! The codec engine's throughput, the flight recorder's overhead and the
+//! worker fleet's speed are `ipg_perf` workloads and metrics
+//! (`uniform-8k`, `lowrate-1m`, `trace.overhead_pct`, `dist-1m`).
 //!
 //! All timing goes through `Obs` spans (`Span::elapsed_secs`) — the
 //! DET003 lint keeps raw `Instant` reads out of this crate.
 
-use ipg_bench::{f2, print_table, report};
+use ipg_bench::bench_sim::{
+    render_block, BackendTiming, MemorySplit, SimBench, Spread, TableVsCodec,
+};
+use ipg_bench::report::{self, Report};
 use ipg_core::graph::Csr;
+use ipg_core::superip::TupleNetwork;
 use ipg_core::tuple_routing::ShortestTupleRouter;
 use ipg_networks::{classic, hier};
-use ipg_obs::{Obs, TraceConfig};
+use ipg_obs::{NullRecorder, Obs};
 use ipg_sim::dist::{run_dist, worker_main, DistConfig, WorkerSetup};
 use ipg_sim::engine::{SimConfig, Simulator};
 use ipg_sim::table::RoutingTable;
 use ipg_sim::Router;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
+use std::process::{exit, Command, Stdio};
 
-#[derive(Serialize, Clone, Copy)]
-struct BackendTiming {
+/// Alternating table/codec child pairs in the table-vs-codec arm.
+const PAIRS: usize = 5;
+/// Worker processes of the memory split's distributed run.
+const WORKERS: u32 = 4;
+/// The worker-mode netspec tag of the memory split's network.
+const BIG_NETSPEC: &str = "bench:cn2q11";
+
+/// What one `__arm` child prints, as a single JSON line on stdout.
+#[derive(Serialize, Deserialize)]
+struct ArmOut {
+    /// Router construction (0 where the process builds none).
     build_secs: f64,
     run_secs: f64,
-    total_secs: f64,
-    /// Simulated cycles per wall second, steady state (run only).
-    cycles_per_sec: f64,
-    /// Simulated cycles per wall second including router construction —
-    /// what `ipg simulate` actually delivers.
-    end_to_end_cycles_per_sec: f64,
-}
-
-#[derive(Serialize)]
-struct CommonCase {
-    network: String,
-    nodes: usize,
-    cycles: u32,
-    injection_rate: f64,
-    delivered_match: bool,
-    table: BackendTiming,
-    codec: BackendTiming,
-    speedup_end_to_end: f64,
-    speedup_steady_state: f64,
-}
-
-#[derive(Serialize)]
-struct BeyondTableCase {
-    network: String,
-    nodes: usize,
-    cycles: u32,
-    injection_rate: f64,
-    /// Bytes the dense next-hop table would need (N² · 4) — why the
-    /// table backend cannot load this network.
-    table_bytes_required: u64,
     delivered: u64,
-    codec: BackendTiming,
-}
-
-#[derive(Serialize)]
-struct TraceOverheadCase {
-    network: String,
-    nodes: usize,
-    cycles: u32,
-    injection_rate: f64,
-    /// Sampling interval in cycles (the `TraceConfig` default).
-    trace_interval: u32,
-    /// Interleaved samples per arm; each arm reports its median.
-    samples: u32,
-    untraced_cycles_per_sec: f64,
-    traced_cycles_per_sec: f64,
-    /// Signed steady-state delta of the traced arm, in percent: positive
-    /// means tracing slowed the run, small negatives are timer noise.
-    overhead_pct: f64,
-    /// Largest within-arm spread (max−min over median), in percent — the
-    /// run-to-run noise on this machine. An `overhead_pct` below this is
-    /// not distinguishable from zero.
-    noise_floor_pct: f64,
-    /// Does `overhead_pct` exceed the noise floor?
-    significant: bool,
-    /// The DESIGN.md §11 commitment: overhead ≤ 5% at the default
-    /// interval, where "overhead" means a *significant* positive delta.
-    within_budget: bool,
-    trace_events: usize,
-    dropped_events: u64,
-    /// Tracing must not perturb the simulation.
-    delivered_match: bool,
-}
-
-#[derive(Serialize)]
-struct DistArm {
-    workers: u32,
-    run_secs: f64,
-    cycles_per_sec: f64,
-    /// Distributed delivered count equals the in-process run's.
-    delivered_match: bool,
-    /// Each worker process's `VmHWM` in KiB (fresh process per run,
-    /// so these are exact, not watermarked by earlier arms).
-    worker_rss_kb: Vec<u64>,
-    frames: u64,
-    frame_bytes: u64,
-}
-
-#[derive(Serialize)]
-struct DistBeyondCase {
-    network: String,
-    nodes: usize,
-    cycles: u32,
-    injection_rate: f64,
-    workers: u32,
-    delivered: u64,
-    /// The distributed run and the in-process run of the same network
-    /// delivered identical packet counts.
-    delivered_match: bool,
-    dist_run_secs: f64,
-    inproc_run_secs: f64,
-    /// Harness `VmHWM` right after the distributed run: the
-    /// coordinator-side peak (graph + transient link frames, no shard
-    /// state). Monotone — also bounds the earlier, smaller arms.
-    coordinator_rss_kb: u64,
-    /// Harness `VmHWM` after the in-process run of the same network:
-    /// the single-process peak the worker split is measured against.
-    single_process_rss_kb: u64,
-    /// Per-worker `VmHWM` — the headline: each worker holds a shard
-    /// range and a codec router, never the graph or the full wheel.
+    /// This process's `VmHWM` in KiB.
+    rss_kb: u64,
+    /// Each dist worker's `VmHWM` in KiB (empty for in-process runs).
     worker_rss_kb: Vec<u64>,
 }
 
-#[derive(Serialize)]
-struct DistCase {
-    network: String,
-    nodes: usize,
-    cycles: u32,
-    injection_rate: f64,
-    /// In-process steady-state baseline on the same schedule (the
-    /// beyond-table codec arm).
-    inproc_cycles_per_sec: f64,
-    arms: Vec<DistArm>,
-    beyond: DistBeyondCase,
-}
-
-#[derive(Serialize)]
-struct SimBench {
-    bench: &'static str,
-    ipg_threads: usize,
-    common: CommonCase,
-    beyond_table: BeyondTableCase,
-    trace_overhead: TraceOverheadCase,
-    dist: DistCase,
-}
-
-/// Build the router for one of the fixed bench networks inside a worker
-/// process. Tags instead of CLI specs: ipg-bench sits below ipg-cli and
-/// cannot use its parser.
-fn bench_router(ws: &WorkerSetup) -> Result<Box<dyn Router>, String> {
-    let tn = match ws.netspec.as_str() {
-        "bench:cn5q4" => hier::complete_cn(5, classic::hypercube(4), "Q4"),
-        "bench:cn2q11" => hier::complete_cn(2, classic::hypercube(11), "Q11"),
-        other => return Err(format!("unknown bench netspec `{other}`")),
+/// The table-vs-codec network and schedule, or with `big` the memory
+/// split's.
+fn setup(big: bool) -> (TupleNetwork, SimConfig) {
+    let (tn, rate, warmup, measure, drain) = if big {
+        let tn = hier::complete_cn(2, classic::hypercube(11), "Q11");
+        (tn, 0.002, 20, 60, 60)
+    } else {
+        let tn = hier::symmetric(&hier::ring_cn(2, classic::hypercube(6), "Q6"));
+        (tn, 0.02, 200, 800, 500)
     };
+    let c = SimConfig {
+        injection_rate: rate,
+        warmup_cycles: warmup,
+        measure_cycles: measure,
+        drain_cycles: drain,
+        seed: 7,
+        ..SimConfig::default()
+    };
+    (tn, c)
+}
+
+fn total_cycles(c: &SimConfig) -> u32 {
+    c.warmup_cycles + c.measure_cycles + c.drain_cycles
+}
+
+/// Build the router for the memory split's network inside a dist worker.
+/// A tag instead of a CLI spec: ipg-bench sits below ipg-cli and cannot
+/// use its parser.
+fn bench_router(ws: &WorkerSetup) -> Result<Box<dyn Router>, String> {
+    if ws.netspec != BIG_NETSPEC {
+        return Err(format!("unknown bench netspec `{}`", ws.netspec));
+    }
     Ok(Box::new(
-        ShortestTupleRouter::new(tn).map_err(|e| e.to_string())?,
+        ShortestTupleRouter::new(setup(true).0).map_err(|e| e.to_string())?,
     ))
 }
 
-/// Peak resident set size of this process in KiB (`VmHWM` — a monotone
-/// per-process high-water mark). 0 where procfs is unavailable.
+/// Peak resident set size of this process in KiB (`VmHWM`). 0 where
+/// procfs is unavailable.
 fn vm_hwm_kb() -> u64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
@@ -206,424 +114,222 @@ fn vm_hwm_kb() -> u64 {
         .unwrap_or(0)
 }
 
-fn cfg(rate: f64, warmup: u32, measure: u32, drain: u32) -> SimConfig {
-    SimConfig {
-        injection_rate: rate,
-        warmup_cycles: warmup,
-        measure_cycles: measure,
-        drain_cycles: drain,
-        seed: 7,
-        ..SimConfig::default()
+fn exe() -> String {
+    std::env::current_exe()
+        .expect("current_exe must resolve to re-exec this binary")
+        .display()
+        .to_string()
+}
+
+/// Run `f` inside a span of `obs`; return its result and elapsed seconds.
+fn timed<T>(obs: &Obs, label: &str, f: impl FnOnce() -> T) -> (T, f64) {
+    let span = obs.span(label);
+    let out = f();
+    (out, span.elapsed_secs().unwrap_or(0.0).max(1e-9))
+}
+
+/// One in-process run of `setup(big)`: build the router with `build`,
+/// then run the schedule.
+fn run_inproc<R: Router>(big: bool, build: impl FnOnce(TupleNetwork, &Csr) -> R) -> ArmOut {
+    let obs = Obs::with_recorder(Box::new(NullRecorder));
+    let (tn, c) = setup(big);
+    let g = tn.build();
+    let (class, _) = tn.nucleus_partition();
+    let (router, build_secs) = timed(&obs, "build", || build(tn, &g));
+    let mut sim = Simulator::with_router(router, &g, |v| class[v as usize], &c);
+    let (r, run_secs) = timed(&obs, "run", || sim.run(&c));
+    ArmOut {
+        build_secs,
+        run_secs,
+        delivered: r.delivered,
+        rss_kb: vm_hwm_kb(),
+        worker_rss_kb: Vec::new(),
     }
 }
 
-fn total_cycles(c: &SimConfig) -> u32 {
-    c.warmup_cycles + c.measure_cycles + c.drain_cycles
+fn codec_router(tn: TupleNetwork, _: &Csr) -> ShortestTupleRouter {
+    ShortestTupleRouter::new(tn).expect("l=2 is within the codec router bound")
 }
 
-/// Time one backend: `build` constructs the router, then the engine runs
-/// `cfg`'s schedule. Returns the timing plus the run's delivered count.
-fn time_backend<R: Router>(
-    obs: &Obs,
-    label: &str,
-    g: &Csr,
-    class: &[u32],
-    c: &SimConfig,
-    build: impl FnOnce() -> R,
-) -> (BackendTiming, u64) {
-    let build_span = obs.span(&format!("{label}/build"));
-    let router = build();
-    let build_secs = build_span.elapsed_secs().unwrap_or(0.0);
-    drop(build_span);
-    let mut sim = Simulator::with_router(router, g, |v| class[v as usize], c);
-    let run_span = obs.span(&format!("{label}/run"));
-    let r = sim.run(c);
-    let run_secs = run_span.elapsed_secs().unwrap_or(0.0).max(1e-9);
-    drop(run_span);
-    let cycles = f64::from(total_cycles(c));
-    (
-        BackendTiming {
-            build_secs,
-            run_secs,
-            total_secs: build_secs + run_secs,
-            cycles_per_sec: cycles / run_secs,
-            end_to_end_cycles_per_sec: cycles / (build_secs + run_secs).max(1e-9),
-        },
-        r.delivered,
-    )
+/// The child side of `__arm <name>`.
+fn arm(name: &str) -> Result<ArmOut, String> {
+    match name {
+        "table" => Ok(run_inproc(false, |_, g| RoutingTable::new(g))),
+        "codec" => Ok(run_inproc(false, codec_router)),
+        "inproc" => Ok(run_inproc(true, codec_router)),
+        "dist" => {
+            let obs = Obs::with_recorder(Box::new(NullRecorder));
+            let (tn, c) = setup(true);
+            let g = tn.build();
+            let (class, _) = tn.nucleus_partition();
+            let dc = DistConfig {
+                workers: WORKERS,
+                worker_argv: vec![exe(), "__dist-worker".to_string()],
+                netspec: BIG_NETSPEC.to_string(),
+                window: 0,
+                trace: None,
+                read_timeout: std::time::Duration::from_secs(600),
+            };
+            let (run, run_secs) = timed(&obs, "run", || {
+                run_dist(&g, |v| class[v as usize], &c, None, &Obs::disabled(), &dc)
+            });
+            let run = run.map_err(|e| e.to_string())?;
+            Ok(ArmOut {
+                build_secs: 0.0,
+                run_secs,
+                delivered: run.result.delivered,
+                rss_kb: vm_hwm_kb(),
+                worker_rss_kb: run.workers.iter().map(|w| w.rss_kb).collect(),
+            })
+        }
+        other => Err(format!("unknown arm `{other}`")),
+    }
+}
+
+/// Run arm `name` in a fresh child process, under a manifest span.
+fn spawn_arm(rep: &Report, name: &str, sample: usize) -> ArmOut {
+    let _span = rep.obs().span(&format!("{name}/{sample}"));
+    eprintln!("arm {name} #{sample}");
+    let out = Command::new(exe())
+        .args(["__arm", name])
+        .stderr(Stdio::inherit())
+        .output()
+        .unwrap_or_else(|e| panic!("spawn arm {name}: {e}"));
+    if !out.status.success() {
+        eprintln!("sim_bench: arm {name} #{sample} failed ({})", out.status);
+        exit(1);
+    }
+    let line = String::from_utf8_lossy(&out.stdout);
+    serde_json::from_str(line.trim())
+        .unwrap_or_else(|e| panic!("arm {name} #{sample} printed `{line}`: {e}"))
+}
+
+fn backend_timing(samples: &[ArmOut], cycles: f64) -> BackendTiming {
+    let build_secs = Spread::of(&samples.iter().map(|a| a.build_secs).collect::<Vec<_>>());
+    let run_secs = Spread::of(&samples.iter().map(|a| a.run_secs).collect::<Vec<_>>());
+    BackendTiming {
+        build_secs,
+        run_secs,
+        cycles_per_sec: cycles / run_secs.median,
+        end_to_end_cycles_per_sec: cycles / (build_secs.median + run_secs.median),
+    }
 }
 
 fn main() {
-    // Hidden worker mode: the dist coordinator re-execs this binary with
-    // `__dist-worker`, so the bench is self-contained — no ipg install.
-    if std::env::args().nth(1).as_deref() == Some("__dist-worker") {
-        if let Err(e) = worker_main(bench_router, vm_hwm_kb) {
-            eprintln!("sim_bench dist worker: {e}");
-            std::process::exit(1);
+    let mut args = std::env::args().skip(1);
+    match args.next().as_deref() {
+        // The dist coordinator re-execs this binary as a worker, so the
+        // bench is self-contained — no ipg install.
+        Some("__dist-worker") => {
+            if let Err(e) = worker_main(bench_router, vm_hwm_kb) {
+                eprintln!("sim_bench dist worker: {e}");
+                exit(1);
+            }
+            return;
         }
-        return;
+        Some("__arm") => {
+            let name = args.next().unwrap_or_default();
+            match arm(&name) {
+                Ok(out) => println!("{}", serde_json::to_string(&out).expect("serialize")),
+                Err(e) => {
+                    eprintln!("sim_bench arm {name}: {e}");
+                    exit(1);
+                }
+            }
+            return;
+        }
+        _ => {}
     }
 
-    let common_cfg = cfg(0.02, 200, 800, 500);
-    let big_cfg = cfg(0.002, 20, 60, 60);
+    let ((small, small_c), (big, big_c)) = (setup(false), setup(true));
     let rep = report::start(
         "sim_bench",
         &[
-            ("common_network", "ring-CN(2,Q6) symmetric".into()),
-            ("beyond_network", "CN(5,Q4)".into()),
-            ("common_injection_rate", common_cfg.injection_rate.into()),
-            ("beyond_injection_rate", big_cfg.injection_rate.into()),
-            ("seed", 7u64.into()),
+            ("table_vs_codec_network", small.name.as_str().into()),
+            (
+                "table_vs_codec_injection_rate",
+                small_c.injection_rate.into(),
+            ),
+            ("memory_split_network", big.name.as_str().into()),
+            ("memory_split_injection_rate", big_c.injection_rate.into()),
+            ("pairs", PAIRS.into()),
+            ("seed", small_c.seed.into()),
         ],
     );
 
-    // -- common config: both backends ------------------------------------
-    let tn = hier::symmetric(&hier::ring_cn(2, classic::hypercube(6), "Q6"));
-    let g = tn.build();
-    let (class, _) = tn.nucleus_partition();
-    eprintln!("common config: {} ({} nodes)", tn.name, g.node_count());
-    let (table, delivered_t) = time_backend(rep.obs(), "table", &g, &class, &common_cfg, || {
-        RoutingTable::new(&g)
-    });
-    let tn_for_router = tn.clone();
-    let (codec, delivered_c) = time_backend(rep.obs(), "codec", &g, &class, &common_cfg, || {
-        ShortestTupleRouter::new(tn_for_router).expect("l=2 is within the codec router bound")
-    });
-    let common = CommonCase {
-        network: tn.name.clone(),
-        nodes: g.node_count(),
-        cycles: total_cycles(&common_cfg),
-        injection_rate: common_cfg.injection_rate,
-        // Same injection streams, both routers exact-shortest: the tagged
-        // delivered counts must agree even though tie-breaks differ.
-        delivered_match: delivered_t == delivered_c,
-        table,
-        codec,
-        speedup_end_to_end: table.total_secs / codec.total_secs.max(1e-9),
-        speedup_steady_state: table.run_secs / codec.run_secs.max(1e-9),
-    };
-
-    // -- beyond the table: 2^20-node CN ----------------------------------
-    let big = hier::complete_cn(5, classic::hypercube(4), "Q4");
-    let n_big = big.node_count() as u64;
-    let table_bytes = n_big * n_big * 4;
-    eprintln!(
-        "beyond-table config: {} ({} nodes; dense table would need {} GiB)",
-        big.name,
-        n_big,
-        table_bytes >> 30
-    );
-    let g_big = big.build();
-    let (class_big, _) = big.nucleus_partition();
-    let name_big = big.name.clone();
-    let (codec_big, delivered_big) = time_backend(
-        rep.obs(),
-        "beyond/codec",
-        &g_big,
-        &class_big,
-        &big_cfg,
-        || ShortestTupleRouter::new(big).expect("l=5 is within the codec router bound"),
-    );
-    let cycles_big = f64::from(total_cycles(&big_cfg));
-    let beyond = BeyondTableCase {
-        network: name_big,
-        nodes: n_big as usize,
-        cycles: total_cycles(&big_cfg),
-        injection_rate: big_cfg.injection_rate,
-        table_bytes_required: table_bytes,
-        delivered: delivered_big,
-        codec: codec_big,
-    };
-
-    // -- flight-recorder overhead on the common config --------------------
-    const TRACE_SAMPLES: u32 = 5;
-    let trace_cfg = TraceConfig::default();
-    eprintln!(
-        "trace-overhead config: {} at interval {} ({} samples/arm)",
-        tn.name, trace_cfg.interval, TRACE_SAMPLES
-    );
-    // Both arms go through `run_traced`, so the untraced baseline pays the
-    // identical call path and only the recorder itself is measured. The
-    // arms are interleaved (off, on, off, on, …) so slow thermal /
-    // frequency drift cancels instead of landing entirely on whichever
-    // arm ran second. Each arm reports its median — best-of-N compares
-    // two lucky outliers and routinely produced a *negative* "overhead"
-    // when the traced arm drew the luckier scheduler slot.
-    let one_run = |label: &str, sample: u32, trace: Option<&TraceConfig>| {
-        let router =
-            ShortestTupleRouter::new(tn.clone()).expect("l=2 is within the codec router bound");
-        let mut sim = Simulator::with_router(router, &g, |v| class[v as usize], &common_cfg);
-        let span = rep.obs().span(&format!("trace/{label}/{sample}"));
-        let (r, t) = sim.run_traced(&common_cfg, &Obs::disabled(), 0, trace);
-        let secs = span.elapsed_secs().unwrap_or(0.0).max(1e-9);
-        drop(span);
-        (secs, r, t)
-    };
-    let mut secs_off = Vec::with_capacity(TRACE_SAMPLES as usize);
-    let mut secs_on = Vec::with_capacity(TRACE_SAMPLES as usize);
-    let mut delivered_off = 0u64;
-    let mut delivered_on = 0u64;
-    let mut trace_events = 0usize;
-    let mut dropped_events = 0u64;
-    for sample in 0..TRACE_SAMPLES {
-        let (secs, r, _) = one_run("off", sample, None);
-        secs_off.push(secs);
-        delivered_off = r.delivered;
-        let (secs, r, t) = one_run("on", sample, Some(&trace_cfg));
-        secs_on.push(secs);
-        delivered_on = r.delivered;
-        if let Some(t) = t {
-            trace_events = t.events.len();
-            dropped_events = t.dropped;
+    // Alternate which backend goes first, so slow host drift lands on
+    // both evenly.
+    let (mut table, mut codec) = (Vec::new(), Vec::new());
+    for i in 0..PAIRS {
+        if i % 2 == 0 {
+            table.push(spawn_arm(&rep, "table", i));
+            codec.push(spawn_arm(&rep, "codec", i));
+        } else {
+            codec.push(spawn_arm(&rep, "codec", i));
+            table.push(spawn_arm(&rep, "table", i));
         }
     }
-    fn median(samples: &mut [f64]) -> f64 {
-        samples.sort_by(f64::total_cmp);
-        samples[samples.len() / 2]
-    }
-    fn spread_pct(samples: &[f64], med: f64) -> f64 {
-        let (lo, hi) = samples
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &s| {
-                (lo.min(s), hi.max(s))
-            });
-        (hi - lo) / med.max(1e-9) * 100.0
-    }
-    let (med_off, med_on) = (median(&mut secs_off), median(&mut secs_on));
-    let noise_floor_pct = spread_pct(&secs_off, med_off).max(spread_pct(&secs_on, med_on));
-    let cycles_common = f64::from(total_cycles(&common_cfg));
-    let (untraced_cps, traced_cps) = (cycles_common / med_off, cycles_common / med_on);
-    let overhead_pct = (med_on / med_off.max(1e-9) - 1.0) * 100.0;
-    let significant = overhead_pct.abs() > noise_floor_pct;
-    let trace_overhead = TraceOverheadCase {
-        network: tn.name.clone(),
-        nodes: g.node_count(),
-        cycles: total_cycles(&common_cfg),
-        injection_rate: common_cfg.injection_rate,
-        trace_interval: trace_cfg.interval,
-        samples: TRACE_SAMPLES,
-        untraced_cycles_per_sec: untraced_cps,
-        traced_cycles_per_sec: traced_cps,
-        overhead_pct,
-        noise_floor_pct,
-        significant,
-        // A delta buried in the noise floor cannot break the budget; a
-        // significant one must sit at or under 5%.
-        within_budget: !significant || overhead_pct <= 5.0,
-        trace_events,
-        dropped_events,
-        delivered_match: delivered_off == delivered_on,
+    // Same injection streams, both routers exact-shortest: the delivered
+    // counts agree even though tie-breaks differ.
+    let delivered = table[0].delivered;
+    let small_cycles = f64::from(total_cycles(&small_c));
+    let (t, c) = (
+        backend_timing(&table, small_cycles),
+        backend_timing(&codec, small_cycles),
+    );
+    let table_vs_codec = TableVsCodec {
+        network: small.name.clone(),
+        nodes: small.node_count(),
+        cycles: total_cycles(&small_c),
+        injection_rate: small_c.injection_rate,
+        samples: PAIRS,
+        delivered,
+        delivered_match: table.iter().chain(&codec).all(|a| a.delivered == delivered),
+        speedup_end_to_end: (t.build_secs.median + t.run_secs.median)
+            / (c.build_secs.median + c.run_secs.median),
+        speedup_steady_state: t.run_secs.median / c.run_secs.median,
+        table: t,
+        codec: c,
     };
 
-    // -- multi-process sharding on the beyond-table schedule --------------
-    let worker_argv = vec![
-        std::env::current_exe()
-            .expect("current_exe must resolve to spawn workers")
-            .display()
-            .to_string(),
-        "__dist-worker".to_string(),
-    ];
-    let dist_dc = |netspec: &str, workers: u32| DistConfig {
-        workers,
-        worker_argv: worker_argv.clone(),
-        netspec: netspec.to_string(),
-        window: 0,
-        trace: None,
-        read_timeout: std::time::Duration::from_secs(600),
-    };
-    let mut arms = Vec::new();
-    for workers in [1u32, 2, 4] {
-        eprintln!(
-            "dist config: {} ({} nodes), {} workers",
-            beyond.network, n_big, workers
-        );
-        let span = rep.obs().span(&format!("dist/w{workers}"));
-        let run = run_dist(
-            &g_big,
-            |v| class_big[v as usize],
-            &big_cfg,
-            None,
-            &Obs::disabled(),
-            &dist_dc("bench:cn5q4", workers),
-        )
-        .expect("distributed run on the beyond-table network");
-        let run_secs = span.elapsed_secs().unwrap_or(0.0).max(1e-9);
-        drop(span);
-        assert_eq!(
-            run.result.delivered, delivered_big,
-            "distributed run diverged from the in-process engine at {workers} workers"
-        );
-        arms.push(DistArm {
-            workers,
-            run_secs,
-            cycles_per_sec: cycles_big / run_secs,
-            delivered_match: run.result.delivered == delivered_big,
-            worker_rss_kb: run.workers.iter().map(|w| w.rss_kb).collect(),
-            frames: run.workers.iter().map(|w| w.frames).sum(),
-            frame_bytes: run.workers.iter().map(|w| w.frame_bytes).sum(),
-        });
-    }
-
-    // -- beyond a single process: 2^22 nodes, past the in-process CLI cap --
-    // Dist first, then in-process: VmHWM is monotone, so the later (larger)
-    // in-process run cannot contaminate the coordinator-side snapshot.
-    let huge = hier::complete_cn(2, classic::hypercube(11), "Q11");
-    let n_huge = huge.node_count();
-    eprintln!(
-        "dist beyond config: {} ({} nodes), 4 workers",
-        huge.name, n_huge
-    );
-    let g_huge = huge.build();
-    let (class_huge, _) = huge.nucleus_partition();
-    let span = rep.obs().span("dist/beyond/dist");
-    let run_huge = run_dist(
-        &g_huge,
-        |v| class_huge[v as usize],
-        &big_cfg,
-        None,
-        &Obs::disabled(),
-        &dist_dc("bench:cn2q11", 4),
-    )
-    .expect("distributed run on the 2^22-node network");
-    let dist_secs = span.elapsed_secs().unwrap_or(0.0).max(1e-9);
-    drop(span);
-    let coordinator_rss_kb = vm_hwm_kb();
-    let router_huge =
-        ShortestTupleRouter::new(huge.clone()).expect("l=2 is within the codec router bound");
-    let mut sim_huge =
-        Simulator::with_router(router_huge, &g_huge, |v| class_huge[v as usize], &big_cfg);
-    let span = rep.obs().span("dist/beyond/inproc");
-    let r_huge = sim_huge.run(&big_cfg);
-    let inproc_secs = span.elapsed_secs().unwrap_or(0.0).max(1e-9);
-    drop(span);
-    let single_process_rss_kb = vm_hwm_kb();
-    assert_eq!(
-        run_huge.result.delivered, r_huge.delivered,
-        "distributed run diverged from the in-process engine on {}",
-        huge.name
-    );
-    let dist = DistCase {
-        network: beyond.network.clone(),
-        nodes: n_big as usize,
-        cycles: total_cycles(&big_cfg),
-        injection_rate: big_cfg.injection_rate,
-        inproc_cycles_per_sec: beyond.codec.cycles_per_sec,
-        arms,
-        beyond: DistBeyondCase {
-            network: huge.name.clone(),
-            nodes: n_huge,
-            cycles: total_cycles(&big_cfg),
-            injection_rate: big_cfg.injection_rate,
-            workers: run_huge.workers.len() as u32,
-            delivered: run_huge.result.delivered,
-            delivered_match: run_huge.result.delivered == r_huge.delivered,
-            dist_run_secs: dist_secs,
-            inproc_run_secs: inproc_secs,
-            coordinator_rss_kb,
-            single_process_rss_kb,
-            worker_rss_kb: run_huge.workers.iter().map(|w| w.rss_kb).collect(),
-        },
+    let dist = spawn_arm(&rep, "dist", 0);
+    let inproc = spawn_arm(&rep, "inproc", 0);
+    let memory_split = MemorySplit {
+        network: big.name.clone(),
+        nodes: big.node_count(),
+        cycles: total_cycles(&big_c),
+        injection_rate: big_c.injection_rate,
+        workers: dist.worker_rss_kb.len() as u32,
+        delivered: dist.delivered,
+        delivered_match: dist.delivered == inproc.delivered,
+        dist_run_secs: dist.run_secs,
+        inproc_run_secs: inproc.run_secs,
+        coordinator_rss_kb: dist.rss_kb,
+        single_process_rss_kb: inproc.rss_kb,
+        worker_rss_kb: dist.worker_rss_kb,
     };
 
     let out = SimBench {
-        bench: "sim_bench",
+        bench: "sim_bench".to_string(),
         ipg_threads: rayon::current_num_threads(),
-        common,
-        beyond_table: beyond,
-        trace_overhead,
-        dist,
+        table_vs_codec,
+        memory_split,
     };
-
-    println!("== Simulation engine: table vs table-free routing ==");
-    print_table(
-        &[
-            "case",
-            "nodes",
-            "build s",
-            "run s",
-            "total s",
-            "cycles/s",
-            "e2e cycles/s",
-        ],
-        &[
-            vec![
-                "common/table".into(),
-                out.common.nodes.to_string(),
-                f2(out.common.table.build_secs),
-                f2(out.common.table.run_secs),
-                f2(out.common.table.total_secs),
-                format!("{:.0}", out.common.table.cycles_per_sec),
-                format!("{:.0}", out.common.table.end_to_end_cycles_per_sec),
-            ],
-            vec![
-                "common/codec".into(),
-                out.common.nodes.to_string(),
-                f2(out.common.codec.build_secs),
-                f2(out.common.codec.run_secs),
-                f2(out.common.codec.total_secs),
-                format!("{:.0}", out.common.codec.cycles_per_sec),
-                format!("{:.0}", out.common.codec.end_to_end_cycles_per_sec),
-            ],
-            vec![
-                "beyond/codec".into(),
-                out.beyond_table.nodes.to_string(),
-                f2(out.beyond_table.codec.build_secs),
-                f2(out.beyond_table.codec.run_secs),
-                f2(out.beyond_table.codec.total_secs),
-                format!("{:.0}", out.beyond_table.codec.cycles_per_sec),
-                format!("{:.0}", out.beyond_table.codec.end_to_end_cycles_per_sec),
-            ],
-        ],
-    );
-    println!(
-        "  end-to-end speedup {:.2}x, steady-state {:.2}x; dense table for {} would need {} GiB",
-        out.common.speedup_end_to_end,
-        out.common.speedup_steady_state,
-        out.beyond_table.network,
-        out.beyond_table.table_bytes_required >> 30
-    );
-    println!(
-        "  flight recorder @ interval {}: {:.0} -> {:.0} cycles/s ({:+.2}% overhead, \
-         noise floor {:.2}%, significant={}, within_budget={}, {} events, {} dropped, \
-         delivered_match={})",
-        out.trace_overhead.trace_interval,
-        out.trace_overhead.untraced_cycles_per_sec,
-        out.trace_overhead.traced_cycles_per_sec,
-        out.trace_overhead.overhead_pct,
-        out.trace_overhead.noise_floor_pct,
-        out.trace_overhead.significant,
-        out.trace_overhead.within_budget,
-        out.trace_overhead.trace_events,
-        out.trace_overhead.dropped_events,
-        out.trace_overhead.delivered_match
-    );
-    for arm in &out.dist.arms {
-        println!(
-            "  dist {} @ {} worker(s): {:.1} cycles/s (in-process {:.1}), delivered_match={}, \
-             worker VmHWM {:?} KiB, {} frames / {} bytes",
-            out.dist.network,
-            arm.workers,
-            arm.cycles_per_sec,
-            out.dist.inproc_cycles_per_sec,
-            arm.delivered_match,
-            arm.worker_rss_kb,
-            arm.frames,
-            arm.frame_bytes
+    if !out.table_vs_codec.delivered_match || !out.memory_split.delivered_match {
+        eprintln!(
+            "sim_bench: delivered counts disagree across children (table: {:?}, codec: {:?}, \
+             dist: {}, in-process: {}); results not written",
+            table.iter().map(|a| a.delivered).collect::<Vec<_>>(),
+            codec.iter().map(|a| a.delivered).collect::<Vec<_>>(),
+            out.memory_split.delivered,
+            inproc.delivered
         );
+        exit(1);
     }
-    let b = &out.dist.beyond;
-    println!(
-        "  dist beyond the in-process cap: {} ({} nodes) @ {} workers: delivered_match={}; \
-         single-process VmHWM {} KiB vs per-worker {:?} KiB (coordinator {} KiB)",
-        b.network,
-        b.nodes,
-        b.workers,
-        b.delivered_match,
-        b.single_process_rss_kb,
-        b.worker_rss_kb,
-        b.coordinator_rss_kb
-    );
-
+    for name in ["table_vs_codec", "memory_split"] {
+        println!("== {name} ==");
+        print!("{}", render_block(name, &out).expect("known block"));
+    }
     rep.json("BENCH_sim", &out);
     rep.finish();
 }

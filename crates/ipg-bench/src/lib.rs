@@ -12,14 +12,18 @@ use serde::Serialize;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Locate the workspace `results/` directory (created on demand).
-pub fn results_dir() -> PathBuf {
-    let here = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let root = here
+/// The workspace root directory.
+pub fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)
-        .expect("crates/ipg-bench has a workspace root");
-    let dir = root.join("results");
+        .expect("crates/ipg-bench has a workspace root")
+        .to_path_buf()
+}
+
+/// Locate the workspace `results/` directory (created on demand).
+pub fn results_dir() -> PathBuf {
+    let dir = workspace_root().join("results");
     fs::create_dir_all(&dir).expect("create results dir");
     dir
 }
@@ -146,5 +150,6 @@ mod tests {
     }
 }
 
+pub mod bench_sim;
 pub mod report;
 pub mod sweep45;

@@ -14,6 +14,8 @@ mod spec;
 
 use ipg_cluster::{costs, imetrics, partition::Partition};
 use ipg_core::algo;
+use ipg_core::graph::Csr;
+use ipg_core::superip::TupleNetwork;
 use ipg_core::tuple_routing::{ShortestTupleRouter, SHORTEST_ROUTER_MAX_L};
 use ipg_obs::{MetaVal, Obs, Trace, TraceConfig};
 use ipg_sim::engine::{SimConfig, Simulator};
@@ -22,6 +24,7 @@ use ipg_sim::router::{DetourRouter, Router};
 use ipg_sim::table::RoutingTable;
 use ipg_sim::wormhole::{VcPolicy, WormholeConfig, WormholeOutcome, WormholeSim};
 use spec::{parse, ParsedNetwork};
+use std::borrow::Cow;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -410,13 +413,6 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         Some(p) => p.class.clone(),
         None => vec![0; net.graph.node_count()],
     };
-    // Routing backend: super-IP specs route arithmetically on their codec
-    // digits (no per-pair state); everything else falls back to the
-    // all-pairs BFS table, whose O(N²) memory caps it at 65,536 nodes.
-    let codec_eligible = net
-        .tuple
-        .as_ref()
-        .is_some_and(|tn| tn.l <= SHORTEST_ROUTER_MAX_L);
     // A fault campaign compiles against the topology and the run seed
     // (the seed only matters for `rate:` sections) and upgrades the
     // router to the fault-aware detour wrapper.
@@ -429,13 +425,9 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         }
         None => None,
     };
-    let router_kind = match (codec_eligible, fault_plan.is_some()) {
-        (true, false) => "codec (table-free)",
-        (true, true) => "detour-codec (fault-aware)",
-        (false, false) => "all-pairs table",
-        (false, true) => "detour-table (fault-aware)",
-    };
-    if !codec_eligible && net.graph.node_count() > 65_536 {
+    let choice = RouterChoice::new(net.tuple.clone(), fault_plan.is_some());
+    let router_kind = choice.label();
+    if choice.codec.is_none() && net.graph.node_count() > 65_536 {
         return Err(format!(
             "{} nodes exceed the 65536-node bound of the all-pairs routing table \
              (table-free codec routing needs a super-IP spec with l ≤ {SHORTEST_ROUTER_MAX_L})",
@@ -474,20 +466,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
             ),
         ],
     );
-    let base_router: Box<dyn Router> = if codec_eligible {
-        let tn = net
-            .tuple
-            .clone()
-            .ok_or("codec routing without a tuple form")?;
-        Box::new(ShortestTupleRouter::new(tn).map_err(|e| e.to_string())?)
-    } else {
-        Box::new(RoutingTable::new_instrumented(&net.graph, &obs))
-    };
-    let router: Box<dyn Router> = if fault_plan.is_some() {
-        Box::new(DetourRouter::new(base_router, net.graph.clone()).map_err(|e| e.to_string())?)
-    } else {
-        base_router
-    };
+    let router = choice.build(Some(Cow::Borrowed(&net.graph)), &obs)?;
     println!("network:    {}", net.name);
     println!("router:     {router_kind}");
     println!("rate:       {rate}");
@@ -613,44 +592,78 @@ fn cmd_dist_worker() -> Result<(), String> {
     ipg_sim::dist::worker_main(build_worker_router, vm_hwm_kb).map_err(|e| e.to_string())
 }
 
-/// Rebuild this worker's router from the shipped netspec. The router
-/// choice mirrors `cmd_simulate` exactly — same codec-eligibility rule,
-/// same detour wrapper under faults — so per-hop decisions are
-/// byte-identical to the in-process run. Codec-eligible fault-free
-/// networks never materialize the graph: per-worker memory stays
-/// bounded by the shard range, which is what lets `--workers` clear the
-/// in-process node cap.
-fn build_worker_router(ws: &ipg_sim::dist::WorkerSetup) -> Result<Box<dyn Router>, String> {
-    let probe = spec::parse_worker(&ws.netspec, spec::DIST_MAX_NODES, false)?;
-    let codec_eligible = probe
-        .tuple
-        .as_ref()
-        .is_some_and(|tn| tn.l <= SHORTEST_ROUTER_MAX_L);
-    if codec_eligible && !ws.faulted {
-        let tn = probe.tuple.ok_or("codec routing without a tuple form")?;
-        return Ok(Box::new(
-            ShortestTupleRouter::new(tn).map_err(|e| e.to_string())?,
-        ));
+/// The routing backend of a `simulate` run, decided once for the
+/// in-process engine and for every `--workers` process so that per-hop
+/// decisions are byte-identical. Super-IP specs with `l ≤
+/// SHORTEST_ROUTER_MAX_L` route arithmetically on their codec digits (no
+/// per-pair state); everything else falls back to the all-pairs BFS
+/// table, whose O(N²) memory caps it at 65,536 nodes. A fault campaign
+/// wraps either in the fault-aware detour router.
+struct RouterChoice {
+    /// The tuple form, when the codec router is chosen.
+    codec: Option<TupleNetwork>,
+    faulted: bool,
+}
+
+impl RouterChoice {
+    fn new(tuple: Option<TupleNetwork>, faulted: bool) -> RouterChoice {
+        RouterChoice {
+            codec: tuple.filter(|tn| tn.l <= SHORTEST_ROUTER_MAX_L),
+            faulted,
+        }
     }
-    // Fault-aware or table-routed: the graph is needed after all.
-    let wn = match probe.graph {
-        Some(_) => probe,
-        None => spec::parse_worker(&ws.netspec, spec::DIST_MAX_NODES, true)?,
-    };
-    let g = wn.graph.ok_or("worker could not rebuild the graph")?;
-    let base: Box<dyn Router> = if codec_eligible {
-        let tn = wn.tuple.ok_or("codec routing without a tuple form")?;
-        Box::new(ShortestTupleRouter::new(tn).map_err(|e| e.to_string())?)
-    } else {
-        Box::new(RoutingTable::new(&g))
-    };
-    if ws.faulted {
+
+    /// The `router:` label of stdout and the manifest.
+    fn label(&self) -> &'static str {
+        match (self.codec.is_some(), self.faulted) {
+            (true, false) => "codec (table-free)",
+            (true, true) => "detour-codec (fault-aware)",
+            (false, false) => "all-pairs table",
+            (false, true) => "detour-table (fault-aware)",
+        }
+    }
+
+    /// Whether [`RouterChoice::build`] needs the graph: the table and the
+    /// detour wrapper do, the fault-free codec router does not.
+    fn needs_graph(&self) -> bool {
+        self.codec.is_none() || self.faulted
+    }
+
+    /// Build the router; `graph` must be given when
+    /// [`RouterChoice::needs_graph`] says so.
+    fn build(self, graph: Option<Cow<'_, Csr>>, obs: &Obs) -> Result<Box<dyn Router>, String> {
+        const NO_GRAPH: &str = "this router needs the graph";
+        let base: Box<dyn Router> = match self.codec {
+            Some(tn) => Box::new(ShortestTupleRouter::new(tn).map_err(|e| e.to_string())?),
+            None => Box::new(RoutingTable::new_instrumented(
+                graph.as_deref().ok_or(NO_GRAPH)?,
+                obs,
+            )),
+        };
+        if !self.faulted {
+            return Ok(base);
+        }
+        let g = graph.ok_or(NO_GRAPH)?.into_owned();
         Ok(Box::new(
             DetourRouter::new(base, g).map_err(|e| e.to_string())?,
         ))
-    } else {
-        Ok(base)
     }
+}
+
+/// Rebuild this worker's router from the shipped netspec. Codec-routed
+/// fault-free networks never materialize the graph: per-worker memory
+/// stays bounded by the shard range, which is what lets `--workers`
+/// clear the in-process node cap.
+fn build_worker_router(ws: &ipg_sim::dist::WorkerSetup) -> Result<Box<dyn Router>, String> {
+    let probe = spec::parse_worker(&ws.netspec, spec::DIST_MAX_NODES, false)?;
+    let choice = RouterChoice::new(probe.tuple, ws.faulted);
+    let graph = match probe.graph {
+        None if choice.needs_graph() => {
+            spec::parse_worker(&ws.netspec, spec::DIST_MAX_NODES, true)?.graph
+        }
+        graph => graph,
+    };
+    choice.build(graph.map(Cow::Owned), &Obs::disabled())
 }
 
 /// Peak resident set size of this process in KiB, from the kernel's
@@ -696,45 +709,56 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     };
     match args.first().map(String::as_str) {
         Some("summary") => {
-            let mut top: usize = 10;
-            let mut positional: Vec<&String> = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--top" => {
-                        let v = it.next().ok_or("--top needs a count")?;
-                        top = v.parse().map_err(|_| format!("bad --top `{v}`"))?;
-                    }
-                    _ => positional.push(a),
-                }
-            }
+            let (positional, top) = trace_args(args, "--top", 1)?;
+            let top: usize = match top {
+                Some(v) => v.parse().map_err(|_| format!("bad --top `{v}`"))?,
+                None => 10,
+            };
             let path = positional.first().ok_or("trace summary needs a file")?;
             print!("{}", load(path)?.summarize(top).render());
             Ok(())
         }
         Some("chrome") => {
-            let mut name = String::from("ipg-trace");
-            let mut positional: Vec<&String> = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--name" => {
-                        name = it.next().ok_or("--name needs a string")?.clone();
-                    }
-                    _ => positional.push(a),
-                }
-            }
+            let (positional, name) = trace_args(args, "--name", 2)?;
             let input = positional
                 .first()
                 .ok_or("trace chrome needs an input file")?;
             let out = positional
                 .get(1)
                 .ok_or("trace chrome needs an output file")?;
-            let json = load(input)?.to_chrome_json(&name);
+            let json = load(input)?.to_chrome_json(name.map_or("ipg-trace", String::as_str));
             std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
             println!("chrome trace: {out} (load in ui.perfetto.dev or chrome://tracing)");
             Ok(())
         }
         _ => Err(USAGE.into()),
     }
+}
+
+/// Split `ipg trace <sub> …` into at most `max` positionals and the value
+/// of the subcommand's one flag `flag`. Any other `--` flag, a flag
+/// without its value or a positional past `max` is an error.
+fn trace_args<'a>(
+    args: &'a [String],
+    flag: &str,
+    max: usize,
+) -> Result<(Vec<&'a String>, Option<&'a String>), String> {
+    let sub = &args[0];
+    let mut positional = Vec::new();
+    let mut value = None;
+    let mut it = args[1..].iter();
+    while let Some(a) = it.next() {
+        if a == flag {
+            value = Some(it.next().ok_or_else(|| format!("{flag} needs a value"))?);
+        } else if a.starts_with("--") {
+            return Err(format!("unknown trace {sub} flag `{a}`; try `ipg help`"));
+        } else if positional.len() == max {
+            return Err(format!(
+                "unexpected argument `{a}`: trace {sub} takes {max} file argument(s)"
+            ));
+        } else {
+            positional.push(a);
+        }
+    }
+    Ok((positional, value))
 }

@@ -480,19 +480,23 @@ impl Trace {
         out
     }
 
-    /// Parse a JSONL export produced by [`Trace::to_jsonl`].
+    /// Parse a JSONL export produced by [`Trace::to_jsonl`]. Rejects,
+    /// with a line-numbered error, any number outside its field's type, an
+    /// `interval` of 0 and a shard id that is neither below `shards` nor
+    /// [`ENGINE_TRACK`].
     pub fn from_jsonl(text: &str) -> Result<Trace, String> {
         let mut lines = text.lines().enumerate();
         let (_, header) = lines.next().ok_or_else(|| "empty trace file".to_string())?;
         if field_str(header, "record") != Some("trace_meta") {
             return Err("first line is not a trace_meta record".to_string());
         }
-        let shards = field_u64(header, "shards")
-            .ok_or_else(|| "trace_meta missing shards".to_string())? as u16;
-        let interval = field_u64(header, "interval")
-            .ok_or_else(|| "trace_meta missing interval".to_string())?
-            as u32;
-        let dropped = field_u64(header, "dropped_events").unwrap_or(0);
+        let meta = |e: String| format!("line 1: {e}");
+        let shards: u16 = field_num(header, "shards").map_err(meta)?;
+        let interval: u32 = field_num(header, "interval").map_err(meta)?;
+        if interval == 0 {
+            return Err("line 1: interval must be ≥ 1".to_string());
+        }
+        let dropped: u64 = field_num(header, "dropped_events").map_err(meta)?;
         let mut events = Vec::new();
         for (no, line) in lines {
             if line.trim().is_empty() {
@@ -505,16 +509,20 @@ impl Trace {
                 field_str(line, "kind").ok_or_else(|| format!("line {}: missing kind", no + 1))?;
             let kind = EventKind::from_name(kind_name)
                 .ok_or_else(|| format!("line {}: unknown kind {kind_name:?}", no + 1))?;
-            let num = |key: &str| {
-                field_u64(line, key).ok_or_else(|| format!("line {}: missing {key}", no + 1))
-            };
+            let err = |e: String| format!("line {}: {e}", no + 1);
+            let shard: u16 = field_num(line, "shard").map_err(err)?;
+            if shard >= shards && shard != ENGINE_TRACK {
+                return Err(err(format!(
+                    "shard {shard} is neither below shards ({shards}) nor the engine track"
+                )));
+            }
             events.push(TraceEvent {
-                cycle: num("cycle")? as u32,
+                cycle: field_num(line, "cycle").map_err(err)?,
                 kind: kind as u16,
-                shard: num("shard")? as u16,
-                a: num("a")? as u32,
-                b: num("b")? as u32,
-                value: num("value")?,
+                shard,
+                a: field_num(line, "a").map_err(err)?,
+                b: field_num(line, "b").map_err(err)?,
+                value: field_num(line, "value").map_err(err)?,
             });
         }
         Ok(Trace {
@@ -829,15 +837,17 @@ impl TraceSummary {
     }
 }
 
-/// Extract an unsigned integer field `"key":123` from a JSONL line.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
+/// Extract the unsigned integer field `"key":123` from a JSONL line as a
+/// `T`: missing, non-numeric and out-of-range values are errors naming
+/// the field.
+fn field_num<T: TryFrom<u64>>(line: &str, key: &str) -> Result<T, String> {
     let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    let at = line.find(&pat).ok_or_else(|| format!("missing {key}"))? + pat.len();
+    let raw = line[at..].split([',', '}']).next().unwrap_or("").trim();
+    raw.parse::<u64>()
+        .ok()
+        .and_then(|v| T::try_from(v).ok())
+        .ok_or_else(|| format!("{key} `{raw}` is not a {}", std::any::type_name::<T>()))
 }
 
 /// Extract a (non-escaped) string field `"key":"value"` from a JSONL
@@ -1008,6 +1018,67 @@ mod tests {
         assert!(Trace::from_jsonl("{\"record\":\"meta\"}").is_err());
         let missing_kind = "{\"record\":\"trace_meta\",\"version\":1,\"shards\":1,\"interval\":1,\"events\":1,\"dropped_events\":0}\n{\"record\":\"trace\",\"cycle\":0,\"shard\":0,\"a\":0,\"b\":0,\"value\":0}\n";
         assert!(Trace::from_jsonl(missing_kind).is_err());
+        // Out-of-range or malformed values are rejected with the line and
+        // the field, never truncated.
+        let header = |shards: &str, interval: &str| {
+            format!("{{\"record\":\"trace_meta\",\"version\":1,\"shards\":{shards},\"interval\":{interval},\"events\":1,\"dropped_events\":0}}\n")
+        };
+        let event = |cycle: &str, shard: &str, a: &str| {
+            format!("{{\"record\":\"trace\",\"cycle\":{cycle},\"shard\":{shard},\"kind\":\"phase_a\",\"a\":{a},\"b\":0,\"value\":0}}\n")
+        };
+        let ok = format!("{}{}", header("2", "64"), event("5", "1", "3"));
+        assert!(Trace::from_jsonl(&ok).is_ok());
+        let engine = format!("{}{}", header("2", "64"), event("5", "65535", "3"));
+        assert!(Trace::from_jsonl(&engine).is_ok());
+        let cases = [
+            (
+                format!("{}{}", header("2", "64"), event("5", "70000", "3")),
+                "line 2",
+                "shard `70000`",
+            ),
+            (
+                format!("{}{}", header("2", "64"), event("5", "2", "3")),
+                "line 2",
+                "shard 2",
+            ),
+            (
+                format!("{}{}", header("2", "64"), event("99999999999", "0", "3")),
+                "line 2",
+                "cycle `99999999999`",
+            ),
+            (
+                format!("{}{}", header("2", "64"), event("5", "0", "-1")),
+                "line 2",
+                "a `-1`",
+            ),
+            (
+                format!("{}{}", header("2", "64"), event("5", "0", "1.5")),
+                "line 2",
+                "a `1.5`",
+            ),
+            (
+                format!("{}{}", header("2", "0"), event("5", "0", "3")),
+                "line 1",
+                "interval",
+            ),
+            (
+                format!("{}{}", header("2", "4294967296"), event("5", "0", "3")),
+                "line 1",
+                "interval `4294967296`",
+            ),
+            (
+                format!("{}{}", header("65536", "64"), event("5", "0", "3")),
+                "line 1",
+                "shards `65536`",
+            ),
+        ];
+        for (text, line, field) in &cases {
+            let err = Trace::from_jsonl(text).expect_err(text);
+            assert!(
+                err.contains(line) && err.contains(field),
+                "{err:?} must name {line} and {field}"
+            );
+        }
     }
 
     #[test]

@@ -31,8 +31,13 @@ CRITERION_JSON="$jsonl" cargo bench -p ipg-bench --bench thm41_routing
 echo "== bench_report -> results/BENCH_core.json =="
 cargo run --release -p ipg-bench --bin bench_report -- "$jsonl"
 
-echo "== sim_bench -> results/BENCH_sim.json =="
+# Table vs codec routing and the 2^22-node memory split, every reading
+# a fresh child process; then rewrite the generated blocks of README.md,
+# EXPERIMENTS.md and DESIGN.md from the new JSON, so the quoted numbers
+# cannot drift from it (the ipg-bench doc_blocks test checks they match).
+echo "== sim_bench -> results/BENCH_sim.json, then the docs' generated blocks =="
 cargo run --release -p ipg-bench --bin sim_bench
+cargo run --release -p ipg-bench --bin bench_report -- --render-docs
 
 echo "== regenerate results/*.manifest.jsonl =="
 for bin in fault_sweep fig2_dd_cost link_utilization sim_latency thm_checks wormhole_vcs; do
