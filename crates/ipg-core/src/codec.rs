@@ -9,9 +9,10 @@
 //! allocation, and [`NodeCodec::build_directed_csr`] uses it to emit the
 //! generated graph's CSR directly — no label vector, no hash interning.
 //!
-//! The id layout matches [`TupleNetwork`](crate::superip::TupleNetwork)
-//! exactly (`id = order_idx·M^l + Σ_j digit_j·M^j`, where `digit_j` is the
-//! nucleus node id of block `j`), so codec ids interoperate with
+//! Codec ids *are* [`TupleNetwork`] ids (`id = order_idx·M^l + Σ_j
+//! digit_j·M^j`, where `digit_j` is the nucleus node id of block `j`):
+//! the codec wraps the spec's tuple network and keeps only the label
+//! layer on top of it, so codec ids interoperate with
 //! [`TupleRouter`](crate::tuple_routing::TupleRouter) and the tuple-level
 //! metric machinery without translation.
 //!
@@ -24,17 +25,16 @@ use crate::builder::IpGraph;
 use crate::error::{IpgError, Result};
 use crate::graph::Csr;
 use crate::label::Label;
-use crate::perm::Perm;
 use crate::rank;
-use crate::superip::{SeedKind, SuperIpSpec};
+use crate::superip::{SeedKind, SuperIpSpec, TupleNetwork};
 use crate::util::factorial;
 
 /// Maximum label length for the packed (`u128`) representation.
 pub const PACKED_MAX: usize = 16;
 
-/// Maximum number of blocks `l` the codec supports (buffers are
-/// stack-allocated at this size; real super-IP specs are far smaller).
-pub const MAX_BLOCKS: usize = 32;
+/// Maximum number of blocks `l` the codec supports (the tuple network's
+/// stack buffers; real super-IP specs are far smaller).
+pub use crate::superip::MAX_BLOCKS;
 
 /// Sentinel for "arrangement rank is not a nucleus node".
 const NONE: u32 = u32::MAX;
@@ -94,20 +94,18 @@ impl PackedLabel {
 /// Label ↔ dense-id codec for one super-IP spec (all four §3 families,
 /// repeated and symmetric seeds).
 ///
-/// Construction enumerates the nucleus once (`M` nodes) and precomputes:
-/// the arrangement-rank → nucleus-id table, the flat nucleus label and
-/// arc tables, the block-order group with a dense generator-transition
-/// table (symmetric seeds), and — for labels of ≤ [`PACKED_MAX`] symbols —
-/// one byte-shuffle table per full-label generator.
+/// The codec is the label layer over a [`TupleNetwork`]: its ids *are*
+/// that network's ids, and every digit, order and generator step goes
+/// through it. Construction enumerates the nucleus once (`M` nodes) and
+/// precomputes the arrangement-rank → nucleus-id table, the flat nucleus
+/// label and per-generator arc tables, the `S_l` rank → order-index
+/// table (symmetric seeds), and — for labels of ≤ [`PACKED_MAX`]
+/// symbols — one byte-shuffle table per full-label generator.
 pub struct NodeCodec {
-    l: usize,
+    tn: TupleNetwork,
     m: usize,
     k: usize,
     seed_kind: SeedKind,
-    m_nodes: u32,
-    /// `pow[j] = M^j` for `j = 0..=l`.
-    pow: Vec<u64>,
-    node_count: u64,
     /// Multiset-arrangement rank → nucleus node id ([`NONE`] if the
     /// arrangement is not in the nucleus orbit).
     rank_to_id: Vec<u32>,
@@ -116,12 +114,6 @@ pub struct NodeCodec {
     /// Dense nucleus generator successors: `nucleus_arcs[id·d_n + gi]`.
     nucleus_arcs: Vec<u32>,
     d_n: usize,
-    block_perms: Vec<Perm>,
-    /// Block-order group `H` (identity only for repeated seeds), in the
-    /// same closure order as [`SuperIpSpec::block_group`].
-    order_group: Vec<Perm>,
-    /// Dense transitions: `order_next[oi·supers + si]`.
-    order_next: Vec<u32>,
     /// `S_l` permutation rank → order index ([`NONE`] outside `H`);
     /// empty for repeated seeds.
     sl_rank_to_order: Vec<u32>,
@@ -175,10 +167,8 @@ impl NodeCodec {
             nucleus_arcs.extend_from_slice(nucleus.arcs_of(v));
         }
 
-        // Block-order machinery.
-        let block_perms = spec.block_perms();
-        let (order_group, sl_rank_to_order) = match spec.seed_kind {
-            SeedKind::Repeated => (vec![Perm::identity(l)], Vec::new()),
+        let orders = match spec.seed_kind {
+            SeedKind::Repeated => 1,
             SeedKind::DistinctShifted => {
                 if !spec.nucleus.spec.seed.has_distinct_symbols() {
                     return Err(bad(
@@ -189,40 +179,33 @@ impl NodeCodec {
                 if ranks > MAX_ORDER_RANKS {
                     return Err(bad(format!("order rank table too large ({l}! = {ranks})")));
                 }
-                let group = spec.block_group();
-                let mut table = vec![NONE; ranks as usize];
-                for (i, p) in group.iter().enumerate() {
-                    table[rank::perm_rank(p.image()) as usize] = i as u32;
-                }
-                (group, table)
+                spec.block_group().len() as u64
             }
         };
-        let mut order_next = vec![0u32; order_group.len() * block_perms.len()];
-        if order_group.len() > 1 {
-            for (oi, sigma) in order_group.iter().enumerate() {
-                for (si, bp) in block_perms.iter().enumerate() {
-                    let next = rank::perm_rank(sigma.then(bp).image());
-                    order_next[oi * block_perms.len() + si] = sl_rank_to_order[next as usize];
-                }
-            }
-        }
-
-        let mut pow = Vec::with_capacity(l + 1);
-        let mut p = 1u64;
-        for _ in 0..=l {
-            pow.push(p);
-            p = p
-                .checked_mul(m_nodes as u64)
-                .ok_or_else(|| bad("id space overflows u64".into()))?;
-        }
-        let node_count = pow[l]
-            .checked_mul(order_group.len() as u64)
+        // `TupleNetwork::new` asserts this bound; checking it here makes an
+        // oversized spec fall back instead of panicking.
+        (0..l)
+            .try_fold(orders, |n: u64, _| n.checked_mul(m_nodes as u64))
             .filter(|&n| n <= u32::MAX as u64 + 1)
             .ok_or_else(|| bad("id space exceeds u32".into()))?;
         if !spec.all_blocks_reach_leftmost() {
             return Err(bad(
                 "some super-symbol can never reach the leftmost position".into(),
             ));
+        }
+        let tn = TupleNetwork::new(
+            spec.name.clone(),
+            nucleus.to_undirected_csr(),
+            l,
+            spec.block_perms(),
+            spec.seed_kind,
+        );
+        let mut sl_rank_to_order = Vec::new();
+        if spec.seed_kind == SeedKind::DistinctShifted {
+            sl_rank_to_order = vec![NONE; factorial(l) as usize];
+            for oi in 0..tn.order_count() as u32 {
+                sl_rank_to_order[rank::perm_rank(tn.order_perm(oi).image()) as usize] = oi;
+            }
         }
 
         // Packed-label shuffle tables (identity-padded to PACKED_MAX).
@@ -244,29 +227,28 @@ impl NodeCodec {
         };
 
         Ok(NodeCodec {
-            l,
+            tn,
             m,
             k,
             seed_kind: spec.seed_kind,
-            m_nodes: m_nodes as u32,
-            pow,
-            node_count,
             rank_to_id,
             nucleus_syms,
             nucleus_arcs,
             d_n,
-            block_perms,
-            order_group,
-            order_next,
             sl_rank_to_order,
             nucleus_min: nucleus_seed.iter().copied().min().unwrap_or(0),
             shuffles,
         })
     }
 
+    /// The tuple network whose ids this codec labels.
+    pub fn network(&self) -> &TupleNetwork {
+        &self.tn
+    }
+
     /// Total node count `|H|·M^l` (Theorem 3.2 / §3.5).
     pub fn node_count(&self) -> usize {
-        self.node_count as usize
+        self.tn.node_count()
     }
 
     /// Label length `l·m`.
@@ -276,7 +258,7 @@ impl NodeCodec {
 
     /// Number of generators (`d_N` nucleus + super), i.e. out-arcs per node.
     pub fn generator_count(&self) -> usize {
-        self.d_n + self.block_perms.len()
+        self.d_n + self.tn.block_perms.len()
     }
 
     /// True when labels fit the packed `u128` representation.
@@ -292,7 +274,7 @@ impl NodeCodec {
             SeedKind::DistinctShifted => {
                 let blk_min = block.iter().copied().min()?;
                 let c = (blk_min.checked_sub(self.nucleus_min)? as usize) / self.m;
-                if c >= self.l {
+                if c >= self.tn.l {
                     return None;
                 }
                 ((c * self.m) as u8, c as u8)
@@ -328,36 +310,35 @@ impl NodeCodec {
     /// Dense id of the node labelled `symbols`, or `None` if the label is
     /// not a node of this super-IP graph. `O(l·m)`-ish, allocation-free.
     pub fn encode(&self, symbols: &[u8]) -> Option<u32> {
+        let l = self.tn.l;
         if symbols.len() != self.k {
             return None;
         }
-        let mut id = 0u64;
+        let mut digits = [0u32; MAX_BLOCKS];
         let mut colors = [0u8; MAX_BLOCKS];
-        for j in 0..self.l {
-            let (digit, color) = self.block_digit(&symbols[j * self.m..(j + 1) * self.m])?;
-            colors[j] = color;
-            id += digit as u64 * self.pow[j];
+        for j in 0..l {
+            (digits[j], colors[j]) = self.block_digit(&symbols[j * self.m..(j + 1) * self.m])?;
         }
         let order_idx = match self.seed_kind {
-            SeedKind::Repeated => 0u64,
+            SeedKind::Repeated => 0,
             SeedKind::DistinctShifted => {
                 // colors must form a permutation of 0..l inside H
                 let mut seen = 0u32;
-                for &c in &colors[..self.l] {
+                for &c in &colors[..l] {
                     let bit = 1u32 << c;
                     if seen & bit != 0 {
                         return None;
                     }
                     seen |= bit;
                 }
-                let r = rank::perm_rank(&colors[..self.l]) as usize;
+                let r = rank::perm_rank(&colors[..l]) as usize;
                 match self.sl_rank_to_order.get(r) {
-                    Some(&oi) if oi != NONE => oi as u64,
+                    Some(&oi) if oi != NONE => oi,
                     _ => return None,
                 }
             }
         };
-        Some((id + order_idx * self.pow[self.l]) as u32)
+        Some(self.tn.encode(order_idx, &digits[..l]))
     }
 
     /// [`NodeCodec::encode`] over a packed label.
@@ -371,20 +352,17 @@ impl NodeCodec {
     /// Write the label of node `id` into `out` (length must be `l·m`).
     /// Inverse of [`NodeCodec::encode`]; allocation-free.
     pub fn decode_into(&self, id: u32, out: &mut [u8]) {
-        debug_assert!((id as u64) < self.node_count);
+        debug_assert!((id as usize) < self.node_count());
         debug_assert_eq!(out.len(), self.k);
-        let mut rest = id as u64;
-        let oi = (rest / self.pow[self.l]) as usize;
-        rest %= self.pow[self.l];
-        let sigma = &self.order_group[oi];
-        for j in 0..self.l {
-            let digit = (rest % self.m_nodes as u64) as usize;
-            rest /= self.m_nodes as u64;
+        let mut digits = [0u32; MAX_BLOCKS];
+        let digits = &mut digits[..self.tn.l];
+        let sigma = self.tn.order_perm(self.tn.decode_into(id, digits)).image();
+        for (j, &digit) in digits.iter().enumerate() {
             let shift = match self.seed_kind {
                 SeedKind::Repeated => 0u8,
-                SeedKind::DistinctShifted => (sigma.image()[j] as usize * self.m) as u8,
+                SeedKind::DistinctShifted => (sigma[j] as usize * self.m) as u8,
             };
-            let src = &self.nucleus_syms[digit * self.m..(digit + 1) * self.m];
+            let src = &self.nucleus_syms[digit as usize * self.m..][..self.m];
             for (o, &s) in out[j * self.m..(j + 1) * self.m].iter_mut().zip(src) {
                 *o = s + shift;
             }
@@ -416,32 +394,21 @@ impl NodeCodec {
 
     /// All `d_N + supers` generator successors of `id`, in generator
     /// order, self-arcs included — the arithmetic equivalent of
-    /// [`IpGraph::arcs_of`]. Pure mixed-radix arithmetic: nucleus moves
-    /// replace digit 0 via the nucleus arc table, super moves permute
-    /// digits and step the order component through a dense table.
+    /// [`IpGraph::arcs_of`]. Pure tuple arithmetic: nucleus moves replace
+    /// digit 0 via the nucleus arc table, super moves are
+    /// [`TupleNetwork::apply_gen`] over the block perms.
     pub fn arcs_into(&self, id: u32, out: &mut Vec<u32>) {
         let mut digits = [0u32; MAX_BLOCKS];
-        let mut rest = id as u64;
-        let oi = (rest / self.pow[self.l]) as usize;
-        rest %= self.pow[self.l];
-        for d in digits[..self.l].iter_mut() {
-            *d = (rest % self.m_nodes as u64) as u32;
-            rest /= self.m_nodes as u64;
-        }
+        let mut image = [0u32; MAX_BLOCKS];
+        let (digits, image) = (&mut digits[..self.tn.l], &mut image[..self.tn.l]);
+        let order = self.tn.decode_into(id, digits);
         // nucleus generators: digit 0 has weight M^0 = 1
         let base = id - digits[0];
-        for gi in 0..self.d_n {
-            out.push(base + self.nucleus_arcs[digits[0] as usize * self.d_n + gi]);
-        }
-        // super generators: permute digits, advance the order component
-        let supers = self.block_perms.len();
-        for (si, bp) in self.block_perms.iter().enumerate() {
-            let mut sum = 0u64;
-            for (j, &p) in bp.image().iter().enumerate() {
-                sum += digits[p as usize] as u64 * self.pow[j];
-            }
-            let oi2 = self.order_next[oi * supers + si] as u64;
-            out.push((oi2 * self.pow[self.l] + sum) as u32);
+        let arcs = &self.nucleus_arcs[digits[0] as usize * self.d_n..][..self.d_n];
+        out.extend(arcs.iter().map(|&nb| base + nb));
+        for gi in 0..self.tn.block_perms.len() {
+            let next = self.tn.apply_gen(order, digits, gi, image);
+            out.push(self.tn.encode(next, image));
         }
     }
 
@@ -464,12 +431,6 @@ impl NodeCodec {
     /// `IPG_THREADS` value.
     pub fn build_directed_csr(&self) -> Csr {
         Csr::from_fn_par(self.node_count(), |id, out| self.arcs_into(id, out))
-    }
-
-    /// The symmetrized (physical-network) view of
-    /// [`NodeCodec::build_directed_csr`].
-    pub fn build_undirected_csr(&self) -> Csr {
-        self.build_directed_csr().symmetrized()
     }
 
     /// Codec id of every node of a hash-interned [`IpGraph`], indexed by
@@ -641,6 +602,9 @@ mod tests {
         // star-9 nucleus: 9! = 362880 arrangements is fine, but star-11
         // would need an 11!-entry table — over the cap.
         let spec = SuperIpSpec::hsn(2, NucleusSpec::star(11));
+        assert!(NodeCodec::new(&spec).is_err());
+        // 4^17 = 2^34 ids: an error here, not the tuple network's panic
+        let spec = SuperIpSpec::hsn(17, NucleusSpec::hypercube(2));
         assert!(NodeCodec::new(&spec).is_err());
     }
 }

@@ -383,23 +383,7 @@ impl SuperIpSpec {
     /// enumerated by closure (identity first). Its size multiplies `M^l`
     /// for symmetric variants.
     pub fn block_group(&self) -> Vec<Perm> {
-        let gens = self.block_perms();
-        let mut elems: Vec<Perm> = vec![Perm::identity(self.l)];
-        let mut seen: FxHashMap<Perm, u32> = FxHashMap::default();
-        seen.insert(elems[0].clone(), 0);
-        let mut next = 0;
-        while next < elems.len() {
-            let cur = elems[next].clone();
-            for g in &gens {
-                let prod = cur.then(g);
-                if !seen.contains_key(&prod) {
-                    seen.insert(prod.clone(), elems.len() as u32);
-                    elems.push(prod);
-                }
-            }
-            next += 1;
-        }
-        elems
+        block_closure(self.l, &self.block_perms()).0
     }
 
     /// Expected node count (Theorem 3.2 and its §3.5 refinement):
@@ -444,10 +428,15 @@ impl SuperIpSpec {
         }
     }
 
-    /// Undirected (symmetrized) counterpart of
-    /// [`SuperIpSpec::fast_directed_csr`].
+    /// Undirected counterpart of [`SuperIpSpec::fast_directed_csr`]: the
+    /// codec's [`TupleNetwork::build`] (one pass, no symmetrize), or the
+    /// symmetrized interned graph when the codec does not support the
+    /// spec.
     pub fn fast_undirected_csr(&self) -> Result<Csr> {
-        Ok(self.fast_directed_csr()?.symmetrized())
+        match self.codec() {
+            Ok(codec) => Ok(codec.network().build()),
+            Err(_) => Ok(self.to_ip_spec().generate()?.to_undirected_csr()),
+        }
     }
 
     /// Expand into a plain IP-graph spec: nucleus generators act on the
@@ -499,33 +488,72 @@ impl SuperIpSpec {
     }
 }
 
+/// The subgroup of `S_l` generated by `gens`, enumerated by closure
+/// (identity first, then breadth-first discovery order), with the index
+/// of each element. The one closure behind [`SuperIpSpec::block_group`]
+/// and the block-order group of [`TupleNetwork`].
+fn block_closure(l: usize, gens: &[Perm]) -> (Vec<Perm>, FxHashMap<Perm, u32>) {
+    let mut elems = vec![Perm::identity(l)];
+    let mut index: FxHashMap<Perm, u32> = FxHashMap::default();
+    index.insert(elems[0].clone(), 0);
+    let mut next = 0;
+    while next < elems.len() {
+        let cur = elems[next].clone();
+        for g in gens {
+            let prod = cur.then(g);
+            if !index.contains_key(&prod) {
+                index.insert(prod.clone(), elems.len() as u32);
+                elems.push(prod);
+            }
+        }
+        next += 1;
+    }
+    (elems, index)
+}
+
+/// Largest number of blocks `l` a [`TupleNetwork`] supports: tuples are
+/// decoded into stack buffers of this size. With a nucleus of two or more
+/// nodes the `u32` id space already implies it.
+pub const MAX_BLOCKS: usize = 32;
+
 /// Direct tuple construction of a (symmetric) super-IP graph over an
-/// arbitrary nucleus graph.
+/// arbitrary nucleus graph, and the one owner of its tuple arithmetic.
 ///
 /// Nodes are `(order, g_1 … g_l)` where `g_j ∈ V(G)` and `order` indexes the
-/// block-order group `H` (trivial for plain super-IP graphs). Edges:
+/// block-order group `H` (trivial for plain super-IP graphs), numbered
+/// `id = order·M^l + Σ_j g_j·M^j`. Edges:
 ///
 /// - `(σ, g) ~ (σ, g')` when `g'` differs from `g` only in coordinate 0 and
 ///   `g_0 ~ g'_0` in the nucleus (nucleus generators act on the leftmost
 ///   super-symbol);
 /// - `(σ, g) ~ (σ·β, g∘β)` for each super-generator block permutation `β`.
+///
+/// The graph is undirected, so `β⁻¹` moves are edges too: the network
+/// keeps the inverse-closed generator set [`TupleNetwork::gens`] (the
+/// block perms, then each missing inverse) and one order-transition table
+/// over it, which [`TupleNetwork::neighbors_into`], the tuple routers and
+/// [`crate::codec::NodeCodec`] all step through.
 #[derive(Clone, Debug)]
 pub struct TupleNetwork {
     /// Display name.
     pub name: String,
-    /// The nucleus graph (should be connected; usually undirected).
+    /// The nucleus graph (undirected; should be connected).
     pub nucleus: Csr,
     /// Number of blocks.
     pub l: usize,
     /// Block permutations of the super-generators.
     pub block_perms: Vec<Perm>,
+    /// `block_perms`, then the inverse of each that is not already in the
+    /// set, in `block_perms` order.
+    gens: Vec<Perm>,
     /// Block-order group (identity only for plain super-IP graphs).
     order_group: Vec<Perm>,
     order_index: FxHashMap<Perm, u32>,
-    /// Dense order transitions: `order_next[oi·supers + si]` is the index
-    /// of `order_group[oi].then(&block_perms[si])`. Kills the hash lookup
-    /// on the per-edge hot path of [`TupleNetwork::build`].
+    /// Dense order transitions: `order_next[oi·gens + gi]` is the index
+    /// of `order_group[oi].then(&gens[gi])` (all 0 for plain seeds).
     order_next: Vec<u32>,
+    /// `pow[j] = M^j` for `j = 0..=l`.
+    pow: Vec<u64>,
 }
 
 impl TupleNetwork {
@@ -541,7 +569,9 @@ impl TupleNetwork {
         ))
     }
 
-    /// Build directly from any nucleus graph.
+    /// Build directly from any undirected nucleus graph. Panics when the
+    /// nucleus is directed, a block perm does not act on `l` blocks, or
+    /// the node count `|H|·M^l` exceeds the `u32` id space (2^32).
     pub fn new(
         name: impl Into<String>,
         nucleus: Csr,
@@ -549,53 +579,59 @@ impl TupleNetwork {
         block_perms: Vec<Perm>,
         seed_kind: SeedKind,
     ) -> Self {
+        let name = name.into();
         assert!(l >= 1);
         for p in &block_perms {
             assert_eq!(p.len(), l, "block perm length must equal l");
         }
-        let order_group = match seed_kind {
-            SeedKind::Repeated => vec![Perm::identity(l)],
-            SeedKind::DistinctShifted => {
-                // closure of the block perms
-                let mut elems = vec![Perm::identity(l)];
-                let mut seen: FxHashMap<Perm, u32> = FxHashMap::default();
-                seen.insert(elems[0].clone(), 0);
-                let mut next = 0;
-                while next < elems.len() {
-                    let cur = elems[next].clone();
-                    for g in &block_perms {
-                        let prod = cur.then(g);
-                        if !seen.contains_key(&prod) {
-                            seen.insert(prod.clone(), elems.len() as u32);
-                            elems.push(prod);
-                        }
-                    }
-                    next += 1;
-                }
-                elems
-            }
+        assert!(
+            nucleus.is_symmetric(),
+            "{name}: the nucleus graph must be undirected"
+        );
+        let (order_group, order_index) = match seed_kind {
+            SeedKind::Repeated => block_closure(l, &[]),
+            SeedKind::DistinctShifted => block_closure(l, &block_perms),
         };
-        let order_index: FxHashMap<Perm, u32> = order_group
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.clone(), i as u32))
+        let m = nucleus.node_count() as u64;
+        let count = (0..l).fold(order_group.len() as u128, |n, _| {
+            n.saturating_mul(u128::from(m))
+        });
+        assert!(
+            count <= 1 << 32,
+            "{name}: |H|·M^l = {count} nodes exceeds the u32 id space (2^32)"
+        );
+        assert!(
+            l <= MAX_BLOCKS,
+            "{name}: l = {l} exceeds {MAX_BLOCKS} blocks"
+        );
+        let pow: Vec<u64> = std::iter::successors(Some(1u64), |p| p.checked_mul(m))
+            .take(l + 1)
             .collect();
-        let mut order_next = vec![0u32; order_group.len() * block_perms.len()];
-        if order_group.len() > 1 {
-            for (oi, sigma) in order_group.iter().enumerate() {
-                for (si, bp) in block_perms.iter().enumerate() {
-                    order_next[oi * block_perms.len() + si] = order_index[&sigma.then(bp)];
-                }
+        let mut gens = block_perms.clone();
+        for bp in &block_perms {
+            let inv = bp.inverse();
+            if !gens.contains(&inv) {
+                gens.push(inv);
             }
         }
+        let order_next = if order_group.len() > 1 {
+            order_group
+                .iter()
+                .flat_map(|sigma| gens.iter().map(|g| order_index[&sigma.then(g)]))
+                .collect()
+        } else {
+            vec![0; gens.len()]
+        };
         TupleNetwork {
-            name: name.into(),
+            name,
             nucleus,
             l,
             block_perms,
+            gens,
             order_group,
             order_index,
             order_next,
+            pow,
         }
     }
 
@@ -611,19 +647,24 @@ impl TupleNetwork {
 
     /// Total node count `|H|·M^l`.
     pub fn node_count(&self) -> usize {
-        self.order_count() * self.m_nodes().pow(self.l as u32)
+        self.order_count() * self.pow[self.l] as usize
+    }
+
+    /// The inverse-closed super-generator set: the block perms, then the
+    /// inverse of each that is not already in the set. Index `gi` of
+    /// [`TupleNetwork::apply_gen`] and [`TupleNetwork::order_apply`].
+    pub fn gens(&self) -> &[Perm] {
+        &self.gens
     }
 
     /// Encode `(order_idx, tuple)` as a node id.
     pub fn encode(&self, order_idx: u32, tuple: &[u32]) -> u32 {
         debug_assert_eq!(tuple.len(), self.l);
-        let m = self.m_nodes() as u64;
-        let mut id = 0u64;
-        for &g in tuple.iter().rev() {
+        let mut id = order_idx as u64 * self.pow[self.l];
+        for (&g, &w) in tuple.iter().zip(&self.pow) {
             debug_assert!((g as usize) < self.m_nodes());
-            id = id * m + g as u64;
+            id += g as u64 * w;
         }
-        id += order_idx as u64 * m.pow(self.l as u32);
         // ipg-analyze: allow(PANIC001) reason="TupleNetwork::new rejects node counts past u32"
         u32::try_from(id).expect("node id fits u32")
     }
@@ -639,8 +680,8 @@ impl TupleNetwork {
     /// and return the order index.
     pub fn decode_into(&self, node: u32, tuple: &mut [u32]) -> u32 {
         debug_assert_eq!(tuple.len(), self.l);
-        let m = self.m_nodes() as u64;
-        let base = m.pow(self.l as u32);
+        let m = self.pow[1];
+        let base = self.pow[self.l];
         let mut id = node as u64;
         let order_idx = (id / base) as u32;
         id %= base;
@@ -651,32 +692,41 @@ impl TupleNetwork {
         order_idx
     }
 
-    /// Materialize the undirected graph. Entirely arithmetic: coordinate 0
-    /// has mixed-radix weight 1, so a nucleus edge is `node − g_0 + g_0'`,
-    /// and order transitions come from the dense `order_next` table — no
-    /// hashing, no per-node allocation.
+    /// Apply generator `gens()[gi]` to `(order, tuple)`: write the permuted
+    /// tuple into `out` (length `l`) and return the new order index.
+    #[inline]
+    pub fn apply_gen(&self, order: u32, tuple: &[u32], gi: usize, out: &mut [u32]) -> u32 {
+        for (o, &p) in out.iter_mut().zip(self.gens[gi].image()) {
+            *o = tuple[p as usize];
+        }
+        self.order_apply(order, gi)
+    }
+
+    /// Push the undirected row of node `id`: its nucleus arcs on coordinate
+    /// 0 in nucleus CSR order (mixed-radix weight 1, so a nucleus edge is
+    /// `id − g_0 + g_0'`), then its image under every generator of
+    /// [`TupleNetwork::gens`]. Because the generator set is closed under
+    /// inverses, this is the node's out-arcs plus the reverses of its
+    /// in-arcs. The row may hold repeats and `id` itself (generators that
+    /// fix the node); [`Csr::from_fn`] sorts, dedups and drops them.
+    pub fn neighbors_into(&self, id: u32, out: &mut Vec<u32>) {
+        let mut tuple = [0u32; MAX_BLOCKS];
+        let mut image = [0u32; MAX_BLOCKS];
+        let (tuple, image) = (&mut tuple[..self.l], &mut image[..self.l]);
+        let order = self.decode_into(id, tuple);
+        let base = id - tuple[0];
+        out.extend(self.nucleus.neighbors(tuple[0]).iter().map(|&nb| base + nb));
+        for gi in 0..self.gens.len() {
+            let next = self.apply_gen(order, tuple, gi, image);
+            out.push(self.encode(next, image));
+        }
+    }
+
+    /// Materialize the undirected graph in one pass, row by row from
+    /// [`TupleNetwork::neighbors_into`]: entirely arithmetic, no hashing,
+    /// no per-node allocation and no symmetrize pass.
     pub fn build(&self) -> Csr {
-        let n = self.node_count();
-        let mut tuple = vec![0u32; self.l];
-        let mut buf = vec![0u32; self.l];
-        let supers = self.block_perms.len();
-        Csr::from_fn(n, |node, row| {
-            let oi = self.decode_into(node, &mut tuple);
-            // nucleus edges on coordinate 0 (weight M^0 = 1)
-            let base_id = node - tuple[0];
-            for &nb in self.nucleus.neighbors(tuple[0]) {
-                row.push(base_id + nb);
-            }
-            // super edges
-            for (si, bp) in self.block_perms.iter().enumerate() {
-                for (j, slot) in buf.iter_mut().enumerate() {
-                    *slot = tuple[bp.image()[j] as usize];
-                }
-                let oi2 = self.order_next[oi as usize * supers + si];
-                row.push(self.encode(oi2, &buf));
-            }
-        })
-        .symmetrized()
+        Csr::from_fn(self.node_count(), |id, row| self.neighbors_into(id, row))
     }
 
     /// The block-order permutation at index `idx`.
@@ -684,12 +734,13 @@ impl TupleNetwork {
         &self.order_group[idx as usize]
     }
 
-    /// Apply super-generator `gen_idx` to the order component: the index
-    /// of `order_perm(idx).then(block_perms[gen_idx])` (always 0 for
-    /// plain repeated-seed networks). A dense table lookup.
+    /// Apply generator `gens()[gen_idx]` to the order component: the index
+    /// of `order_perm(idx).then(gens()[gen_idx])` (always 0 for plain
+    /// repeated-seed networks). A dense table lookup; the first
+    /// `block_perms.len()` generators are the block perms themselves.
     #[inline]
     pub fn order_apply(&self, idx: u32, gen_idx: usize) -> u32 {
-        self.order_next[idx as usize * self.block_perms.len() + gen_idx]
+        self.order_next[idx as usize * self.gens.len() + gen_idx]
     }
 
     /// Module id of each node under the paper's §5 packing: one nucleus
@@ -697,17 +748,10 @@ impl TupleNetwork {
     /// per-node module array and the number of modules.
     pub fn nucleus_partition(&self) -> (Vec<u32>, usize) {
         let n = self.node_count();
-        let m = self.m_nodes() as u64;
-        let modules = n / self.m_nodes();
-        let class: Vec<u32> = (0..n as u64)
-            .map(|id| {
-                let order = id / m.pow(self.l as u32);
-                let rest = (id % m.pow(self.l as u32)) / m; // drop coordinate 0
-                                                            // ipg-analyze: allow(PANIC001) reason="class index is below the u32 node count"
-                u32::try_from(order * m.pow(self.l as u32 - 1) + rest).expect("fits")
-            })
-            .collect();
-        (class, modules)
+        let m = self.m_nodes();
+        // coordinate 0 is the least significant digit: dropping it is `id / M`
+        let class = (0..n).map(|id| (id / m) as u32).collect();
+        (class, n / m)
     }
 }
 
@@ -919,6 +963,10 @@ mod tests {
             SuperIpSpec::hsn(2, nuc.clone()).symmetric(),
             SuperIpSpec::ring_cn(4, NucleusSpec::hypercube(1)).symmetric(),
             SuperIpSpec::superflip(3, NucleusSpec::hypercube(1)).symmetric(),
+            // L_1 is not self-inverse: the only family whose rows need the
+            // inverse-generator arcs
+            SuperIpSpec::directed_ring_cn(3, nuc.clone()),
+            SuperIpSpec::directed_ring_cn(4, NucleusSpec::hypercube(1)).symmetric(),
         ] {
             let ip = spec.to_ip_spec().generate().unwrap();
             let tn = TupleNetwork::from_spec(&spec).unwrap();
@@ -1022,6 +1070,17 @@ mod tests {
         let g = ip.to_directed_csr();
         assert!(algo::is_strongly_connected(&g));
         assert_eq!(algo::diameter(&g), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "HSN(33,Q1): |H|·M^l = 8589934592 nodes exceeds the u32 id space")]
+    fn new_rejects_node_counts_past_u32() {
+        let q1 = NucleusSpec::hypercube(1)
+            .generate()
+            .unwrap()
+            .to_undirected_csr();
+        let perms = (1..33).map(|i| Perm::transposition(33, 0, i)).collect();
+        TupleNetwork::new("HSN(33,Q1)", q1, 33, perms, SeedKind::Repeated);
     }
 
     #[test]

@@ -250,13 +250,9 @@ impl<'n> TupleRouter<'n> {
         let mut arr = Perm::identity(l);
         let mut buf = vec![0u32; l];
         for &gi in &schedule {
-            let bp = &self.tn.block_perms[gi];
-            arr = arr.then(bp);
-            for (j, slot) in buf.iter_mut().enumerate() {
-                *slot = tuple[bp.image()[j] as usize];
-            }
-            tuple.copy_from_slice(&buf);
-            order = self.tn.order_apply(order, gi);
+            arr = arr.then(&self.tn.block_perms[gi]);
+            order = self.tn.apply_gen(order, &tuple, gi, &mut buf);
+            std::mem::swap(&mut tuple, &mut buf);
             let next = self.tn.encode(order, &tuple);
             // a super-generator may fix the current node (e.g. swapping
             // two equal blocks); that is a no-op, not a link traversal
@@ -313,7 +309,7 @@ struct ProductCand {
 ///
 /// Unlike [`TupleRouter`] (the literal Theorem-4.1 schedule, whose paths
 /// only meet the *diameter* bound), this router computes the true graph
-/// distance of [`TupleNetwork::build`]'s symmetrized graph and walks it
+/// distance of [`TupleNetwork::build`]'s undirected graph and walks it
 /// one hop at a time, so iterated `next_hop` reproduces BFS-shortest path
 /// lengths with `O(M² + l!·2^l)` memory — no `O(N²)` table.
 ///
@@ -336,18 +332,12 @@ struct ProductCand {
 /// a superset-min sweep over the visited masks.
 pub struct ShortestTupleRouter {
     tn: TupleNetwork,
-    /// Super-generator block perms closed under inverses (the symmetrized
-    /// graph contains the reverse arc of every non-involutive generator).
-    gens: Vec<Perm>,
     /// nucleus distances, row-major `M×M`.
     ndist: Vec<u16>,
     /// `wmin[rank·2^l | V] = min over V' ⊇ V of W_exact(arrangement, V')`.
     wmin: Vec<u16>,
     /// Reachable products, sorted by `base` for early-exit pruning.
     prods: Vec<ProductCand>,
-    /// Order transitions under `gens` (empty for plain seeds):
-    /// `order_next[oi·gens.len() + gi]`.
-    order_next: Vec<u32>,
 }
 
 impl ShortestTupleRouter {
@@ -372,18 +362,9 @@ impl ShortestTupleRouter {
             }
         }
 
-        // close the generator set under inverses, preserving order
-        let mut gens = tn.block_perms.clone();
-        for bp in &tn.block_perms {
-            let inv = bp.inverse();
-            if !gens.contains(&inv) {
-                gens.push(inv);
-            }
-        }
-
-        // BFS over (arrangement, visited-blocks) states; `visited` tracks
-        // which blocks occupied position 0 after some prefix (block 0
-        // starts there).
+        // BFS over (arrangement, visited-blocks) states under the
+        // inverse-closed generator set; `visited` tracks which blocks
+        // occupied position 0 after some prefix (block 0 starts there).
         let states = factorial(l) as usize * (1usize << l);
         let mut wmin = vec![u16::MAX; states];
         let start = Perm::identity(l);
@@ -394,7 +375,7 @@ impl ShortestTupleRouter {
         queue.push_back((start, 1));
         while let Some((arrangement, visited)) = queue.pop_front() {
             let here = wmin[(arrangement_rank(&arrangement) << l) | visited as usize];
-            for bp in &gens {
+            for bp in tn.gens() {
                 let arr = arrangement.then(bp);
                 let nvis = visited | (1 << arr.image()[0]);
                 let rank = arrangement_rank(&arr);
@@ -434,36 +415,11 @@ impl ShortestTupleRouter {
             .collect();
         prods.sort_by_key(|c| c.base);
 
-        // order transitions for the closed generator set (symmetric seeds):
-        // the order group is closed, so every σ·g⁻¹ is a member.
-        let order_next = if tn.order_count() > 1 {
-            let index: FxHashMap<&Perm, u32> = (0..tn.order_count() as u32)
-                .map(|i| (tn.order_perm(i), i))
-                .collect();
-            let mut table = vec![0u32; tn.order_count() * gens.len()];
-            for oi in 0..tn.order_count() as u32 {
-                for (gi, g) in gens.iter().enumerate() {
-                    let prod = tn.order_perm(oi).then(g);
-                    let Some(&next) = index.get(&prod) else {
-                        return Err(IpgError::InvalidSpec {
-                            reason: "block-order group is not closed under the generators".into(),
-                        });
-                    };
-                    table[oi as usize * gens.len() + gi] = next;
-                }
-            }
-            table
-        } else {
-            Vec::new()
-        };
-
         Ok(ShortestTupleRouter {
             tn,
-            gens,
             ndist,
             wmin,
             prods,
-            order_next,
         })
     }
 
@@ -525,7 +481,7 @@ impl ShortestTupleRouter {
     fn tail(&self, c: &ProductCand, t: &[u32], dt: &[u32]) -> u32 {
         let mut sum = 0u32;
         let mut mask = 0u32;
-        for (q, (&tq, &fq)) in t.iter().zip(&c.inv).enumerate().skip(1) {
+        for (q, (&tq, &fq)) in (1..).zip(t[1..].iter().zip(&c.inv[1..])) {
             let nd = self.nd(tq, dt[fq as usize]);
             if nd == u16::MAX {
                 return DIST_INF;
@@ -654,18 +610,11 @@ impl ShortestTupleRouter {
                 return Some(base_id + nb);
             }
         }
-        // super-generator arcs (the closed set covers the symmetrized
-        // reverse arcs of non-involutive generators)
+        // super-generator arcs (the inverse-closed set covers the reverse
+        // arcs of non-involutive generators)
         let mut vt = [0u32; FLAT_SCHEDULE_MAX_L];
-        for (gi, g) in self.gens.iter().enumerate() {
-            for (vj, &p) in vt[..l].iter_mut().zip(g.image()) {
-                *vj = ut[p as usize];
-            }
-            let vo = if self.order_next.is_empty() {
-                0
-            } else {
-                self.order_next[uo as usize * self.gens.len() + gi]
-            };
+        for gi in 0..self.tn.gens().len() {
+            let vo = self.tn.apply_gen(uo, ut, gi, &mut vt[..l]);
             let vid = self.tn.encode(vo, &vt[..l]);
             if vid == u {
                 continue; // generator fixes the node: a dropped self-loop
@@ -1040,15 +989,11 @@ mod tests {
                 }
             }
             ut[0] = t0;
-            for (gi, g) in r.gens.iter().enumerate() {
+            for (gi, g) in r.tn.gens().iter().enumerate() {
                 for (j, slot) in vt[..l].iter_mut().enumerate() {
                     *slot = ut[g.image()[j] as usize];
                 }
-                let vo = if r.order_next.is_empty() {
-                    0
-                } else {
-                    r.order_next[uo as usize * r.gens.len() + gi]
-                };
+                let vo = r.tn.order_apply(uo, gi);
                 let vid = r.tn.encode(vo, &vt[..l]);
                 if vid == u {
                     continue; // generator fixes the node: a dropped self-loop

@@ -379,6 +379,76 @@ mod tests {
         assert_eq!(algo::diameter(&g), 8);
     }
 
+    /// The two-pass build that [`TupleNetwork::build`] replaced: directed
+    /// rows (nucleus arcs, then each block perm's image, its order found
+    /// by search rather than the transition table), then `symmetrized()`.
+    fn two_pass_build(tn: &TupleNetwork) -> Csr {
+        let order_of = |p: &Perm| {
+            (0..tn.order_count() as u32)
+                .find(|&i| tn.order_perm(i) == p)
+                .expect("the order group is closed")
+        };
+        let mut image = vec![0u32; tn.l];
+        Csr::from_fn(tn.node_count(), |id, row| {
+            let (order, tuple) = tn.decode(id);
+            let base = id - tuple[0];
+            row.extend(tn.nucleus.neighbors(tuple[0]).iter().map(|&nb| base + nb));
+            for bp in &tn.block_perms {
+                for (o, &p) in image.iter_mut().zip(bp.image()) {
+                    *o = tuple[p as usize];
+                }
+                let next = match tn.order_count() {
+                    1 => 0,
+                    _ => order_of(&tn.order_perm(order).then(bp)),
+                };
+                row.push(tn.encode(next, &image));
+            }
+        })
+        .symmetrized()
+    }
+
+    #[test]
+    fn one_pass_build_matches_two_pass_reference() {
+        use ipg_core::superip::{NucleusSpec, SuperIpSpec};
+        let q = classic::hypercube;
+        let mut nets = vec![
+            hsn(3, q(2), "Q2"),
+            ring_cn(2, q(3), "Q3"),
+            ring_cn(3, q(2), "Q2"),
+            complete_cn(4, q(1), "Q1"),
+            superflip(3, q(2), "Q2"),
+            symmetric(&hsn(3, q(1), "Q1")),
+            symmetric(&ring_cn(4, q(1), "Q1")),
+            symmetric(&complete_cn(3, q(2), "Q2")),
+            symmetric(&superflip(3, q(1), "Q1")),
+            hfn(2),
+            rcc(3, 3),
+            rhsn(3, q(1), "Q1"),
+            hse(2, 3),
+            cyclic_petersen(3),
+            complete_cyclic_petersen(3),
+        ];
+        // the spec families of the tuple-vs-IP oracle, dir-CN included:
+        // its L_1 is the one generator whose inverse is not in the set
+        let nuc = NucleusSpec::hypercube(2);
+        for spec in [
+            SuperIpSpec::hsn(3, nuc.clone()),
+            SuperIpSpec::ring_cn(3, nuc.clone()),
+            SuperIpSpec::complete_cn(4, NucleusSpec::hypercube(1)),
+            SuperIpSpec::superflip(3, nuc.clone()),
+            SuperIpSpec::hsn(2, nuc.clone()).symmetric(),
+            SuperIpSpec::ring_cn(4, NucleusSpec::hypercube(1)).symmetric(),
+            SuperIpSpec::superflip(3, NucleusSpec::hypercube(1)).symmetric(),
+            SuperIpSpec::directed_ring_cn(3, nuc.clone()),
+            SuperIpSpec::directed_ring_cn(4, NucleusSpec::hypercube(1)).symmetric(),
+        ] {
+            nets.push(TupleNetwork::from_spec(&spec).unwrap());
+        }
+        for tn in &nets {
+            assert_eq!(tn.build(), two_pass_build(tn), "{}", tn.name);
+        }
+    }
+
     #[test]
     fn ring_cn_degrees_match_section_5_3() {
         // off-module links per node: 1 when l=2, 2 when l≥3; total degree

@@ -419,9 +419,12 @@ proptest! {
     }
 
     #[test]
-    fn codec_csr_matches_interned(l in 2usize..3, family in 0usize..4, kind in 0usize..5) {
-        // The arithmetic CSR is byte-identical to the hash-interned
-        // builder's CSR after renumbering interned ids through the codec.
+    fn codec_csr_matches_interned(l in 2usize..4, family in 0usize..5, kind in 0usize..5) {
+        // The arithmetic CSRs are byte-identical to the hash-interned
+        // builder's after renumbering interned ids through the codec: the
+        // directed one from the codec, the undirected one from the tuple
+        // network's one-pass build. Family 4, dir-CN, is the one whose
+        // undirected rows need the inverse-generator arcs.
         let (nuc, sym) = match kind {
             0 => (NucleusSpec::hypercube(1), false),
             1 => (NucleusSpec::hypercube(2), false),
@@ -429,7 +432,11 @@ proptest! {
             3 => (NucleusSpec::ring(4), false),
             _ => (NucleusSpec::hypercube(2), true),
         };
-        let mut spec = super_family(family, l, nuc);
+        let mut spec = if family == 4 {
+            SuperIpSpec::directed_ring_cn(l, nuc)
+        } else {
+            super_family(family, l, nuc)
+        };
         if sym {
             spec = spec.symmetric();
         }
@@ -440,6 +447,12 @@ proptest! {
             prop_assert_eq!(
                 ip.to_directed_csr().relabeled(&map),
                 codec.build_directed_csr(),
+                "{}",
+                spec.name
+            );
+            prop_assert_eq!(
+                ip.to_undirected_csr().relabeled(&map),
+                TupleNetwork::from_spec(&spec).unwrap().build(),
                 "{}",
                 spec.name
             );
