@@ -1,13 +1,16 @@
 //! Theorem-4.1 bench: hierarchical routing cost — router construction
 //! (nucleus distance table + schedule search) and per-route latency,
 //! compared against a full BFS per query — and the per-hop cost of the
-//! exact-shortest codec router the simulators call.
+//! exact-shortest codec router the simulators call, and what one faulted
+//! distance field costs the detour router.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ipg_core::algo;
+use ipg_core::fault::{bfs_faulted, FaultView};
 use ipg_core::routing::SuperRouter;
 use ipg_core::superip::{NucleusSpec, SuperIpSpec, TupleNetwork};
 use ipg_core::tuple_routing::ShortestTupleRouter;
+use ipg_sim::{DetourRouter, FaultPlan, FaultSpec, Router};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -104,5 +107,46 @@ fn shortest_next_hop(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench, shortest_next_hop);
+/// One faulted distance field on the `faults-8k` network and fault set
+/// (sym-ring-CN(2,Q6), 10% of links dead, seed 7): `ipg_core`'s
+/// `bfs_faulted` against the detour router's fill. The router fills the
+/// 64 fields of a destination block at once, so each `fill_64_lanes`
+/// iteration is one cache miss that caches 64 fields: divide its time by
+/// 64 to compare per field.
+fn detour_field(c: &mut Criterion) {
+    let mut g = c.benchmark_group("detour_field");
+    let spec = SuperIpSpec::ring_cn(2, NucleusSpec::hypercube(6)).symmetric();
+    let tn = TupleNetwork::from_spec(&spec).unwrap();
+    let graph = tn.build();
+    let n = graph.node_count() as u32;
+    let faults = FaultSpec::parse("rate:links=0.10,at=0").unwrap();
+    let plan = FaultPlan::compile(&faults, &graph, 7).unwrap();
+    let mut view = FaultView::new(n as usize);
+    plan.apply_due(&mut 0, u32::MAX, &mut view);
+
+    let mut d = 0u32;
+    g.bench_function("sym-ring-CN(2,Q6)/bfs_faulted", |b| {
+        b.iter(|| {
+            d = (d + 1) % n;
+            black_box(bfs_faulted(&graph, &view, d))
+        })
+    });
+    g.bench_function("sym-ring-CN(2,Q6)/fill_64_lanes", |b| {
+        // A fresh router per sample; its first query builds the alive
+        // graph untimed. Each timed query then misses in a new block.
+        let router =
+            DetourRouter::new(ShortestTupleRouter::new(tn.clone()).unwrap(), graph.clone())
+                .unwrap();
+        black_box(router.next_hop_faulted(1, 0, &view));
+        let mut block = 0;
+        b.iter(|| {
+            block += 1;
+            assert!(block < n / 64, "more iterations than uncached blocks");
+            black_box(router.next_hop_faulted(block * 64 + 1, block * 64, &view))
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench, shortest_next_hop, detour_field);
 criterion_main!(benches);

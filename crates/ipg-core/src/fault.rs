@@ -128,7 +128,7 @@ impl FaultView {
 /// arcs. Dead nodes (including a dead `src`) get [`UNREACHABLE`], as does
 /// everything cut off by the fault set.
 pub fn bfs_faulted(g: &Csr, view: &FaultView, src: u32) -> Vec<u32> {
-    // ipg-analyze: allow(ALLOC001) reason="distance field allocated once per destination per fault epoch and LRU-cached by DetourRouter::field; not steady-state"
+    // ipg-analyze: allow(ALLOC001) reason="DetourRouter's fallback for a field with a distance above 254: once per such destination per fault epoch, then FIFO-cached; not steady-state"
     let mut dist = vec![UNREACHABLE; g.node_count()];
     if view.node_dead(src) {
         return dist;

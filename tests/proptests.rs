@@ -609,6 +609,79 @@ proptest! {
     }
 
     #[test]
+    fn detour_next_hop_matches_reference(
+        l in 2usize..4,
+        family in 0usize..4,
+        kind in 0usize..5,
+        kills in proptest::collection::vec((0usize..4096, 0u32..64), 0..12),
+        node_kills in proptest::collection::vec(0u32..4096, 0..3),
+        extra in (0usize..4096, 0u32..64),
+    ) {
+        // Every hop of DetourTupleRouter, for every (u, d) pair, must be
+        // the documented rule applied to the faulted BFS field of d: the
+        // inner codec hop if it is usable and strictly closer, else the
+        // first usable CSR neighbour that is strictly closer. Checked on
+        // a random fault set, then again after one more link dies (a new
+        // fault epoch on the same router).
+        use ipgraph::core::fault::{bfs_faulted, FaultView};
+        use ipgraph::core::tuple_routing::ShortestTupleRouter;
+        use ipgraph::sim::{DetourRouter, Router};
+        let nuc = match kind {
+            0 => NucleusSpec::hypercube(1),
+            1 => NucleusSpec::hypercube(2),
+            2 => NucleusSpec::complete(3),
+            3 => NucleusSpec::ring(4),
+            _ => NucleusSpec::complete(5),
+        };
+        let spec = super_family(family, l, nuc);
+        if spec.expected_size().unwrap() <= 2_000 {
+            let tn = TupleNetwork::from_spec(&spec).unwrap();
+            let g = tn.build();
+            let n = g.node_count() as u32;
+            let inner = ShortestTupleRouter::new(tn.clone()).unwrap();
+            let router = DetourRouter::new(ShortestTupleRouter::new(tn).unwrap(), g.clone()).unwrap();
+            let mut view = FaultView::new(n as usize);
+            let kill_link = |view: &mut FaultView, (u, off): (usize, u32)| {
+                let u = (u % n as usize) as u32;
+                let nbrs = g.neighbors(u);
+                if !nbrs.is_empty() {
+                    view.kill_link(u, nbrs[off as usize % nbrs.len()]);
+                }
+            };
+            for k in kills {
+                kill_link(&mut view, k);
+            }
+            for v in node_kills {
+                view.kill_node(v % n);
+            }
+            for round in 0..2 {
+                if round == 1 {
+                    kill_link(&mut view, extra);
+                }
+                for d in 0..n {
+                    let dist = bfs_faulted(&g, &view, d);
+                    for u in 0..n {
+                        let du = dist[u as usize];
+                        let closer = |v: u32| view.arc_usable(u, v) && dist[v as usize] < du;
+                        let want = if u == d || view.node_dead(u) || view.node_dead(d) || du == u32::MAX {
+                            None
+                        } else {
+                            match Router::next_hop(&inner, u, d) {
+                                Some(h) if closer(h) => Some(h),
+                                _ => g.neighbors(u).iter().copied().find(|&v| closer(v)),
+                            }
+                        };
+                        prop_assert_eq!(
+                            Router::next_hop_faulted(&router, u, d, &view), want,
+                            "{} (epoch {}): hop {}->{}", spec.name, view.epoch(), u, d
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn detour_router_with_zero_faults_degenerates_to_the_codec_router(
         l in 2usize..4,
         family in 0usize..4,
