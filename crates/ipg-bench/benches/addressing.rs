@@ -1,12 +1,14 @@
 //! Addressing bench: hash-interned vs. rank-indexed (arithmetic codec)
 //! construction and routing on HSN/CN instances at several sizes.
 //!
-//! Three comparisons per instance:
+//! Three comparisons per instance, both builds ending in the undirected
+//! CSR the simulator runs:
 //!
 //! - `interned_build` — label-by-label BFS generation with `FxHashMap`
-//!   interning, then CSR conversion (the general-IP fallback path);
-//! - `rank_build` — [`ipg_core::codec::NodeCodec`] construction plus the
-//!   arithmetic CSR emission (no label vector, no hash map);
+//!   interning, then undirected CSR conversion (the general-IP fallback
+//!   path);
+//! - `rank_build` — [`TupleNetwork::from_spec`] plus its one-pass
+//!   arithmetic build (no label vector, no hash map);
 //! - `interned_route` / `rank_route` — Theorem-4.1 routing over labels
 //!   (`SuperRouter`, hash lookups per block) vs. over codec ids
 //!   (`TupleRouter`, pure mixed-radix arithmetic).
@@ -15,6 +17,7 @@
 //! distills the medians into `results/BENCH_core.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ipg_core::codec::NodeCodec;
 use ipg_core::routing::SuperRouter;
 use ipg_core::superip::{NucleusSpec, SuperIpSpec, TupleNetwork};
 use ipg_core::tuple_routing::TupleRouter;
@@ -40,15 +43,15 @@ fn bench_build(c: &mut Criterion) {
         g.bench_function(format!("interned_build/{}", spec.name), |b| {
             b.iter(|| {
                 let ip = spec.to_ip_spec().generate().unwrap();
-                black_box(ip.to_directed_csr().arc_count())
+                black_box(ip.to_undirected_csr().arc_count())
             })
         });
         g.bench_function(format!("rank_build/{}", spec.name), |b| {
             b.iter(|| {
-                // end-to-end: codec construction (nucleus enumeration +
-                // tables) is part of the build, not amortized away
-                let codec = spec.codec().unwrap();
-                black_box(codec.build_directed_csr().arc_count())
+                // end-to-end: nucleus generation and the tuple network's
+                // tables are part of the build, not amortized away
+                let tn = TupleNetwork::from_spec(&spec).unwrap();
+                black_box(tn.build().arc_count())
             })
         });
     }
@@ -63,7 +66,7 @@ fn bench_route(c: &mut Criterion) {
         let sr = SuperRouter::new(&spec).unwrap();
         let tn = TupleNetwork::from_spec(&spec).unwrap();
         let tr = TupleRouter::new(&tn).unwrap();
-        let codec = spec.codec().unwrap();
+        let codec = NodeCodec::new(&spec).unwrap();
         let n = ip.node_count() as u32;
         // deterministic sample of (src, dst) pairs, identical nodes for
         // both routers (mapped through the codec for the id-based one)
@@ -104,9 +107,9 @@ fn bench_route(c: &mut Criterion) {
 fn bench_codec_ops(c: &mut Criterion) {
     let mut g = c.benchmark_group("addressing");
     g.sample_size(20);
-    // microbench on the packed-boundary instance: 256 nodes, k = 16
+    // label round trip on a 256-node instance with 16-symbol labels
     let spec = SuperIpSpec::hsn(2, NucleusSpec::hypercube(4));
-    let codec = spec.codec().unwrap();
+    let codec = NodeCodec::new(&spec).unwrap();
     let n = codec.node_count() as u32;
     g.bench_function("codec_encode_decode/HSN(2,Q4)", |b| {
         let mut buf = vec![0u8; codec.label_len()];
@@ -115,31 +118,6 @@ fn bench_codec_ops(c: &mut Criterion) {
             for id in 0..n {
                 codec.decode_into(id, &mut buf);
                 acc += codec.encode(&buf).unwrap() as u64;
-            }
-            black_box(acc)
-        })
-    });
-    g.bench_function("codec_arcs/HSN(2,Q4)", |b| {
-        let mut out = Vec::with_capacity(codec.generator_count());
-        b.iter(|| {
-            let mut acc = 0u64;
-            for id in 0..n {
-                out.clear();
-                codec.arcs_into(id, &mut out);
-                acc += out.iter().map(|&w| w as u64).sum::<u64>();
-            }
-            black_box(acc)
-        })
-    });
-    g.bench_function("packed_neighbors/HSN(2,Q4)", |b| {
-        let gens = codec.generator_count();
-        b.iter(|| {
-            let mut acc = 0u64;
-            for id in 0..n {
-                let p = codec.decode_packed(id);
-                for gi in 0..gens {
-                    acc += codec.encode_packed(codec.apply_packed(p, gi)).unwrap() as u64;
-                }
             }
             black_box(acc)
         })

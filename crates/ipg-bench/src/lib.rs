@@ -113,7 +113,7 @@ mod tests {
             name.to_string(),
             nucleus,
             2,
-            ipg_networks::hier::hsn_supers(2)
+            ipg_core::superip::hsn_supers(2)
                 .iter()
                 .map(|s| s.block_perm(2))
                 .collect(),

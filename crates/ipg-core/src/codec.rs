@@ -6,31 +6,22 @@
 //! hashing: a node id is a mixed-radix number over per-block nucleus
 //! ranks, plus a block-order rank for symmetric seeds. [`NodeCodec`]
 //! implements that bijection both ways in `O(l·m)` with zero heap
-//! allocation, and [`NodeCodec::build_directed_csr`] uses it to emit the
-//! generated graph's CSR directly — no label vector, no hash interning.
+//! allocation.
 //!
 //! Codec ids *are* [`TupleNetwork`] ids (`id = order_idx·M^l + Σ_j
 //! digit_j·M^j`, where `digit_j` is the nucleus node id of block `j`):
 //! the codec wraps the spec's tuple network and keeps only the label
 //! layer on top of it, so codec ids interoperate with
 //! [`TupleRouter`](crate::tuple_routing::TupleRouter) and the tuple-level
-//! metric machinery without translation.
-//!
-//! Labels of at most [`PACKED_MAX`] symbols additionally get a packed
-//! representation: the whole label lives in one `u128` and every full
-//! generator becomes a precomputed byte-shuffle table, so a neighbor is a
-//! shuffle + re-rank with no `Vec<u8>` in sight ([`PackedLabel`]).
+//! metric machinery without translation. It is the one label bridge:
+//! graph rows come from [`TupleNetwork::neighbors_into`], and
+//! [`NodeCodec::renumbering`] maps a hash-interned graph onto the same ids.
 
 use crate::builder::IpGraph;
 use crate::error::{IpgError, Result};
-use crate::graph::Csr;
 use crate::label::Label;
 use crate::rank;
 use crate::superip::{SeedKind, SuperIpSpec, TupleNetwork};
-use crate::util::factorial;
-
-/// Maximum label length for the packed (`u128`) representation.
-pub const PACKED_MAX: usize = 16;
 
 /// Maximum number of blocks `l` the codec supports (the tuple network's
 /// stack buffers; real super-IP specs are far smaller).
@@ -46,61 +37,14 @@ const MAX_ARRANGEMENTS: u64 = 1 << 22;
 /// Largest `l!` color table for symmetric seeds.
 const MAX_ORDER_RANKS: u64 = 1 << 20;
 
-/// A whole node label packed into one `u128` (little-endian: byte `i` is
-/// the symbol at position `i`). Only valid for labels of at most
-/// [`PACKED_MAX`] symbols; unused high bytes are zero.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct PackedLabel(u128);
-
-impl PackedLabel {
-    /// Pack a symbol slice; `None` if it exceeds [`PACKED_MAX`] symbols.
-    pub fn pack(symbols: &[u8]) -> Option<PackedLabel> {
-        if symbols.len() > PACKED_MAX {
-            return None;
-        }
-        let mut bytes = [0u8; PACKED_MAX];
-        bytes[..symbols.len()].copy_from_slice(symbols);
-        Some(PackedLabel(u128::from_le_bytes(bytes)))
-    }
-
-    /// Write the first `out.len()` symbols into `out`.
-    pub fn unpack_into(self, out: &mut [u8]) {
-        debug_assert!(out.len() <= PACKED_MAX);
-        let bytes = self.0.to_le_bytes();
-        out.copy_from_slice(&bytes[..out.len()]);
-    }
-
-    /// The symbol at position `i`.
-    #[inline]
-    pub fn get(self, i: usize) -> u8 {
-        debug_assert!(i < PACKED_MAX);
-        (self.0 >> (8 * i)) as u8
-    }
-
-    /// Apply a byte-shuffle table: output byte `i` is input byte
-    /// `table[i]`. A position permutation in one-line image form is
-    /// exactly such a table, so this *is* generator application.
-    #[inline]
-    pub fn shuffle(self, table: &[u8; PACKED_MAX]) -> PackedLabel {
-        let src = self.0.to_le_bytes();
-        let mut out = [0u8; PACKED_MAX];
-        for (o, &p) in out.iter_mut().zip(table.iter()) {
-            *o = src[p as usize];
-        }
-        PackedLabel(u128::from_le_bytes(out))
-    }
-}
-
 /// Label ↔ dense-id codec for one super-IP spec (all four §3 families,
 /// repeated and symmetric seeds).
 ///
 /// The codec is the label layer over a [`TupleNetwork`]: its ids *are*
-/// that network's ids, and every digit, order and generator step goes
-/// through it. Construction enumerates the nucleus once (`M` nodes) and
-/// precomputes the arrangement-rank → nucleus-id table, the flat nucleus
-/// label and per-generator arc tables, the `S_l` rank → order-index
-/// table (symmetric seeds), and — for labels of ≤ [`PACKED_MAX`]
-/// symbols — one byte-shuffle table per full-label generator.
+/// that network's ids, and every digit and order goes through it.
+/// Construction enumerates the nucleus once (`M` nodes) and precomputes
+/// the arrangement-rank → nucleus-id table, the flat nucleus label and
+/// the `S_l` rank → order-index table (symmetric seeds).
 pub struct NodeCodec {
     tn: TupleNetwork,
     m: usize,
@@ -111,17 +55,11 @@ pub struct NodeCodec {
     rank_to_id: Vec<u32>,
     /// Flat nucleus labels: `nucleus_syms[id·m..(id+1)·m]`.
     nucleus_syms: Vec<u8>,
-    /// Dense nucleus generator successors: `nucleus_arcs[id·d_n + gi]`.
-    nucleus_arcs: Vec<u32>,
-    d_n: usize,
     /// `S_l` permutation rank → order index ([`NONE`] outside `H`);
     /// empty for repeated seeds.
     sl_rank_to_order: Vec<u32>,
     /// Smallest symbol of the nucleus seed (color base, symmetric seeds).
     nucleus_min: u8,
-    /// Byte-shuffle tables for the `d_n + supers` full-label generators,
-    /// present when `k ≤ PACKED_MAX`.
-    shuffles: Vec<[u8; PACKED_MAX]>,
 }
 
 impl NodeCodec {
@@ -133,11 +71,6 @@ impl NodeCodec {
         let l = spec.l;
         let m = spec.m();
         let bad = |reason: String| IpgError::InvalidSpec { reason };
-        if !(1..=MAX_BLOCKS).contains(&l) {
-            return Err(bad(format!(
-                "codec supports 1..={MAX_BLOCKS} blocks, got {l}"
-            )));
-        }
         // Cap the arrangement table *before* generating the nucleus: the
         // nucleus node count is bounded by the arrangement count, so this
         // also bounds generation cost.
@@ -152,92 +85,49 @@ impl NodeCodec {
                 "nucleus arrangement table too large ({arrangements})"
             )));
         }
-        let nucleus = spec.nucleus.generate()?;
-        let m_nodes = nucleus.node_count();
-        let mut rank_to_id = vec![NONE; arrangements as usize];
-        let mut nucleus_syms = Vec::with_capacity(m_nodes * m);
-        for v in 0..m_nodes as u32 {
-            let syms = nucleus.label(v).symbols();
-            rank_to_id[rank::multiset_rank(syms) as usize] = v;
-            nucleus_syms.extend_from_slice(syms);
-        }
-        let d_n = nucleus.generator_count();
-        let mut nucleus_arcs = Vec::with_capacity(m_nodes * d_n);
-        for v in 0..m_nodes as u32 {
-            nucleus_arcs.extend_from_slice(nucleus.arcs_of(v));
-        }
-
-        let orders = match spec.seed_kind {
-            SeedKind::Repeated => 1,
+        let order_ranks = match spec.seed_kind {
+            SeedKind::Repeated => 0,
             SeedKind::DistinctShifted => {
                 if !spec.nucleus.spec.seed.has_distinct_symbols() {
                     return Err(bad(
                         "symmetric seeds need a distinct-symbol nucleus seed (§3.5)".into(),
                     ));
                 }
-                let ranks = factorial(l);
-                if ranks > MAX_ORDER_RANKS {
-                    return Err(bad(format!("order rank table too large ({l}! = {ranks})")));
-                }
-                spec.block_group().len() as u64
+                (1..=l as u64)
+                    .try_fold(1u64, |n, i| n.checked_mul(i))
+                    .filter(|&ranks| ranks <= MAX_ORDER_RANKS)
+                    .ok_or_else(|| bad(format!("order rank table too large ({l}!)")))?
             }
         };
-        // `TupleNetwork::new` asserts this bound; checking it here makes an
-        // oversized spec fall back instead of panicking.
-        (0..l)
-            .try_fold(orders, |n: u64, _| n.checked_mul(m_nodes as u64))
-            .filter(|&n| n <= u32::MAX as u64 + 1)
-            .ok_or_else(|| bad("id space exceeds u32".into()))?;
+        let nucleus = spec.nucleus.generate()?;
+        let tn = TupleNetwork::from_nucleus(spec, &nucleus)?;
         if !spec.all_blocks_reach_leftmost() {
             return Err(bad(
                 "some super-symbol can never reach the leftmost position".into(),
             ));
         }
-        let tn = TupleNetwork::new(
-            spec.name.clone(),
-            nucleus.to_undirected_csr(),
-            l,
-            spec.block_perms(),
-            spec.seed_kind,
-        );
-        let mut sl_rank_to_order = Vec::new();
+        let mut rank_to_id = vec![NONE; arrangements as usize];
+        let mut nucleus_syms = Vec::with_capacity(nucleus.node_count() * m);
+        for v in 0..nucleus.node_count() as u32 {
+            let syms = nucleus.label(v).symbols();
+            rank_to_id[rank::multiset_rank(syms) as usize] = v;
+            nucleus_syms.extend_from_slice(syms);
+        }
+        let mut sl_rank_to_order = vec![NONE; order_ranks as usize];
         if spec.seed_kind == SeedKind::DistinctShifted {
-            sl_rank_to_order = vec![NONE; factorial(l) as usize];
             for oi in 0..tn.order_count() as u32 {
                 sl_rank_to_order[rank::perm_rank(tn.order_perm(oi).image()) as usize] = oi;
             }
         }
-
-        // Packed-label shuffle tables (identity-padded to PACKED_MAX).
-        let k = l * m;
-        let shuffles = if k <= PACKED_MAX {
-            spec.to_ip_spec()
-                .generators
-                .iter()
-                .map(|g| {
-                    let mut t = [0u8; PACKED_MAX];
-                    for (i, slot) in t.iter_mut().enumerate() {
-                        *slot = g.perm.image().get(i).map_or(i as u8, |&p| p as u8);
-                    }
-                    t
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-
         Ok(NodeCodec {
             tn,
             m,
-            k,
+            k: l * m,
             seed_kind: spec.seed_kind,
             rank_to_id,
             nucleus_syms,
-            nucleus_arcs,
-            d_n,
             sl_rank_to_order,
             nucleus_min: nucleus_seed.iter().copied().min().unwrap_or(0),
-            shuffles,
         })
     }
 
@@ -254,16 +144,6 @@ impl NodeCodec {
     /// Label length `l·m`.
     pub fn label_len(&self) -> usize {
         self.k
-    }
-
-    /// Number of generators (`d_N` nucleus + super), i.e. out-arcs per node.
-    pub fn generator_count(&self) -> usize {
-        self.d_n + self.tn.block_perms.len()
-    }
-
-    /// True when labels fit the packed `u128` representation.
-    pub fn supports_packed(&self) -> bool {
-        !self.shuffles.is_empty()
     }
 
     /// Nucleus node id and color of one block, or `None` if the block is
@@ -341,14 +221,6 @@ impl NodeCodec {
         Some(self.tn.encode(order_idx, &digits[..l]))
     }
 
-    /// [`NodeCodec::encode`] over a packed label.
-    pub fn encode_packed(&self, packed: PackedLabel) -> Option<u32> {
-        debug_assert!(self.supports_packed());
-        let mut buf = [0u8; PACKED_MAX];
-        packed.unpack_into(&mut buf[..self.k]);
-        self.encode(&buf[..self.k])
-    }
-
     /// Write the label of node `id` into `out` (length must be `l·m`).
     /// Inverse of [`NodeCodec::encode`]; allocation-free.
     pub fn decode_into(&self, id: u32, out: &mut [u8]) {
@@ -376,66 +248,9 @@ impl NodeCodec {
         Label::from(out)
     }
 
-    /// Packed label of node `id` (requires [`NodeCodec::supports_packed`]).
-    pub fn decode_packed(&self, id: u32) -> PackedLabel {
-        let mut buf = [0u8; PACKED_MAX];
-        self.decode_into(id, &mut buf[..self.k]);
-        // ipg-analyze: allow(PANIC001) reason="supports_packed precondition: k <= PACKED_MAX"
-        PackedLabel::pack(&buf[..self.k]).expect("k <= PACKED_MAX")
-    }
-
-    /// Apply full-label generator `gi` (nucleus generators first, then
-    /// supers — the [`SuperIpSpec::to_ip_spec`] order) to a packed label:
-    /// one byte shuffle, no allocation.
-    #[inline]
-    pub fn apply_packed(&self, packed: PackedLabel, gi: usize) -> PackedLabel {
-        packed.shuffle(&self.shuffles[gi])
-    }
-
-    /// All `d_N + supers` generator successors of `id`, in generator
-    /// order, self-arcs included — the arithmetic equivalent of
-    /// [`IpGraph::arcs_of`]. Pure tuple arithmetic: nucleus moves replace
-    /// digit 0 via the nucleus arc table, super moves are
-    /// [`TupleNetwork::apply_gen`] over the block perms.
-    pub fn arcs_into(&self, id: u32, out: &mut Vec<u32>) {
-        let mut digits = [0u32; MAX_BLOCKS];
-        let mut image = [0u32; MAX_BLOCKS];
-        let (digits, image) = (&mut digits[..self.tn.l], &mut image[..self.tn.l]);
-        let order = self.tn.decode_into(id, digits);
-        // nucleus generators: digit 0 has weight M^0 = 1
-        let base = id - digits[0];
-        let arcs = &self.nucleus_arcs[digits[0] as usize * self.d_n..][..self.d_n];
-        out.extend(arcs.iter().map(|&nb| base + nb));
-        for gi in 0..self.tn.block_perms.len() {
-            let next = self.tn.apply_gen(order, digits, gi, image);
-            out.push(self.tn.encode(next, image));
-        }
-    }
-
-    /// Generator successor of `id` computed the packed way — shuffle the
-    /// label, re-rank. Slower than [`NodeCodec::arcs_into`] (which never
-    /// touches symbols) but exercises the label-level path; used for
-    /// cross-checking and for callers that already hold packed labels.
-    pub fn packed_neighbor(&self, id: u32, gi: usize) -> u32 {
-        let next = self.apply_packed(self.decode_packed(id), gi);
-        self.encode_packed(next)
-            // ipg-analyze: allow(PANIC001) reason="Cayley closure: a generator image of a node is a node"
-            .expect("generator image of a node is a node")
-    }
-
-    /// Emit the directed simple CSR of the whole graph (self-arcs
-    /// dropped, parallel arcs deduplicated — same view as
-    /// [`IpGraph::to_directed_csr`]) in codec-id numbering, without ever
-    /// materializing a label or touching a hash map. Rows are computed
-    /// per id, so parallel chunking by id range is deterministic for any
-    /// `IPG_THREADS` value.
-    pub fn build_directed_csr(&self) -> Csr {
-        Csr::from_fn_par(self.node_count(), |id, out| self.arcs_into(id, out))
-    }
-
     /// Codec id of every node of a hash-interned [`IpGraph`], indexed by
-    /// BFS node id — the bridge used to cross-check the two builders
-    /// (`ip.to_directed_csr().relabeled(&map) == codec.build_directed_csr()`).
+    /// BFS node id — the bridge between the two builders
+    /// (`ip.to_undirected_csr().relabeled(&map) == codec.network().build()`).
     pub fn renumbering(&self, ip: &IpGraph) -> Result<Vec<u32>> {
         if ip.node_count() != self.node_count() {
             return Err(IpgError::InvalidSpec {
@@ -460,7 +275,7 @@ impl NodeCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::superip::{explicit_isomorphism, NucleusSpec, TupleNetwork};
+    use crate::superip::{NucleusSpec, TupleNetwork};
 
     fn specs() -> Vec<SuperIpSpec> {
         vec![
@@ -497,73 +312,19 @@ mod tests {
 
     #[test]
     fn ids_match_tuple_network() {
+        // renumbering the interned graph through the codec gives the tuple
+        // network's one-pass build exactly
         for spec in specs() {
             let codec = NodeCodec::new(&spec).unwrap();
             let ip = spec.to_ip_spec().generate().unwrap();
             let tn = TupleNetwork::from_spec(&spec).unwrap();
-            let iso = explicit_isomorphism(&spec, &ip, &tn).unwrap();
-            for v in 0..ip.node_count() as u32 {
-                assert_eq!(
-                    codec.encode(ip.label(v).symbols()),
-                    Some(iso[v as usize]),
-                    "{}: node {v}",
-                    spec.name
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn csr_identical_to_interned_builder() {
-        for spec in specs() {
-            let codec = NodeCodec::new(&spec).unwrap();
-            let ip = spec.to_ip_spec().generate().unwrap();
             let map = codec.renumbering(&ip).unwrap();
             assert_eq!(
-                ip.to_directed_csr().relabeled(&map),
-                codec.build_directed_csr(),
+                ip.to_undirected_csr().relabeled(&map),
+                tn.build(),
                 "{}",
                 spec.name
             );
-        }
-    }
-
-    #[test]
-    fn packed_neighbors_agree_with_arithmetic() {
-        for spec in specs() {
-            let codec = NodeCodec::new(&spec).unwrap();
-            if !codec.supports_packed() {
-                continue;
-            }
-            let mut arcs = Vec::new();
-            for id in 0..codec.node_count() as u32 {
-                arcs.clear();
-                codec.arcs_into(id, &mut arcs);
-                for (gi, &w) in arcs.iter().enumerate() {
-                    assert_eq!(
-                        codec.packed_neighbor(id, gi),
-                        w,
-                        "{}: id {id} gen {gi}",
-                        spec.name
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn packed_shuffle_matches_perm_apply() {
-        let spec = SuperIpSpec::hsn(2, NucleusSpec::hypercube(2));
-        let codec = NodeCodec::new(&spec).unwrap();
-        let gens = spec.to_ip_spec().generators;
-        let label = Label::parse("3434 4343").unwrap();
-        let packed = PackedLabel::pack(label.symbols()).unwrap();
-        for (gi, g) in gens.iter().enumerate() {
-            let want = g.perm.apply(label.symbols());
-            let got = codec.apply_packed(packed, gi);
-            let mut out = vec![0u8; label.len()];
-            got.unpack_into(&mut out);
-            assert_eq!(out, want, "generator {gi}");
         }
     }
 
@@ -603,8 +364,16 @@ mod tests {
         // would need an 11!-entry table — over the cap.
         let spec = SuperIpSpec::hsn(2, NucleusSpec::star(11));
         assert!(NodeCodec::new(&spec).is_err());
-        // 4^17 = 2^34 ids: an error here, not the tuple network's panic
-        let spec = SuperIpSpec::hsn(17, NucleusSpec::hypercube(2));
-        assert!(NodeCodec::new(&spec).is_err());
+        // 16^9, 4^17 = 2^34 and 2^33 ids (the last also past MAX_BLOCKS):
+        // errors from both the codec and the tuple network, not the
+        // tuple network's panic
+        for spec in [
+            SuperIpSpec::hsn(9, NucleusSpec::hypercube(4)),
+            SuperIpSpec::hsn(17, NucleusSpec::hypercube(2)),
+            SuperIpSpec::hsn(33, NucleusSpec::hypercube(1)),
+        ] {
+            assert!(NodeCodec::new(&spec).is_err(), "{}", spec.name);
+            assert!(TupleNetwork::from_spec(&spec).is_err(), "{}", spec.name);
+        }
     }
 }

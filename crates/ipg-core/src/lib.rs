@@ -27,9 +27,9 @@
 //!   the faulted-graph BFS oracle backing fault-aware routing.
 //! - [`superip`] — super-IP graphs: nucleus + super-generators, the
 //!   equivalent *tuple network* construction, and symmetric variants.
-//! - [`codec`] — arithmetic node addressing for super-IP graphs: label ↔
-//!   dense-id codec (mixed-radix over nucleus ranks) and the rank-indexed
-//!   CSR builder that skips hash interning entirely.
+//! - [`codec`] — arithmetic node addressing for super-IP graphs: the one
+//!   label ↔ tuple-id bridge (mixed-radix over nucleus ranks) onto the
+//!   tuple network, which skips hash interning entirely.
 //! - [`routing`] — the constructive routing algorithm of Theorem 4.1 and the
 //!   super-generator schedules `t`/`t_S` it relies on.
 //! - [`symmetry`] — regularity, vertex-transitivity and isomorphism checks
@@ -75,7 +75,7 @@ pub mod tuple_routing;
 pub mod util;
 
 pub use builder::IpGraph;
-pub use codec::{NodeCodec, PackedLabel};
+pub use codec::NodeCodec;
 pub use error::{IpgError, Result};
 pub use fault::FaultView;
 pub use graph::Csr;
@@ -89,7 +89,7 @@ pub use superip::{NucleusSpec, SeedKind, SuperGen, SuperIpSpec, TupleNetwork};
 pub mod prelude {
     pub use crate::algo;
     pub use crate::builder::IpGraph;
-    pub use crate::codec::{NodeCodec, PackedLabel};
+    pub use crate::codec::NodeCodec;
     pub use crate::error::{IpgError, Result};
     pub use crate::fault::FaultView;
     pub use crate::graph::Csr;

@@ -16,10 +16,12 @@
 //!    (e.g. the Petersen graph).
 //!
 //! [`explicit_isomorphism`] maps construction 1 onto construction 2
-//! node-by-node, giving a machine-checked proof (used heavily in tests) that
-//! they agree.
+//! node-by-node through the label codec ([`NodeCodec::renumbering`]) and
+//! checks that the renumbered graph *is* the tuple network's, giving a
+//! machine-checked proof (used heavily in tests) that they agree.
 
 use crate::builder::IpGraph;
+use crate::codec::NodeCodec;
 use crate::error::{IpgError, Result};
 use crate::graph::Csr;
 use crate::label::Label;
@@ -240,6 +242,31 @@ impl SuperGen {
     }
 }
 
+/// Super-generator set of an HSN: transpositions `T_2 … T_l`.
+pub fn hsn_supers(l: usize) -> Vec<SuperGen> {
+    (1..l).map(SuperGen::Transpose).collect()
+}
+
+/// Super-generator set of a ring-CN: `L_1`, and `R_1` when `l ≥ 3` (the
+/// two are the same block perm when `l = 2`).
+pub fn ring_cn_supers(l: usize) -> Vec<SuperGen> {
+    if l == 2 {
+        vec![SuperGen::CyclicL(1)]
+    } else {
+        vec![SuperGen::CyclicL(1), SuperGen::CyclicR(1)]
+    }
+}
+
+/// Super-generator set of a complete-CN: `L_1 … L_{l−1}`.
+pub fn complete_cn_supers(l: usize) -> Vec<SuperGen> {
+    (1..l).map(SuperGen::CyclicL).collect()
+}
+
+/// Super-generator set of a super-flip network: `F_2 … F_l`.
+pub fn superflip_supers(l: usize) -> Vec<SuperGen> {
+    (2..=l).map(SuperGen::Flip).collect()
+}
+
 /// Seed style for a super-IP graph (paper §3.1 vs §3.5).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SeedKind {
@@ -275,12 +302,11 @@ impl SuperIpSpec {
     /// diameter links.
     pub fn hsn(l: usize, nucleus: NucleusSpec) -> Self {
         assert!(l >= 2);
-        let supers = (1..l).map(SuperGen::Transpose).collect();
         SuperIpSpec {
             name: format!("HSN({l},{})", nucleus.spec.name),
             nucleus,
             l,
-            supers,
+            supers: hsn_supers(l),
             seed_kind: SeedKind::Repeated,
         }
     }
@@ -289,16 +315,11 @@ impl SuperIpSpec {
     /// super-generators `L_1` and `R_1` (identical when `l = 2`).
     pub fn ring_cn(l: usize, nucleus: NucleusSpec) -> Self {
         assert!(l >= 2);
-        let supers = if l == 2 {
-            vec![SuperGen::CyclicL(1)]
-        } else {
-            vec![SuperGen::CyclicL(1), SuperGen::CyclicR(1)]
-        };
         SuperIpSpec {
             name: format!("ring-CN({l},{})", nucleus.spec.name),
             nucleus,
             l,
-            supers,
+            supers: ring_cn_supers(l),
             seed_kind: SeedKind::Repeated,
         }
     }
@@ -309,12 +330,11 @@ impl SuperIpSpec {
     /// off-module link counts).
     pub fn complete_cn(l: usize, nucleus: NucleusSpec) -> Self {
         assert!(l >= 2);
-        let supers = (1..l).map(SuperGen::CyclicL).collect();
         SuperIpSpec {
             name: format!("complete-CN({l},{})", nucleus.spec.name),
             nucleus,
             l,
-            supers,
+            supers: complete_cn_supers(l),
             seed_kind: SeedKind::Repeated,
         }
     }
@@ -336,12 +356,11 @@ impl SuperIpSpec {
     /// Super-flip network (§3.4): flip super-generators `F_2 … F_l`.
     pub fn superflip(l: usize, nucleus: NucleusSpec) -> Self {
         assert!(l >= 2);
-        let supers = (2..=l).map(SuperGen::Flip).collect();
         SuperIpSpec {
             name: format!("superflip({l},{})", nucleus.spec.name),
             nucleus,
             l,
-            supers,
+            supers: superflip_supers(l),
             seed_kind: SeedKind::Repeated,
         }
     }
@@ -383,7 +402,7 @@ impl SuperIpSpec {
     /// enumerated by closure (identity first). Its size multiplies `M^l`
     /// for symmetric variants.
     pub fn block_group(&self) -> Vec<Perm> {
-        block_closure(self.l, &self.block_perms()).0
+        block_closure(self.l, &self.block_perms(), usize::MAX).0
     }
 
     /// Expected node count (Theorem 3.2 and its §3.5 refinement):
@@ -409,31 +428,14 @@ impl SuperIpSpec {
         (0..self.l).all(|b| group.iter().any(|p| p.image()[0] as usize == b))
     }
 
-    /// The arithmetic label ↔ id codec for this spec, when supported
-    /// (tables within bounds, id space fits `u32`).
-    pub fn codec(&self) -> Result<crate::codec::NodeCodec> {
-        crate::codec::NodeCodec::new(self)
-    }
-
-    /// Directed simple CSR of the generated graph via the rank-indexed
-    /// fast path — no label vector, no hash interning. Falls back to
-    /// hash-interned BFS generation when the codec does not support the
-    /// spec; note the two paths number nodes differently (mixed-radix
-    /// codec ids vs. BFS discovery order), so use
-    /// [`crate::codec::NodeCodec::renumbering`] to compare them.
-    pub fn fast_directed_csr(&self) -> Result<Csr> {
-        match self.codec() {
-            Ok(codec) => Ok(codec.build_directed_csr()),
-            Err(_) => Ok(self.to_ip_spec().generate()?.to_directed_csr()),
-        }
-    }
-
-    /// Undirected counterpart of [`SuperIpSpec::fast_directed_csr`]: the
-    /// codec's [`TupleNetwork::build`] (one pass, no symmetrize), or the
-    /// symmetrized interned graph when the codec does not support the
-    /// spec.
+    /// Undirected simple CSR of the generated graph via the arithmetic
+    /// fast path — the codec's [`TupleNetwork::build`] (one pass, no label
+    /// vector, no hash interning) — or the symmetrized interned graph when
+    /// [`NodeCodec::new`] does not support the spec. The two paths number
+    /// nodes differently (mixed-radix tuple ids vs. BFS discovery order);
+    /// [`NodeCodec::renumbering`] maps one onto the other.
     pub fn fast_undirected_csr(&self) -> Result<Csr> {
-        match self.codec() {
+        match NodeCodec::new(self) {
             Ok(codec) => Ok(codec.network().build()),
             Err(_) => Ok(self.to_ip_spec().generate()?.to_undirected_csr()),
         }
@@ -491,13 +493,15 @@ impl SuperIpSpec {
 /// The subgroup of `S_l` generated by `gens`, enumerated by closure
 /// (identity first, then breadth-first discovery order), with the index
 /// of each element. The one closure behind [`SuperIpSpec::block_group`]
-/// and the block-order group of [`TupleNetwork`].
-fn block_closure(l: usize, gens: &[Perm]) -> (Vec<Perm>, FxHashMap<Perm, u32>) {
+/// and the block-order group of [`TupleNetwork`]. Enumeration stops once
+/// more than `cap` elements are known, so a caller bounding `|H|` never
+/// enumerates a group much larger than its bound.
+fn block_closure(l: usize, gens: &[Perm], cap: usize) -> (Vec<Perm>, FxHashMap<Perm, u32>) {
     let mut elems = vec![Perm::identity(l)];
     let mut index: FxHashMap<Perm, u32> = FxHashMap::default();
     index.insert(elems[0].clone(), 0);
     let mut next = 0;
-    while next < elems.len() {
+    while next < elems.len() && elems.len() <= cap {
         let cur = elems[next].clone();
         for g in gens {
             let prod = cur.then(g);
@@ -515,6 +519,9 @@ fn block_closure(l: usize, gens: &[Perm]) -> (Vec<Perm>, FxHashMap<Perm, u32>) {
 /// decoded into stack buffers of this size. With a nucleus of two or more
 /// nodes the `u32` id space already implies it.
 pub const MAX_BLOCKS: usize = 32;
+
+/// Size of the `u32` node id space.
+const ID_SPACE: u64 = 1 << 32;
 
 /// Direct tuple construction of a (symmetric) super-IP graph over an
 /// arbitrary nucleus graph, and the one owner of its tuple arithmetic.
@@ -548,7 +555,6 @@ pub struct TupleNetwork {
     gens: Vec<Perm>,
     /// Block-order group (identity only for plain super-IP graphs).
     order_group: Vec<Perm>,
-    order_index: FxHashMap<Perm, u32>,
     /// Dense order transitions: `order_next[oi·gens + gi]` is the index
     /// of `order_group[oi].then(&gens[gi])` (all 0 for plain seeds).
     order_next: Vec<u32>,
@@ -558,13 +564,39 @@ pub struct TupleNetwork {
 
 impl TupleNetwork {
     /// Build the tuple form of `spec` using its generated nucleus graph.
+    /// Errors where [`TupleNetwork::new`] would panic: `l` outside
+    /// `1..=MAX_BLOCKS`, or `|H|·M^l` past the `u32` id space.
     pub fn from_spec(spec: &SuperIpSpec) -> Result<Self> {
-        let nucleus = spec.nucleus.generate()?.to_undirected_csr();
+        Self::from_nucleus(spec, &spec.nucleus.generate()?)
+    }
+
+    /// [`TupleNetwork::from_spec`] over an already generated nucleus: the
+    /// one place a spec's id space is checked.
+    pub(crate) fn from_nucleus(spec: &SuperIpSpec, nucleus: &IpGraph) -> Result<Self> {
+        let (l, name) = (spec.l, &spec.name);
+        let bad = |reason: String| IpgError::InvalidSpec {
+            reason: format!("{name}: {reason}"),
+        };
+        if !(1..=MAX_BLOCKS).contains(&l) {
+            return Err(bad(format!("l = {l} is outside 1..={MAX_BLOCKS} blocks")));
+        }
+        let block_perms = spec.block_perms();
+        let cells = (0..l)
+            .try_fold(1u64, |n, _| n.checked_mul(nucleus.node_count() as u64))
+            .filter(|&n| n <= ID_SPACE);
+        let max_orders = cells.map_or(0, |c| (ID_SPACE / c) as usize);
+        let orders = match spec.seed_kind {
+            SeedKind::Repeated => 1,
+            SeedKind::DistinctShifted => block_closure(l, &block_perms, max_orders).0.len(),
+        };
+        if orders > max_orders {
+            return Err(bad("|H|·M^l nodes exceed the u32 id space (2^32)".into()));
+        }
         Ok(Self::new(
-            spec.name.clone(),
-            nucleus,
-            spec.l,
-            spec.block_perms(),
+            name.clone(),
+            nucleus.to_undirected_csr(),
+            l,
+            block_perms,
             spec.seed_kind,
         ))
     }
@@ -589,8 +621,8 @@ impl TupleNetwork {
             "{name}: the nucleus graph must be undirected"
         );
         let (order_group, order_index) = match seed_kind {
-            SeedKind::Repeated => block_closure(l, &[]),
-            SeedKind::DistinctShifted => block_closure(l, &block_perms),
+            SeedKind::Repeated => block_closure(l, &[], usize::MAX),
+            SeedKind::DistinctShifted => block_closure(l, &block_perms, usize::MAX),
         };
         let m = nucleus.node_count() as u64;
         let count = (0..l).fold(order_group.len() as u128, |n, _| {
@@ -629,7 +661,6 @@ impl TupleNetwork {
             block_perms,
             gens,
             order_group,
-            order_index,
             order_next,
             pow,
         }
@@ -756,20 +787,16 @@ impl TupleNetwork {
 }
 
 /// Construct the explicit isomorphism from an IP-generated super-IP graph to
-/// its tuple network: parse each label's blocks, identify the nucleus node
-/// of each block and (for symmetric seeds) the block colors. Returns the
-/// node map `ip node -> tuple node` after verifying it is a bijection that
-/// preserves adjacency; errors otherwise.
+/// its tuple network: each label's tuple id from [`NodeCodec::renumbering`].
+/// Returns the node map `ip node -> tuple node` after verifying it is a
+/// bijection under which the IP graph's undirected CSR *equals* `tn`'s
+/// build; errors otherwise.
 pub fn explicit_isomorphism(
     spec: &SuperIpSpec,
     ip: &IpGraph,
     tn: &TupleNetwork,
 ) -> Result<Vec<u32>> {
-    let l = spec.l;
-    let m = spec.m();
-    let nucleus_ip = spec.nucleus.generate()?;
     let mismatch = |reason: String| IpgError::InvalidSpec { reason };
-
     if ip.node_count() != tn.node_count() {
         return Err(mismatch(format!(
             "node counts differ: ip={} tuple={}",
@@ -777,80 +804,20 @@ pub fn explicit_isomorphism(
             tn.node_count()
         )));
     }
+    let map = NodeCodec::new(spec)?.renumbering(ip)?;
 
-    // Block-color bookkeeping for symmetric seeds: the block whose symbols
-    // were shifted by c·m has color c.
-    let nucleus_min = spec
-        .nucleus
-        .spec
-        .seed
-        .symbols()
-        .iter()
-        .copied()
-        .min()
-        .unwrap_or(0) as usize;
-    let map: Result<Vec<u32>> = (0..ip.node_count() as u32)
-        .map(|v| {
-            let lab = ip.label(v);
-            let mut tuple = Vec::with_capacity(l);
-            let mut sigma_img = Vec::with_capacity(l);
-            for j in 0..l {
-                let block = lab.block(j, m);
-                let (color, base): (usize, Vec<u8>) = match spec.seed_kind {
-                    SeedKind::Repeated => (0, block.to_vec()),
-                    SeedKind::DistinctShifted => {
-                        let blk_min = block.iter().copied().min().unwrap_or(0) as usize;
-                        let c = (blk_min - nucleus_min) / m;
-                        (c, block.iter().map(|&s| s - (c * m) as u8).collect())
-                    }
-                };
-                sigma_img.push(color as u16);
-                let nuc_label = Label::from(base);
-                let nid = nucleus_ip.node_of(&nuc_label).ok_or_else(|| {
-                    mismatch(format!("block `{nuc_label}` is not a nucleus node"))
-                })?;
-                tuple.push(nid);
-            }
-            let order_idx = match spec.seed_kind {
-                SeedKind::Repeated => 0,
-                SeedKind::DistinctShifted => {
-                    let sigma = Perm::from_image(sigma_img)
-                        .map_err(|e| mismatch(format!("colors not a permutation: {e}")))?;
-                    *tn.order_index
-                        .get(&sigma)
-                        .ok_or_else(|| mismatch("block order outside group".into()))?
-                }
-            };
-            Ok(tn.encode(order_idx, &tuple))
-        })
-        .collect();
-    let map = map?;
-
-    // bijection check
+    // bijection check, before `Csr::relabeled` (which panics on one)
     let mut seen = vec![false; tn.node_count()];
     for &t in &map {
-        if seen[t as usize] {
-            return Err(mismatch("node map is not injective".into()));
-        }
-        seen[t as usize] = true;
-    }
-
-    // adjacency preservation (undirected views)
-    let ip_csr = ip.to_undirected_csr();
-    let tn_csr = tn.build();
-    for u in 0..ip_csr.node_count() as u32 {
-        for &v in ip_csr.neighbors(u) {
-            if !tn_csr.has_arc(map[u as usize], map[v as usize]) {
-                return Err(mismatch(format!("edge ({u},{v}) not preserved")));
-            }
+        match seen.get_mut(t as usize) {
+            Some(slot) if !*slot => *slot = true,
+            _ => return Err(mismatch("node map is not a bijection".into())),
         }
     }
-    if ip_csr.arc_count() != tn_csr.arc_count() {
-        return Err(mismatch(format!(
-            "arc counts differ: ip={} tuple={}",
-            ip_csr.arc_count(),
-            tn_csr.arc_count()
-        )));
+    if ip.to_undirected_csr().relabeled(&map) != tn.build() {
+        return Err(mismatch(
+            "renumbered IP graph differs from the tuple network".into(),
+        ));
     }
     Ok(map)
 }

@@ -10,34 +10,15 @@
 use crate::classic;
 use ipg_core::graph::Csr;
 use ipg_core::perm::Perm;
-use ipg_core::superip::{SeedKind, SuperGen, TupleNetwork};
+use ipg_core::superip::{
+    complete_cn_supers, hsn_supers, ring_cn_supers, superflip_supers, SeedKind, SuperGen,
+    TupleNetwork,
+};
 
+/// Block perms of a family's super-generator set (the one table in
+/// [`ipg_core::superip`], shared with `SuperIpSpec`'s constructors).
 fn block_perms(l: usize, supers: &[SuperGen]) -> Vec<Perm> {
     supers.iter().map(|s| s.block_perm(l)).collect()
-}
-
-/// Super-generator set of an HSN: transpositions `T_2 … T_l`.
-pub fn hsn_supers(l: usize) -> Vec<SuperGen> {
-    (1..l).map(SuperGen::Transpose).collect()
-}
-
-/// Super-generator set of a ring-CN: `L_1` (and `R_1` when `l ≥ 3`).
-pub fn ring_cn_supers(l: usize) -> Vec<SuperGen> {
-    if l == 2 {
-        vec![SuperGen::CyclicL(1)]
-    } else {
-        vec![SuperGen::CyclicL(1), SuperGen::CyclicR(1)]
-    }
-}
-
-/// Super-generator set of a complete-CN: `L_1 … L_{l−1}`.
-pub fn complete_cn_supers(l: usize) -> Vec<SuperGen> {
-    (1..l).map(SuperGen::CyclicL).collect()
-}
-
-/// Super-generator set of a super-flip network: `F_2 … F_l`.
-pub fn superflip_supers(l: usize) -> Vec<SuperGen> {
-    (2..=l).map(SuperGen::Flip).collect()
 }
 
 /// Hierarchical swapped network HSN(l, G) over an arbitrary nucleus graph.

@@ -7,7 +7,6 @@
 
 use ipg_core::algo;
 use ipg_core::graph::Csr;
-use ipg_core::superip::SuperIpSpec;
 use ipg_obs::Obs;
 
 /// Dense next-hop table: `next[u·n + d]` is the neighbor of `u` on a
@@ -76,15 +75,6 @@ impl RoutingTable {
             }
         }
         RoutingTable { n, next }
-    }
-
-    /// Build the table for a super-IP spec via the rank-indexed fast path
-    /// ([`SuperIpSpec::fast_undirected_csr`]): the graph is emitted
-    /// straight to CSR in codec-id numbering, so table row/column indices
-    /// are codec ids — stable across thread counts and sessions, unlike
-    /// BFS discovery order.
-    pub fn for_super_ip(spec: &SuperIpSpec) -> ipg_core::Result<Self> {
-        Ok(Self::new(&spec.fast_undirected_csr()?))
     }
 
     /// Number of nodes.
@@ -164,11 +154,11 @@ mod tests {
 
     #[test]
     fn for_super_ip_matches_codec_graph() {
-        use ipg_core::superip::NucleusSpec;
+        use ipg_core::superip::{NucleusSpec, SuperIpSpec};
         let spec = SuperIpSpec::hsn(2, NucleusSpec::hypercube(2));
-        let t = RoutingTable::for_super_ip(&spec).unwrap();
-        assert_eq!(t.node_count(), 16);
         let g = spec.fast_undirected_csr().unwrap();
+        let t = RoutingTable::new(&g);
+        assert_eq!(t.node_count(), 16);
         // every next hop is a real link on a shortest path
         for u in 0..16u32 {
             let d = algo::bfs(&g, u);

@@ -57,10 +57,10 @@ cargo bench --workspace --no-run
 
 stage "codec property pass"
 # The proptests whose names contain `codec`: label round trips, the
-# codec's directed CSR and the tuple network's one-pass undirected build
-# against the hash-interned builder (dir-CN included, whose rows need the
-# inverse-generator arcs), packed-label arcs, and the codec router's path
-# lengths and detour degeneration against BFS.
+# tuple network's one-pass undirected build against the hash-interned
+# builder renumbered through the codec (dir-CN included, whose rows need
+# the inverse-generator arcs), and the codec router's path lengths and
+# detour degeneration against BFS.
 PROPTEST_CASES=64 cargo test -q --release --test proptests codec
 
 stage "ipg_perf smoke tests (all five workloads, 64 cycles)"
