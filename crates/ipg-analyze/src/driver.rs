@@ -10,11 +10,10 @@
 //!
 //! On top of the per-file scan sit the graph passes ([`crate::reach`]):
 //! the call graph is built from the parsed files and DET100 / ALLOC001 /
-//! LAYER001 run over it, with the same suppression and baseline
-//! machinery as the token rules. Findings are diffed against the
-//! committed baseline by stable fingerprint (see [`crate::baseline`]).
+//! LAYER001 run over it, with the same inline-suppression machinery as
+//! the token rules. Every finding that no suppression excuses is new,
+//! and any new finding fails the gate.
 
-use crate::baseline::{self, BaselineEntry};
 use crate::callgraph::{self, FileUnit};
 use crate::lexer;
 use crate::parser;
@@ -29,54 +28,38 @@ use std::path::{Path, PathBuf};
 pub struct Config {
     /// Workspace root (directory containing the `[workspace]` Cargo.toml).
     pub root: PathBuf,
-    /// Baseline file path (absolute or root-relative).
-    pub baseline_path: PathBuf,
-    /// When set, only findings of these rules are reported (baseline
-    /// entries for other rules are ignored too, not treated as stale).
+    /// When set, only findings of these rules are reported.
     pub rules_filter: Option<Vec<String>>,
     /// When set, only analyze the member whose crate name (or directory
     /// name) matches — the self-lint stage runs with `ipg-analyze` here.
+    /// A name that matches no member is an error, not an empty scan.
     pub member: Option<String>,
-    /// When false, skip the baseline entirely: every finding is new.
-    pub use_baseline: bool,
 }
 
 impl Config {
     pub fn new(root: PathBuf) -> Config {
-        let baseline_path = root.join("results/ANALYZE_baseline.json");
         Config {
             root,
-            baseline_path,
             rules_filter: None,
             member: None,
-            use_baseline: true,
         }
     }
 }
 
 /// The result of one analysis run.
 pub struct Outcome {
-    /// Findings not covered by the baseline — these fail the gate.
+    /// Findings no inline suppression excuses — these fail the gate.
     pub new: Vec<Finding>,
-    /// Findings matched (and excused) by a baseline entry, with its reason.
-    pub baselined: Vec<(Finding, String)>,
-    /// Baseline entries that matched no finding — the code was fixed, so
-    /// the entry must be deleted (the baseline may only shrink).
-    pub stale: Vec<BaselineEntry>,
     /// Count of findings silenced by inline suppressions.
     pub suppressed: usize,
     /// Number of files scanned.
     pub files: usize,
-    /// Baseline entries still in the pre-fingerprint format (matched by
-    /// raw snippet). They keep working, but the report carries a
-    /// deprecation note until `--write-baseline` rewrites them.
-    pub legacy_baseline: usize,
 }
 
 impl Outcome {
     /// Does this run pass the gate?
     pub fn ok(&self) -> bool {
-        self.new.is_empty() && self.stale.is_empty()
+        self.new.is_empty()
     }
 }
 
@@ -99,17 +82,28 @@ pub fn analyze(cfg: &Config) -> Result<Outcome, String> {
     // sorted and member_sources sorts within each member)
     let mut jobs: Vec<(String, String, FileKind)> = Vec::new(); // (crate, rel, kind)
     let mut manifest_deps: Vec<ManifestDep> = Vec::new();
+    let mut skipped = Vec::new(); // crate names `cfg.member` did not match
     for member in &members {
         let crate_name = crate_name(&cfg.root.join(member))?;
         if let Some(only) = &cfg.member {
             let dir_name = member.rsplit('/').next().unwrap_or(member);
             if only != &crate_name && only != dir_name {
+                skipped.push(crate_name);
                 continue;
             }
         }
         manifest_deps.extend(member_manifest_deps(&cfg.root, member, &crate_name));
         for (rel, kind) in member_sources(&cfg.root, member) {
             jobs.push((crate_name.clone(), rel, kind));
+        }
+    }
+
+    if let Some(only) = &cfg.member {
+        if skipped.len() == members.len() {
+            return Err(format!(
+                "--member `{only}` names no workspace member (members: {})",
+                skipped.join(", ")
+            ));
         }
     }
 
@@ -169,54 +163,10 @@ pub fn analyze(cfg: &Config) -> Result<Outcome, String> {
         (&a.path, a.line, a.rule, &a.message).cmp(&(&b.path, b.line, b.rule, &b.message))
     });
 
-    // Baseline diff: each entry may excuse exactly one finding.
-    let baseline_abs = if cfg.baseline_path.is_absolute() {
-        cfg.baseline_path.clone()
-    } else {
-        cfg.root.join(&cfg.baseline_path)
-    };
-    let mut entries: Vec<BaselineEntry> = if cfg.use_baseline {
-        match fs::read_to_string(&baseline_abs) {
-            Ok(text) => baseline::parse(&text)
-                .map_err(|e| format!("parse {}: {e}", baseline_abs.display()))?,
-            Err(_) => Vec::new(), // no baseline file = empty baseline
-        }
-    } else {
-        Vec::new()
-    };
-    if let Some(filter) = &cfg.rules_filter {
-        entries.retain(|e| filter.iter().any(|r| r == &e.rule));
-    }
-    let legacy_baseline = entries.iter().filter(|e| e.fingerprint.is_none()).count();
-    let mut used = vec![false; entries.len()];
-    let mut new = Vec::new();
-    let mut baselined = Vec::new();
-    for f in findings {
-        match entries
-            .iter()
-            .enumerate()
-            .find(|(i, e)| !used[*i] && e.matches(&f))
-        {
-            Some((i, e)) => {
-                used[i] = true;
-                baselined.push((f, e.reason.clone()));
-            }
-            None => new.push(f),
-        }
-    }
-    let stale: Vec<BaselineEntry> = entries
-        .into_iter()
-        .zip(used)
-        .filter_map(|(e, u)| (!u).then_some(e))
-        .collect();
-
     Ok(Outcome {
-        new,
-        baselined,
-        stale,
+        new: findings,
         suppressed,
         files,
-        legacy_baseline,
     })
 }
 
@@ -471,34 +421,6 @@ fn walk(dir: &Path, f: &mut impl FnMut(&Path)) {
             f(&p);
         }
     }
-}
-
-/// Write the current finding set (new + baselined, preserving reasons) as
-/// the baseline. Entries are always written in the fingerprinted format,
-/// so this is also the migration path for legacy baselines. Returns the
-/// rendered text.
-pub fn write_baseline(cfg: &Config, outcome: &Outcome) -> Result<String, String> {
-    let mut entries: Vec<BaselineEntry> = Vec::new();
-    for f in &outcome.new {
-        entries.push(BaselineEntry::of(
-            f,
-            "grandfathered — justify or fix, then delete this entry",
-        ));
-    }
-    for (f, reason) in &outcome.baselined {
-        entries.push(BaselineEntry::of(f, reason));
-    }
-    let text = baseline::render(&entries);
-    let abs = if cfg.baseline_path.is_absolute() {
-        cfg.baseline_path.clone()
-    } else {
-        cfg.root.join(&cfg.baseline_path)
-    };
-    if let Some(parent) = abs.parent() {
-        let _ = fs::create_dir_all(parent);
-    }
-    fs::write(&abs, &text).map_err(|e| format!("write {}: {e}", abs.display()))?;
-    Ok(text)
 }
 
 #[cfg(test)]

@@ -2,12 +2,15 @@
 //!
 //! ```text
 //! ipg-analyze [--root <dir>] [--format human|json] [--rules R1,R2]
-//!             [--member <crate>] [--baseline <path>] [--no-baseline]
-//!             [--write-baseline] [--list-rules]
+//!             [--member <crate>] [--list-rules]
 //! ```
 //!
-//! Exit codes: 0 clean, 2 new findings or stale baseline entries,
-//! 1 usage / IO error.
+//! A finding is excused only by an inline suppression comment that gives
+//! a reason (syntax in [`ipg_analyze::rules`]); anything else is new.
+//!
+//! Exit codes: 0 clean, 2 new findings, 1 usage / IO error (an empty
+//! `--rules` list and a `--member` naming no workspace member are usage
+//! errors, so a filter can never turn the gate into a no-op).
 
 use ipg_analyze::driver::{self, Config};
 use ipg_analyze::report;
@@ -35,10 +38,7 @@ fn run() -> Result<bool, String> {
     let mut root: Option<PathBuf> = None;
     let mut format = "human".to_string();
     let mut rules_filter: Option<Vec<String>> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut write_baseline = false;
     let mut member: Option<String> = None;
-    let mut use_baseline = true;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
@@ -57,6 +57,9 @@ fn run() -> Result<bool, String> {
                     .map(|s| s.trim().to_string())
                     .filter(|s| !s.is_empty())
                     .collect();
+                if list.is_empty() {
+                    return Err("--rules needs at least one rule (try --list-rules)".into());
+                }
                 for r in &list {
                     if !rules::known_rule(r) {
                         return Err(format!("unknown rule `{r}` (try --list-rules)"));
@@ -64,10 +67,7 @@ fn run() -> Result<bool, String> {
                 }
                 rules_filter = Some(list);
             }
-            "--baseline" => baseline = Some(PathBuf::from(need(&mut it, "--baseline")?)),
-            "--no-baseline" => use_baseline = false,
             "--member" => member = Some(need(&mut it, "--member")?.to_string()),
-            "--write-baseline" => write_baseline = true,
             "--list-rules" => {
                 for r in rules::all_rules() {
                     println!(
@@ -82,8 +82,7 @@ fn run() -> Result<bool, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: ipg-analyze [--root <dir>] [--format human|json] [--rules R1,R2]\n\
-                     \x20                  [--member <crate>] [--baseline <path>] [--no-baseline]\n\
-                     \x20                  [--write-baseline] [--list-rules]"
+                     \x20                  [--member <crate>] [--list-rules]"
                 );
                 return Ok(true);
             }
@@ -97,30 +96,11 @@ fn run() -> Result<bool, String> {
             driver::find_root(&std::env::current_dir().map_err(|e| format!("current_dir: {e}"))?)?
         }
     };
-    let mut cfg = Config::new(root);
-    if let Some(b) = baseline {
-        cfg.baseline_path = b;
-    }
-    cfg.rules_filter = rules_filter;
-    cfg.member = member;
-    cfg.use_baseline = use_baseline;
-
-    let outcome = driver::analyze(&cfg)?;
-
-    if write_baseline {
-        driver::write_baseline(&cfg, &outcome)?;
-        println!(
-            "ipg-analyze: wrote {} entr{} to {}",
-            outcome.new.len() + outcome.baselined.len(),
-            if outcome.new.len() + outcome.baselined.len() == 1 {
-                "y"
-            } else {
-                "ies"
-            },
-            cfg.baseline_path.display()
-        );
-        return Ok(true);
-    }
+    let outcome = driver::analyze(&Config {
+        root,
+        rules_filter,
+        member,
+    })?;
 
     match format.as_str() {
         "json" => print!("{}", report::jsonl(&outcome)),

@@ -5,9 +5,7 @@
 //! byte-identical reports, which `crates/ipg-analyze/tests/golden.rs`
 //! asserts.
 
-use crate::baseline::{fingerprint, quote};
 use crate::driver::Outcome;
-use crate::rules::Finding;
 
 /// Human-readable report (one line per finding, then a summary).
 pub fn human(o: &Outcome) -> String {
@@ -23,86 +21,56 @@ pub fn human(o: &Outcome) -> String {
             f.snippet
         ));
     }
-    for e in &o.stale {
-        out.push_str(&format!(
-            "{}: stale baseline entry for {} — the finding is gone; delete the entry \
-             (baseline may only shrink)\n    {}\n",
-            e.path, e.rule, e.snippet
-        ));
-    }
-    if o.legacy_baseline > 0 {
-        out.push_str(&format!(
-            "note: {} baseline entr{} in the deprecated pre-fingerprint format; \
-             refresh with --write-baseline\n",
-            o.legacy_baseline,
-            if o.legacy_baseline == 1 {
-                "y is"
-            } else {
-                "ies are"
-            },
-        ));
-    }
     out.push_str(&format!(
-        "ipg-analyze: {} new finding{}, {} baselined, {} suppressed, {} stale baseline \
-         entr{}, {} files scanned\n",
+        "ipg-analyze: {} new finding{}, {} suppressed, {} files scanned\n",
         o.new.len(),
         if o.new.len() == 1 { "" } else { "s" },
-        o.baselined.len(),
         o.suppressed,
-        o.stale.len(),
-        if o.stale.len() == 1 { "y" } else { "ies" },
         o.files,
     ));
     out
 }
 
-fn finding_json(f: &Finding, status: &str, reason: Option<&str>) -> String {
-    let mut line = format!(
-        "{{\"rule\":{},\"severity\":{},\"path\":{},\"line\":{},\"message\":{},\"snippet\":{},\"fingerprint\":{},\"status\":{}",
-        quote(f.rule),
-        quote(f.severity.as_str()),
-        quote(&f.path),
-        f.line,
-        quote(&f.message),
-        quote(&f.snippet),
-        quote(&fingerprint(f.rule, &f.path, &f.snippet)),
-        quote(status),
-    );
-    if let Some(r) = reason {
-        line.push_str(&format!(",\"reason\":{}", quote(r)));
-    }
-    line.push('}');
-    line
-}
-
-/// JSON-lines report: one object per new finding, then per baselined
-/// finding, then per stale entry, then a summary object.
+/// JSON-lines report: one object per new finding, then a summary object.
 pub fn jsonl(o: &Outcome) -> String {
     let mut out = String::new();
     for f in &o.new {
-        out.push_str(&finding_json(f, "new", None));
-        out.push('\n');
-    }
-    for (f, reason) in &o.baselined {
-        out.push_str(&finding_json(f, "baselined", Some(reason)));
-        out.push('\n');
-    }
-    for e in &o.stale {
         out.push_str(&format!(
-            "{{\"rule\":{},\"path\":{},\"snippet\":{},\"status\":\"stale-baseline\"}}\n",
-            quote(&e.rule),
-            quote(&e.path),
-            quote(&e.snippet),
+            "{{\"rule\":{},\"severity\":{},\"path\":{},\"line\":{},\"message\":{},\"snippet\":{}}}\n",
+            quote(f.rule),
+            quote(f.severity.as_str()),
+            quote(&f.path),
+            f.line,
+            quote(&f.message),
+            quote(&f.snippet),
         ));
     }
     out.push_str(&format!(
-        "{{\"summary\":{{\"new\":{},\"baselined\":{},\"suppressed\":{},\"stale\":{},\"legacy_baseline\":{},\"files\":{}}}}}\n",
+        "{{\"summary\":{{\"new\":{},\"suppressed\":{},\"files\":{}}}}}\n",
         o.new.len(),
-        o.baselined.len(),
         o.suppressed,
-        o.stale.len(),
-        o.legacy_baseline,
         o.files,
     ));
+    out
+}
+
+/// JSON string quoting.
+fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
     out
 }

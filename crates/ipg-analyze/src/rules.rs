@@ -64,7 +64,7 @@ pub struct Finding {
     /// 1-based line.
     pub line: u32,
     pub message: String,
-    /// Trimmed source line — also the baseline matching key.
+    /// Trimmed source line.
     pub snippet: String,
 }
 

@@ -10,23 +10,8 @@ use std::path::PathBuf;
 use std::process::Command;
 
 const FIXTURES: &[&str] = &[
-    "det001",
-    "det002",
-    "det003",
-    "det004",
-    "det005",
-    "det006",
-    "det007",
-    "det008",
-    "panic001",
-    "hyg001",
-    "det100",
-    "layer001",
-    "alloc001",
-    "clean",
-    "baselined",
-    "stale",
-    "fingerprint",
+    "det001", "det002", "det003", "det004", "det005", "det006", "det007", "det008", "panic001",
+    "hyg001", "det100", "layer001", "alloc001", "clean",
 ];
 
 fn fixture_root(name: &str) -> PathBuf {
@@ -72,9 +57,6 @@ fn fixture_gate_verdicts() {
         ("layer001", false),
         ("alloc001", false),
         ("clean", true),
-        ("baselined", true),
-        ("stale", false),
-        ("fingerprint", true),
     ] {
         let (_, ok) = run_lib(name);
         assert_eq!(ok, expect_ok, "{name}: unexpected gate verdict");
@@ -90,6 +72,8 @@ fn reports_are_byte_identical_across_runs() {
     }
 }
 
+/// Run the binary; returns its exit code and its stdout followed by its
+/// stderr.
 fn run_bin(args: &[&str], envs: &[(&str, &str)]) -> (i32, String) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_ipg-analyze"));
     cmd.args(args);
@@ -97,25 +81,37 @@ fn run_bin(args: &[&str], envs: &[(&str, &str)]) -> (i32, String) {
         cmd.env(k, v);
     }
     let out = cmd.output().expect("spawn ipg-analyze");
-    (
-        out.status.code().unwrap_or(-1),
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-    )
+    let mut text = String::from_utf8_lossy(&out.stdout).into_owned();
+    text.push_str(&String::from_utf8_lossy(&out.stderr));
+    (out.status.code().unwrap_or(-1), text)
 }
 
 #[test]
 fn exit_codes_gate_the_build() {
-    let root = |n: &str| fixture_root(n).display().to_string();
-    let (code, _) = run_bin(&["--root", &root("clean"), "--format", "json"], &[]);
-    assert_eq!(code, 0, "clean fixture must exit 0");
-    let (code, _) = run_bin(&["--root", &root("baselined"), "--format", "json"], &[]);
-    assert_eq!(code, 0, "fully-baselined fixture must exit 0");
-    let (code, _) = run_bin(&["--root", &root("det001"), "--format", "json"], &[]);
-    assert_eq!(code, 2, "new findings must exit 2");
-    let (code, _) = run_bin(&["--root", &root("stale"), "--format", "json"], &[]);
-    assert_eq!(code, 2, "stale baseline entries must exit 2");
-    let (code, _) = run_bin(&["--rules", "NOSUCH"], &[]);
-    assert_eq!(code, 1, "unknown rule filter is a usage error");
+    let det001 = fixture_root("det001").display().to_string();
+    let clean = fixture_root("clean").display().to_string();
+    // (args, exit code, text the output must carry): a filter that keeps
+    // no rule or no member is a usage error naming its flag, never a
+    // silent pass
+    for (args, want, needle) in [
+        (&["--root", &clean][..], 0, "0 new findings"),
+        (&["--root", &det001][..], 2, "2 new findings"),
+        (&["--rules", "NOSUCH"][..], 1, "unknown rule `NOSUCH`"),
+        (&["--root", &det001, "--rules", ""][..], 1, "--rules"),
+        (&["--root", &det001, "--rules", ","][..], 1, "--rules"),
+        (
+            &["--root", &det001, "--member", "nosuch"][..],
+            1,
+            "--member `nosuch` names no workspace member (members: ipg-core)",
+        ),
+    ] {
+        let (code, out) = run_bin(args, &[]);
+        assert_eq!(code, want, "{args:?} must exit {want}:\n{out}");
+        assert!(
+            out.contains(needle),
+            "{args:?} must print {needle:?}:\n{out}"
+        );
+    }
 }
 
 #[test]
@@ -158,20 +154,6 @@ fn det100_fixture_reports_the_full_call_chain() {
 }
 
 #[test]
-fn legacy_baseline_entries_still_match_but_are_noted() {
-    // `baselined` carries pre-fingerprint entries: they must keep
-    // excusing their findings (compat reader) while the human report
-    // points at the migration path.
-    let root = fixture_root("baselined").display().to_string();
-    let (code, out) = run_bin(&["--root", &root, "--format", "human"], &[]);
-    assert_eq!(code, 0, "legacy-format entries must still match:\n{out}");
-    assert!(
-        out.contains("deprecated pre-fingerprint format"),
-        "human report must carry the deprecation note:\n{out}"
-    );
-}
-
-#[test]
 fn output_is_byte_identical_across_thread_settings() {
     for name in ["det001", "det100", "panic001"] {
         let root = fixture_root(name).display().to_string();
@@ -185,17 +167,14 @@ fn output_is_byte_identical_across_thread_settings() {
 
 #[test]
 fn real_workspace_passes_the_gate() {
-    // The repo's own source must be clean against its committed baseline —
+    // The repo's own source must be clean, every finding excused inline —
     // this is the same check `scripts/check.sh` runs.
     let root = driver::find_root(&PathBuf::from(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root above the analyzer crate");
     let cfg = Config::new(root);
     let outcome = driver::analyze(&cfg).expect("workspace analysis must succeed");
     let report = report::human(&outcome);
-    assert!(
-        outcome.ok(),
-        "workspace has unexcused findings or stale baseline entries:\n{report}"
-    );
+    assert!(outcome.ok(), "workspace has unexcused findings:\n{report}");
     assert!(
         outcome.files > 50,
         "workspace walk looks truncated: {report}"

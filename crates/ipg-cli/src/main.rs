@@ -34,13 +34,13 @@ fn main() -> ExitCode {
         // `ipg worker` for each shard-range process (stdin carries the
         // coordinator socket — never invoked by hand).
         Some("worker") => cmd_dist_worker(),
-        Some("info") => with_network(&args, 1, cmd_info),
+        Some("info") => with_network(&args, cmd_info),
         Some("compare") => cmd_compare(&args[1..]),
-        Some("dot") => with_network(&args, 1, cmd_dot),
+        Some("dot") => with_network(&args, cmd_dot),
         Some("route") => cmd_route(&args[1..]),
         Some("simulate") => cmd_simulate(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
-        Some("layout") => with_network(&args, 1, cmd_layout),
+        Some("layout") => with_network(&args, cmd_layout),
         Some("solve") => cmd_solve(&args[1..]),
         Some("help") | None => {
             print_help();
@@ -57,15 +57,31 @@ fn main() -> ExitCode {
     }
 }
 
+/// Run `ipg <cmd> <network>`, a command whose one argument is a network.
 fn with_network(
     args: &[String],
-    idx: usize,
     f: impl Fn(&ParsedNetwork) -> Result<(), String>,
 ) -> Result<(), String> {
-    let spec = args
-        .get(idx)
+    let (cmd, rest) = (&args[0], &args[1..]);
+    fixed_args(cmd, rest, 1, "a network")?;
+    let spec = rest
+        .first()
         .ok_or("missing network argument; try `ipg help`")?;
     f(&parse(spec)?)
+}
+
+/// Reject what a command with `n` positionals and no flags does not
+/// take: any `--` flag, and any argument past the `n`th. `takes` names
+/// the positionals for the error.
+fn fixed_args(cmd: &str, args: &[String], n: usize, takes: &str) -> Result<(), String> {
+    match args
+        .iter()
+        .enumerate()
+        .find(|(i, a)| *i >= n || a.starts_with("--"))
+    {
+        Some((_, a)) => Err(format!("unexpected argument `{a}`: {cmd} takes {takes}")),
+        None => Ok(()),
+    }
 }
 
 fn print_help() {
@@ -194,6 +210,7 @@ fn cmd_dot(net: &ParsedNetwork) -> Result<(), String> {
 }
 
 fn cmd_route(args: &[String]) -> Result<(), String> {
+    fixed_args("route", args, 3, "a network, <src> and <dst>")?;
     let net = parse(args.first().ok_or("route needs a network")?)?;
     let parse_node = |s: &String| -> Result<u32, String> {
         let v = s.parse::<u32>().map_err(|_| format!("bad node id `{s}`"))?;
@@ -269,6 +286,7 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
     use ipg_core::solve::solve;
     use ipg_core::spec::IpGraphSpec;
 
+    fixed_args("solve", args, 3, "a game, <src> and <dst>")?;
     let game = args.first().ok_or("solve needs a game, e.g. `star:6`")?;
     let spec: IpGraphSpec = match game.split_once(':') {
         Some(("star", n)) => IpGraphSpec::star(n.parse().map_err(|_| format!("bad size `{n}`"))?),

@@ -84,41 +84,6 @@ impl Csr {
         Csr { offsets, targets }
     }
 
-    /// Parallel [`Csr::from_fn`]: rows are computed concurrently and then
-    /// concatenated in id order, so the result is identical to the
-    /// sequential build for any thread count (`neighbors` must be a pure
-    /// function of `u`).
-    pub fn from_fn_par(n: usize, neighbors: impl Fn(u32, &mut Vec<u32>) + Sync) -> Self {
-        use rayon::prelude::*;
-        // Parallel-reduction audit: ordered `collect`, no reduce — each row
-        // is a pure function of `u` and rows are concatenated in id order
-        // below, so the CSR bytes are identical for every `IPG_THREADS`.
-        let rows: Vec<Vec<u32>> = (0..n)
-            .into_par_iter()
-            .map(|u| {
-                let mut buf = Vec::new();
-                neighbors(u as u32, &mut buf);
-                buf.sort_unstable();
-                buf.dedup();
-                buf.retain(|&v| v != u as u32);
-                buf
-            })
-            .collect();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        let mut total = 0usize;
-        for row in &rows {
-            total += row.len();
-            assert!(total <= u32::MAX as usize, "arc count exceeds u32");
-            offsets.push(total as u32);
-        }
-        let mut targets = Vec::with_capacity(total);
-        for row in &rows {
-            targets.extend_from_slice(row);
-        }
-        Csr { offsets, targets }
-    }
-
     /// The same graph under a node renumbering: old node `u` becomes
     /// `new_ids[u]`. Panics unless `new_ids` is a bijection on `0..n`.
     /// Used to compare graphs built in different numberings (e.g. the
@@ -319,17 +284,6 @@ mod tests {
         for u in 0..3 {
             assert!(!g.has_arc(u, u));
         }
-    }
-
-    #[test]
-    fn from_fn_par_matches_sequential() {
-        let f = |u: u32, out: &mut Vec<u32>| {
-            out.push(u); // self-loop
-            out.push((u * 7 + 3) % 100);
-            out.push((u * 13 + 1) % 100);
-            out.push((u * 7 + 3) % 100); // duplicate
-        };
-        assert_eq!(Csr::from_fn(100, f), Csr::from_fn_par(100, f));
     }
 
     #[test]
