@@ -9,9 +9,10 @@
 //!   path);
 //! - `rank_build` — [`TupleNetwork::from_spec`] plus its one-pass
 //!   arithmetic build (no label vector, no hash map);
-//! - `interned_route` / `rank_route` — Theorem-4.1 routing over labels
-//!   (`SuperRouter`, hash lookups per block) vs. over codec ids
-//!   (`TupleRouter`, pure mixed-radix arithmetic).
+//! - `interned_route` / `rank_route` — the one Theorem-4.1 router,
+//!   `TupleRouter`, from labels (`SuperRouter`: label → codec id →
+//!   route → label for every hop) vs. from codec ids: the cost of the
+//!   label bridge.
 //!
 //! `scripts/bench.sh` runs this suite with `CRITERION_JSON` set and
 //! distills the medians into `results/BENCH_core.json`.
@@ -65,7 +66,7 @@ fn bench_route(c: &mut Criterion) {
         let ip = spec.to_ip_spec().generate().unwrap();
         let sr = SuperRouter::new(&spec).unwrap();
         let tn = TupleNetwork::from_spec(&spec).unwrap();
-        let tr = TupleRouter::new(&tn).unwrap();
+        let tr = TupleRouter::new(tn).unwrap();
         let codec = NodeCodec::new(&spec).unwrap();
         let n = ip.node_count() as u32;
         // deterministic sample of (src, dst) pairs, identical nodes for

@@ -1,8 +1,9 @@
-//! Theorem-4.1 bench: hierarchical routing cost — router construction
-//! (nucleus distance table + schedule search) and per-route latency,
-//! compared against a full BFS per query — and the per-hop cost of the
-//! exact-shortest codec router the simulators call, and what one faulted
-//! distance field costs the detour router.
+//! Theorem-4.1 bench: hierarchical routing cost — label-router
+//! construction (codec, nucleus distance table and schedule search) and
+//! per-route latency from labels, compared against a full BFS per query
+//! — and the per-hop cost of the exact-shortest codec router the
+//! simulators call, and what one faulted distance field costs the detour
+//! router.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ipg_core::algo;

@@ -171,12 +171,20 @@ fn cmd_compare(specs: &[String]) -> Result<(), String> {
     if specs.is_empty() {
         return Err("compare needs at least one network".into());
     }
+    // Every argument is a network: check and build them all before the
+    // first row, so a bad one fails without measuring the others.
+    if let Some(a) = specs.iter().find(|a| a.starts_with('-')) {
+        return Err(format!("unexpected argument `{a}`: compare takes networks"));
+    }
+    let nets = specs
+        .iter()
+        .map(|s| parse(s))
+        .collect::<Result<Vec<_>, _>>()?;
     println!(
         "{:<24} {:>8} {:>4} {:>5} {:>8} {:>6} {:>7} {:>8} {:>8}",
         "network", "N", "deg", "diam", "DD", "I-deg", "I-diam", "ID", "II"
     );
-    for s in specs {
-        let net = parse(s)?;
+    for net in &nets {
         let part = net
             .partition
             .clone()

@@ -30,8 +30,9 @@
 //! - [`codec`] — arithmetic node addressing for super-IP graphs: the one
 //!   label ↔ tuple-id bridge (mixed-radix over nucleus ranks) onto the
 //!   tuple network, which skips hash interning entirely.
-//! - [`routing`] — the constructive routing algorithm of Theorem 4.1 and the
-//!   super-generator schedules `t`/`t_S` it relies on.
+//! - [`routing`] — Theorem 4.1's `t`/`t_S` and predicted diameter, and
+//!   `SuperRouter`, which routes labels over the codec and
+//!   [`tuple_routing`]'s `TupleRouter`.
 //! - [`symmetry`] — regularity, vertex-transitivity and isomorphism checks
 //!   used to cross-validate IP definitions against direct constructions.
 //! - [`embed`] — dilation measurement for embeddings (e.g. hypercube into

@@ -1,15 +1,15 @@
 //! Table-free hierarchical routing on [`TupleNetwork`]s.
 //!
-//! [`crate::routing::SuperRouter`] routes by rewriting labels — faithful
-//! to the paper, but it needs the generated [`crate::IpGraph`] to map
-//! labels back to nodes. `TupleRouter` implements the same Theorem-4.1
-//! algorithm directly on tuple node ids: per-node state is just the
-//! nucleus next-hop table (`O(M²)`) and the super-generator schedule
-//! (`O(l!)` worst case, computed once), so it routes on million-node
-//! networks without materializing the graph.
+//! `TupleRouter` is the Theorem-4.1 algorithm on tuple node ids: per-node
+//! state is just the nucleus distance table (`O(M²)`) and the
+//! super-generator schedule (`O(l!)` worst case, computed once), so it
+//! routes on million-node networks without materializing the graph.
+//! [`crate::routing::SuperRouter`] is its label form: it translates
+//! labels to ids and back through [`crate::codec::NodeCodec`].
 
 use crate::algo;
 use crate::error::{IpgError, Result};
+use crate::graph::Csr;
 use crate::perm::Perm;
 use crate::rank;
 use crate::superip::TupleNetwork;
@@ -29,25 +29,53 @@ const VIA_START: u8 = 0xFE;
 
 /// Minimal super-generator schedule over raw block permutations: visits
 /// every block at the leftmost position; optionally ends at `target`.
-/// (The [`crate::routing`] spec-level helpers delegate to this search.)
+/// (The [`crate::routing`] theorem functions call this search.) `None`
+/// when no such schedule exists, or for more than 253 generators (each
+/// state's generator is kept in one byte).
 ///
-/// States are `(block arrangement, visited set)`. For `l ≤ 7` the search
-/// runs over flat arrays indexed by `perm_rank(arrangement)·2^l ∣ visited`
-/// — no hashing, no per-state `Perm` clones in the parent map. The FIFO
-/// order and generator iteration order are identical to the hash-map
-/// fallback, so both produce the same schedule.
+/// One BFS over `(block arrangement, visited set)` states; the store of
+/// discovered states is flat for `l ≤ 7` and hashed beyond (see
+/// [`Discovered`]). The FIFO order and generator iteration order do not
+/// depend on the store, so both give the same schedule.
 pub fn schedule_over_perms(perms: &[Perm], l: usize, target: Option<&Perm>) -> Option<Vec<usize>> {
+    schedule_search(perms, l, target, l <= FLAT_SCHEDULE_MAX_L)
+}
+
+fn schedule_search(
+    perms: &[Perm],
+    l: usize,
+    target: Option<&Perm>,
+    flat: bool,
+) -> Option<Vec<usize>> {
+    if perms.len() >= VIA_START as usize {
+        return None;
+    }
     let full: u32 = (1u32 << l) - 1;
-    // The start state (identity arrangement, block 0 visited) may already
+    let done = |arr: &Perm, visited: u32| visited == full && target.is_none_or(|t| arr == t);
+    // The start state (identity arrangement, block 0 leftmost) may already
     // satisfy the goal — only possible when l = 1.
-    if full == 1 && target.map(|t| t == &Perm::identity(l)).unwrap_or(true) {
+    let start = Perm::identity(l);
+    if done(&start, 1) {
         return Some(vec![]);
     }
-    if l <= FLAT_SCHEDULE_MAX_L && perms.len() < VIA_START as usize {
-        schedule_flat(perms, l, target, full)
-    } else {
-        schedule_hashed(perms, l, target, full)
+    let mut seen = Discovered::new(l, flat);
+    let start_slot = seen.claim(&start, 1, VIA_START, 0)?;
+    let mut queue: VecDeque<(Perm, u32, u32)> = VecDeque::new();
+    queue.push_back((start, 1, start_slot));
+    while let Some((arrangement, visited, slot)) = queue.pop_front() {
+        for (gi, bp) in perms.iter().enumerate() {
+            let arr = arrangement.then(bp);
+            let nvis = visited | (1 << arr.image()[0]);
+            let Some(nslot) = seen.claim(&arr, nvis, gi as u8, slot) else {
+                continue;
+            };
+            if done(&arr, nvis) {
+                return Some(seen.steps_to(nslot));
+            }
+            queue.push_back((arr, nvis, nslot));
+        }
     }
+    None
 }
 
 /// Lexicographic rank of a block arrangement — the flat-state row index.
@@ -56,116 +84,111 @@ fn arrangement_rank(p: &Perm) -> usize {
     rank::perm_rank(p.image()) as usize
 }
 
-fn schedule_flat(perms: &[Perm], l: usize, target: Option<&Perm>, full: u32) -> Option<Vec<usize>> {
-    let states = factorial(l) as usize * (1usize << l);
-    // Discovery bookkeeping: which generator reached each state, and from
-    // which state. `via` doubles as the visited set.
-    let mut via = vec![VIA_UNSEEN; states];
-    let mut parent = vec![0u32; states];
-    let start = Perm::identity(l);
-    let start_idx = (arrangement_rank(&start) << l) | 1; // block 0 starts leftmost
-    via[start_idx] = VIA_START;
-    let mut queue: VecDeque<(Perm, u32, u32)> = VecDeque::new();
-    queue.push_back((start, 1, start_idx as u32));
-    while let Some((arrangement, visited, idx)) = queue.pop_front() {
-        for (gi, bp) in perms.iter().enumerate() {
-            let arr = arrangement.then(bp);
-            let nvis = visited | (1 << arr.image()[0]);
-            let nidx = (arrangement_rank(&arr) << l) | nvis as usize;
-            if via[nidx] != VIA_UNSEEN {
-                continue;
-            }
-            via[nidx] = gi as u8;
-            parent[nidx] = idx;
-            if nvis == full && target.map(|t| &arr == t).unwrap_or(true) {
-                let mut steps = Vec::new();
-                let mut cur = nidx;
-                while via[cur] != VIA_START {
-                    steps.push(via[cur] as usize);
-                    cur = parent[cur] as usize;
-                }
-                steps.reverse();
-                return Some(steps);
-            }
-            queue.push_back((arr, nvis, nidx as u32));
-        }
-    }
-    None
+/// The schedule search's discovered states: for each state's slot, the
+/// generator that reached it (`via`) and the slot it was reached from
+/// (`parent`). Flat (`index: None`): the slot is
+/// `perm_rank(arrangement)·2^l ∣ visited` into preallocated `l!·2^l`
+/// arrays, no hashing and no per-state `Perm` clones. Hashed: slots are
+/// handed out in discovery order through a map.
+struct Discovered {
+    l: usize,
+    index: Option<FxHashMap<(Perm, u32), u32>>,
+    via: Vec<u8>,
+    parent: Vec<u32>,
 }
 
-fn schedule_hashed(
-    perms: &[Perm],
-    l: usize,
-    target: Option<&Perm>,
-    full: u32,
-) -> Option<Vec<usize>> {
-    let start = (Perm::identity(l), 1u32);
-    let done =
-        |state: &(Perm, u32)| state.1 == full && target.map(|t| &state.0 == t).unwrap_or(true);
-    if done(&start) {
-        return Some(vec![]);
-    }
-    let mut prev: FxHashMap<(Perm, u32), (usize, (Perm, u32))> = FxHashMap::default();
-    prev.insert(start.clone(), (usize::MAX, start.clone()));
-    let mut queue = VecDeque::new();
-    queue.push_back(start.clone());
-    while let Some(state) = queue.pop_front() {
-        for (gi, bp) in perms.iter().enumerate() {
-            let arr = state.0.then(bp);
-            let visited = state.1 | (1 << arr.image()[0]);
-            let nstate = (arr, visited);
-            if prev.contains_key(&nstate) {
-                continue;
-            }
-            prev.insert(nstate.clone(), (gi, state.clone()));
-            if done(&nstate) {
-                let mut steps = Vec::new();
-                let mut cur = nstate;
-                while cur != start {
-                    let (gi, parent) = prev[&cur].clone();
-                    steps.push(gi);
-                    cur = parent;
-                }
-                steps.reverse();
-                return Some(steps);
-            }
-            queue.push_back(nstate);
+impl Discovered {
+    fn new(l: usize, flat: bool) -> Self {
+        let states = if flat {
+            factorial(l) as usize * (1usize << l)
+        } else {
+            0
+        };
+        Discovered {
+            l,
+            index: (!flat).then(FxHashMap::default),
+            via: vec![VIA_UNSEEN; states],
+            parent: vec![0; states],
         }
     }
-    None
+
+    /// Record state `(arr, visited)` as reached by generator `via` from
+    /// slot `parent`; returns its slot, or `None` if it was already seen.
+    fn claim(&mut self, arr: &Perm, visited: u32, via: u8, parent: u32) -> Option<u32> {
+        let slot = match &mut self.index {
+            None => (arrangement_rank(arr) << self.l) | visited as usize,
+            Some(index) => {
+                let next = self.via.len() as u32;
+                if *index.entry((arr.clone(), visited)).or_insert(next) != next {
+                    return None;
+                }
+                self.via.push(VIA_UNSEEN);
+                self.parent.push(0);
+                next as usize
+            }
+        };
+        if self.via[slot] != VIA_UNSEEN {
+            return None;
+        }
+        self.via[slot] = via;
+        self.parent[slot] = parent;
+        Some(slot as u32)
+    }
+
+    /// The generator indices leading from the start state to `slot`.
+    fn steps_to(&self, mut slot: u32) -> Vec<usize> {
+        let mut steps = Vec::new();
+        while self.via[slot as usize] != VIA_START {
+            steps.push(self.via[slot as usize] as usize);
+            slot = self.parent[slot as usize];
+        }
+        steps.reverse();
+        steps
+    }
+}
+
+/// All-pairs distances of the (undirected) nucleus graph, row-major
+/// `M×M`; `u16::MAX` where unreachable.
+fn nucleus_distances(nucleus: &Csr) -> Vec<u16> {
+    let m = nucleus.node_count();
+    let mut ndist = vec![u16::MAX; m * m];
+    for a in 0..m as u32 {
+        for (b, d) in algo::bfs(nucleus, a).into_iter().enumerate() {
+            if d != algo::UNREACHABLE {
+                ndist[a as usize * m + b] = d as u16;
+            }
+        }
+    }
+    ndist
 }
 
 /// Hierarchical router over tuple node ids.
-pub struct TupleRouter<'n> {
-    tn: &'n TupleNetwork,
+pub struct TupleRouter {
+    tn: TupleNetwork,
     /// nucleus distances, row-major.
     ndist: Vec<u16>,
     /// default schedule (plain networks).
     schedule: Vec<usize>,
 }
 
-impl<'n> TupleRouter<'n> {
+impl TupleRouter {
     /// Precompute nucleus distances and the default schedule.
-    pub fn new(tn: &'n TupleNetwork) -> Result<Self> {
-        let m = tn.m_nodes();
-        let mut ndist = vec![u16::MAX; m * m];
-        for a in 0..m as u32 {
-            for (b, d) in algo::bfs(&tn.nucleus, a).into_iter().enumerate() {
-                if d != algo::UNREACHABLE {
-                    ndist[a as usize * m + b] = d as u16;
-                }
-            }
-        }
+    pub fn new(tn: TupleNetwork) -> Result<Self> {
         let schedule = schedule_over_perms(&tn.block_perms, tn.l, None).ok_or_else(|| {
             IpgError::InvalidSpec {
                 reason: "some super-symbol can never reach the leftmost position".into(),
             }
         })?;
         Ok(TupleRouter {
+            ndist: nucleus_distances(&tn.nucleus),
             tn,
-            ndist,
             schedule,
         })
+    }
+
+    /// The underlying network.
+    pub fn network(&self) -> &TupleNetwork {
+        &self.tn
     }
 
     fn nd(&self, a: u32, b: u32) -> u16 {
@@ -352,16 +375,6 @@ impl ShortestTupleRouter {
                 ),
             });
         }
-        let m = tn.m_nodes();
-        let mut ndist = vec![u16::MAX; m * m];
-        for a in 0..m as u32 {
-            for (b, d) in algo::bfs(&tn.nucleus, a).into_iter().enumerate() {
-                if d != algo::UNREACHABLE {
-                    ndist[a as usize * m + b] = d as u16;
-                }
-            }
-        }
-
         // BFS over (arrangement, visited-blocks) states under the
         // inverse-closed generator set; `visited` tracks which blocks
         // occupied position 0 after some prefix (block 0 starts there).
@@ -416,8 +429,8 @@ impl ShortestTupleRouter {
         prods.sort_by_key(|c| c.base);
 
         Ok(ShortestTupleRouter {
+            ndist: nucleus_distances(&tn.nucleus),
             tn,
-            ndist,
             wmin,
             prods,
         })
@@ -659,7 +672,7 @@ mod tests {
     fn check_all_pairs(spec: &SuperIpSpec) {
         let tn = TupleNetwork::from_spec(spec).unwrap();
         let g = tn.build();
-        let router = TupleRouter::new(&tn).unwrap();
+        let router = TupleRouter::new(tn).unwrap();
         let bound = crate::routing::predicted_diameter(spec).unwrap() as usize;
         for u in 0..g.node_count() as u32 {
             for v in 0..g.node_count() as u32 {
@@ -699,17 +712,27 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_label_router() {
-        let spec = SuperIpSpec::hsn(2, NucleusSpec::hypercube(2));
-        let tn = TupleNetwork::from_spec(&spec).unwrap();
-        let tr = TupleRouter::new(&tn).unwrap();
-        let sr = crate::routing::SuperRouter::new(&spec).unwrap();
-        let ip = spec.to_ip_spec().generate().unwrap();
-        let iso = crate::superip::explicit_isomorphism(&spec, &ip, &tn).unwrap();
-        for (u, v) in [(0u32, 15u32), (3, 9), (12, 4)] {
-            let lp = sr.route(ip.label(u), ip.label(v)).unwrap();
-            let tp = tr.route(iso[u as usize], iso[v as usize]).unwrap();
-            assert_eq!(lp.len(), tp.len(), "route lengths must agree");
+    fn flat_and_hashed_stores_give_one_schedule() {
+        // the store of discovered states must not change the search
+        for spec in [
+            SuperIpSpec::hsn(4, NucleusSpec::hypercube(1)),
+            SuperIpSpec::ring_cn(5, NucleusSpec::hypercube(1)),
+            SuperIpSpec::complete_cn(4, NucleusSpec::hypercube(1)),
+            SuperIpSpec::superflip(5, NucleusSpec::hypercube(1)),
+            SuperIpSpec::directed_ring_cn(4, NucleusSpec::hypercube(1)),
+        ] {
+            let (perms, l) = (spec.block_perms(), spec.l);
+            let targets = spec.block_group();
+            for target in std::iter::once(None).chain(targets.iter().map(Some)) {
+                let flat = schedule_search(&perms, l, target, true);
+                assert!(flat.is_some(), "{}", spec.name);
+                assert_eq!(
+                    flat,
+                    schedule_search(&perms, l, target, false),
+                    "{}: target {target:?}",
+                    spec.name
+                );
+            }
         }
     }
 
@@ -792,7 +815,7 @@ mod tests {
         // not shortest; the shortest router must never be longer
         let spec = SuperIpSpec::hsn(2, NucleusSpec::hypercube(2));
         let tn = TupleNetwork::from_spec(&spec).unwrap();
-        let sched = TupleRouter::new(&tn).unwrap();
+        let sched = TupleRouter::new(tn.clone()).unwrap();
         let short = ShortestTupleRouter::new(tn.clone()).unwrap();
         let mut strictly_shorter = 0;
         for u in 0..tn.node_count() as u32 {
@@ -859,7 +882,8 @@ mod tests {
         let perms: Vec<Perm> = (1..5).map(|s| Perm::cyclic_left(5, s)).collect();
         let tn = TupleNetwork::new("CN(5,Q4)", nucleus, 5, perms, SeedKind::Repeated);
         assert_eq!(tn.node_count(), 1 << 20);
-        let router = TupleRouter::new(&tn).unwrap();
+        let router = TupleRouter::new(tn).unwrap();
+        let tn = router.network();
         let path = router.route(0, (1 << 20) - 1).unwrap();
         assert!(path.len() - 1 <= 24); // (4+1)·5 − 1
                                        // verify the walk against locally computed neighbor sets

@@ -55,6 +55,12 @@ PROPTEST_CASES=256 cargo test -q --release --test proptests
 stage "benches compile"
 cargo bench --workspace --no-run
 
+stage "quickstart example"
+# The README's advertised path through the library (define, generate,
+# route with SuperRouter, measure); the stages above only compile the
+# examples. Non-zero exit on any error it returns.
+cargo run -q --release -p ipgraph --example quickstart > /dev/null
+
 stage "codec property pass"
 # The proptests whose names contain `codec`: label round trips, the
 # tuple network's one-pass undirected build against the hash-interned
