@@ -1,17 +1,15 @@
 //! `ipg` — command-line interface to the IP-graph workspace.
 //!
-//! ```text
-//! ipg info <network>                  topology + §5 metrics
-//! ipg compare <network> <network>...  side-by-side cost table
-//! ipg dot <network>                   Graphviz DOT on stdout
-//! ipg route <network> <src> <dst>     shortest route (node ids)
-//! ipg simulate <network> [rate]       packet simulation
-//! ipg trace summary <trace.jsonl>     summarize a flight-recorder trace
-//! ipg help                            the network mini-language
-//! ```
+//! The commands — `info`, `compare`, `dot`, `route`, `simulate`,
+//! `trace summary`, `trace chrome`, `layout`, `solve`, `help` and the
+//! hidden `worker` — and their arguments are declared once, in
+//! [`COMMANDS`]. Every command line is checked against its table before
+//! any work starts, and `ipg help` is rendered from the tables.
 
+mod args;
 mod spec;
 
+use args::{cmd, flag, Arity, Command, Kind, Parsed, Pos, Rel, U32, USIZE};
 use ipg_cluster::{costs, imetrics, partition::Partition};
 use ipg_core::algo;
 use ipg_core::graph::Csr;
@@ -23,32 +21,79 @@ use ipg_sim::fault::{FaultPlan, FaultSpec};
 use ipg_sim::router::{DetourRouter, Router};
 use ipg_sim::table::RoutingTable;
 use ipg_sim::wormhole::{VcPolicy, WormholeConfig, WormholeOutcome, WormholeSim};
-use spec::{parse, ParsedNetwork};
+use spec::parse;
 use std::borrow::Cow;
+use std::path::PathBuf;
 use std::process::ExitCode;
 
+/// Every command `ipg` accepts, in the order `ipg help` lists them.
+#[rustfmt::skip]
+pub static COMMANDS: &[Command] = &[
+    cmd("info", &[NETWORK], "topology + clustered (§5) metrics", cmd_info),
+    cmd("compare", &[Pos("network", Kind::Network, Arity::Many)], "cost table (DD / ID / II)",
+        cmd_compare),
+    cmd("dot", &[NETWORK], "Graphviz DOT on stdout", cmd_dot),
+    cmd("route", &[NETWORK, Pos("src", Kind::Node, Arity::One), Pos("dst", Kind::Node, Arity::One)],
+        "shortest route between node ids", cmd_route),
+    Command {
+        flags: &[
+            flag("--obs <path>", Kind::Text, None, "write a JSON-lines run manifest"),
+            flag("--obs-interval <cycles>", Kind::Count(0, U32), Some("0"),
+                "also snapshot metrics every N cycles"),
+            flag("--wormhole", Kind::Switch, None, "flit-level wormhole switching instead"),
+            flag("--vcs <n>", Kind::Count(1, USIZE), Some("2"), "wormhole VC count"),
+            flag("--flits <n>", Kind::Count(1, U32), Some("4"), "wormhole packet length"),
+            flag("--policy single|hop", Kind::Choice(&["single", "hop"]), Some("hop"),
+                "wormhole VC allocation policy"),
+            flag("--faults <spec>", Kind::Faults, None,
+                "deterministic fault campaign; routing\nbecomes fault-aware (detour). Spec, e.g.:\n\
+                 script:link@600:0-1+node@800:5;rate:links=0.05,at=1000"),
+            flag("--trace <path>", Kind::Text, None, "write a flight-recorder trace (JSON lines)"),
+            flag("--trace-interval <cycles>", Kind::Count(1, U32), Some("64"),
+                "trace sampling interval"),
+            flag("--workers <n>", Kind::Count(1, U32), None,
+                "run across n OS processes; results are\nbyte-identical to the in-process run,\n\
+                 per-worker memory is bounded by its\nshard range"),
+        ],
+        rels: &[
+            Rel::Needs("--obs-interval", "--obs"),
+            Rel::Needs("--vcs", "--wormhole"),
+            Rel::Needs("--flits", "--wormhole"),
+            Rel::Needs("--policy", "--wormhole"),
+            Rel::Needs("--trace-interval", "--trace"),
+            Rel::Excludes("--workers", "--wormhole"),
+        ],
+        ..cmd("simulate", &[NETWORK, Pos("rate", Kind::Rate, Arity::Default("0.01"))],
+            "packet simulation", cmd_simulate)
+    },
+    Command {
+        flags: &[flag("--top <n>", Kind::Count(0, USIZE), Some("10"), "hottest links to list")],
+        ..cmd("trace summary", &[TRACE], "summarize a flight-recorder trace", cmd_trace_summary)
+    },
+    Command {
+        flags: &[flag("--name <s>", Kind::Text, Some("ipg-trace"), "process name in the export")],
+        ..cmd("trace chrome", &[TRACE, Pos("out", Kind::Text, Arity::One)],
+            "convert to Chrome/Perfetto trace JSON", cmd_trace_chrome)
+    },
+    cmd("layout", &[NETWORK], "bisection width + grid-layout wirelength", cmd_layout),
+    cmd("solve", &[Pos("game", Kind::Game, Arity::One), Pos("src", Kind::Label, Arity::One),
+        Pos("dst", Kind::Label, Arity::One)],
+        "solve a ball-arrangement game (games:\nstar:n, pancake:n; labels like 654321)", cmd_solve),
+    cmd("help", &[], "this text", |_| {
+        print!("{}", args::help());
+        Ok(())
+    }),
+    // `simulate --workers N` re-executes this binary as `ipg worker` for
+    // each shard-range process; stdin carries the coordinator socket.
+    Command { hidden: true, ..cmd("worker", &[], "one shard-range process", cmd_dist_worker) },
+];
+
+const NETWORK: Pos = Pos("network", Kind::Network, Arity::One);
+const TRACE: Pos = Pos("trace", Kind::Text, Arity::One);
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        // Hidden mode: `simulate --workers N` re-executes this binary as
-        // `ipg worker` for each shard-range process (stdin carries the
-        // coordinator socket — never invoked by hand).
-        Some("worker") => cmd_dist_worker(),
-        Some("info") => with_network(&args, cmd_info),
-        Some("compare") => cmd_compare(&args[1..]),
-        Some("dot") => with_network(&args, cmd_dot),
-        Some("route") => cmd_route(&args[1..]),
-        Some("simulate") => cmd_simulate(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("layout") => with_network(&args, cmd_layout),
-        Some("solve") => cmd_solve(&args[1..]),
-        Some("help") | None => {
-            print_help();
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown command `{other}`; try `ipg help`")),
-    };
-    match result {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match args::validate(&argv).and_then(|p| (p.cmd.run)(&p)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -57,77 +102,8 @@ fn main() -> ExitCode {
     }
 }
 
-/// Run `ipg <cmd> <network>`, a command whose one argument is a network.
-fn with_network(
-    args: &[String],
-    f: impl Fn(&ParsedNetwork) -> Result<(), String>,
-) -> Result<(), String> {
-    let (cmd, rest) = (&args[0], &args[1..]);
-    fixed_args(cmd, rest, 1, "a network")?;
-    let spec = rest
-        .first()
-        .ok_or("missing network argument; try `ipg help`")?;
-    f(&parse(spec)?)
-}
-
-/// Reject what a command with `n` positionals and no flags does not
-/// take: any `--` flag, and any argument past the `n`th. `takes` names
-/// the positionals for the error.
-fn fixed_args(cmd: &str, args: &[String], n: usize, takes: &str) -> Result<(), String> {
-    match args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| *i >= n || a.starts_with("--"))
-    {
-        Some((_, a)) => Err(format!("unexpected argument `{a}`: {cmd} takes {takes}")),
-        None => Ok(()),
-    }
-}
-
-fn print_help() {
-    println!("ipg — hierarchical interconnection networks (Yeh & Parhami, ICPP 1999)");
-    println!();
-    println!("commands:");
-    println!("  info <network>                 topology + clustered (§5) metrics");
-    println!("  compare <network> <network>..  cost table (DD / ID / II)");
-    println!("  dot <network>                  Graphviz DOT on stdout");
-    println!("  route <network> <src> <dst>    shortest route between node ids");
-    println!("  simulate <network> [rate]      packet simulation (default rate 0.01)");
-    println!("      --obs <path>               write a JSON-lines run manifest");
-    println!("      --obs-interval <cycles>    also snapshot metrics every N cycles");
-    println!("      --wormhole                 flit-level wormhole switching instead");
-    println!("      --vcs <n> --flits <n>      wormhole VC count / packet length");
-    println!("      --policy single|hop        wormhole VC allocation policy");
-    println!("      --faults <spec>            deterministic fault campaign; routing");
-    println!("                                 becomes fault-aware (detour). Spec, e.g.:");
-    println!(
-        "                                 script:link@600:0-1+node@800:5;rate:links=0.05,at=1000"
-    );
-    println!("      --trace <path>             write a flight-recorder trace (JSON lines)");
-    println!("      --trace-interval <cycles>  trace sampling interval (default 64)");
-    println!("      --workers <n>              run across n OS processes (packet engine");
-    println!("                                 only); results are byte-identical to the");
-    println!("                                 in-process run, per-worker memory is");
-    println!("                                 bounded by its shard range");
-    println!("  trace summary <t.jsonl>        summarize a trace (--top <n> hottest links)");
-    println!("  trace chrome <t.jsonl> <out>   convert to Chrome/Perfetto trace JSON");
-    println!("  layout <network>               bisection width + grid-layout wirelength");
-    println!("  solve <game> <src> <dst>       solve a ball-arrangement game (games:");
-    println!("                                 star:n, pancake:n; labels like 654321)");
-    println!();
-    println!("networks (family:args):");
-    println!("  hypercube:10  folded:8  torus:32  kary:4,3  ring:64  complete:16");
-    println!("  star:7  pancake:6  petersen  debruijn:8  se:8  ccc:5  gh:3,4,5");
-    println!("  rotator:6  macro-star:l=2,n=3");
-    println!("  hsn:l=3,nucleus=Q4      ring-cn:l=4,nucleus=FQ4");
-    println!("  cn:l=3,nucleus=P        superflip:l=3,nucleus=Q2");
-    println!("  hsn:l=2,nucleus=Q2,symmetric   (distinct-symbol Cayley variant)");
-    println!("  hcn:4  hfn:3  hhn:3  rcc:l=2,m=8  hse:l=2,n=4  cpn:3");
-    println!();
-    println!("nuclei: Q<n> FQ<n> K<n> S<n> C<n> P GH<r>x<r>");
-}
-
-fn cmd_info(net: &ParsedNetwork) -> Result<(), String> {
+fn cmd_info(p: &Parsed) -> Result<(), String> {
+    let net = parse(p.text("network")?)?;
     let g = &net.graph;
     println!("network:      {}", net.name);
     println!("nodes:        {}", g.node_count());
@@ -167,19 +143,10 @@ fn cmd_info(net: &ParsedNetwork) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compare(specs: &[String]) -> Result<(), String> {
-    if specs.is_empty() {
-        return Err("compare needs at least one network".into());
-    }
-    // Every argument is a network: check and build them all before the
-    // first row, so a bad one fails without measuring the others.
-    if let Some(a) = specs.iter().find(|a| a.starts_with('-')) {
-        return Err(format!("unexpected argument `{a}`: compare takes networks"));
-    }
-    let nets = specs
-        .iter()
-        .map(|s| parse(s))
-        .collect::<Result<Vec<_>, _>>()?;
+fn cmd_compare(p: &Parsed) -> Result<(), String> {
+    // Build every network before the first row, so a bad one fails
+    // without measuring the others.
+    let nets = p.all("network").map(parse).collect::<Result<Vec<_>, _>>()?;
     println!(
         "{:<24} {:>8} {:>4} {:>5} {:>8} {:>6} {:>7} {:>8} {:>8}",
         "network", "N", "deg", "diam", "DD", "I-deg", "I-diam", "ID", "II"
@@ -206,7 +173,8 @@ fn cmd_compare(specs: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_dot(net: &ParsedNetwork) -> Result<(), String> {
+fn cmd_dot(p: &Parsed) -> Result<(), String> {
+    let net = parse(p.text("network")?)?;
     if net.graph.node_count() > 2_000 {
         return Err("refusing to emit DOT for > 2000 nodes".into());
     }
@@ -217,19 +185,17 @@ fn cmd_dot(net: &ParsedNetwork) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_route(args: &[String]) -> Result<(), String> {
-    fixed_args("route", args, 3, "a network, <src> and <dst>")?;
-    let net = parse(args.first().ok_or("route needs a network")?)?;
-    let parse_node = |s: &String| -> Result<u32, String> {
-        let v = s.parse::<u32>().map_err(|_| format!("bad node id `{s}`"))?;
+fn cmd_route(p: &Parsed) -> Result<(), String> {
+    let net = parse(p.text("network")?)?;
+    let node = |name: &str| -> Result<u32, String> {
+        let v: u32 = p.get(name)?;
         if (v as usize) < net.graph.node_count() {
             Ok(v)
         } else {
             Err(format!("node {v} out of range"))
         }
     };
-    let src = parse_node(args.get(1).ok_or("route needs <src> <dst>")?)?;
-    let dst = parse_node(args.get(2).ok_or("route needs <src> <dst>")?)?;
+    let (src, dst) = (node("src")?, node("dst")?);
     let path = algo::shortest_path(&net.graph, src, dst).ok_or("destination unreachable")?;
     println!(
         "{}: {} -> {} in {} hops",
@@ -259,7 +225,8 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_layout(net: &ParsedNetwork) -> Result<(), String> {
+fn cmd_layout(p: &Parsed) -> Result<(), String> {
+    let net = parse(p.text("network")?)?;
     if net.graph.node_count() > 4_096 {
         return Err("layout analysis capped at 4096 nodes".into());
     }
@@ -289,24 +256,13 @@ fn cmd_layout(net: &ParsedNetwork) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_solve(args: &[String]) -> Result<(), String> {
+fn cmd_solve(p: &Parsed) -> Result<(), String> {
     use ipg_core::label::Label;
     use ipg_core::solve::solve;
-    use ipg_core::spec::IpGraphSpec;
 
-    fixed_args("solve", args, 3, "a game, <src> and <dst>")?;
-    let game = args.first().ok_or("solve needs a game, e.g. `star:6`")?;
-    let spec: IpGraphSpec = match game.split_once(':') {
-        Some(("star", n)) => IpGraphSpec::star(n.parse().map_err(|_| format!("bad size `{n}`"))?),
-        Some(("pancake", n)) => {
-            IpGraphSpec::pancake(n.parse().map_err(|_| format!("bad size `{n}`"))?)
-        }
-        _ => return Err(format!("unknown game `{game}` (star:n or pancake:n)")),
-    };
-    let src = Label::parse(args.get(1).ok_or("solve needs <src> <dst> labels")?)
-        .ok_or("bad src label")?;
-    let dst = Label::parse(args.get(2).ok_or("solve needs <src> <dst> labels")?)
-        .ok_or("bad dst label")?;
+    let spec = args::game(p.text("game")?).ok_or("bad game")?();
+    let label = |name: &str| Label::parse(p.text(name)?).ok_or(format!("bad {name} label"));
+    let (src, dst) = (label("src")?, label("dst")?);
     let sol = solve(&spec, &src, &dst, 50_000_000).map_err(|e| e.to_string())?;
     println!("{} -> {} in {} moves:", src, dst, sol.len());
     let mut cur = src.symbols().to_vec();
@@ -321,97 +277,19 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    // peel off flags; the rest stay positional
-    let mut positional: Vec<&String> = Vec::new();
-    let mut obs_path: Option<std::path::PathBuf> = None;
-    let mut obs_interval: u32 = 0;
-    let mut trace_path: Option<std::path::PathBuf> = None;
-    let mut trace_interval: u32 = 64;
-    let mut wormhole = false;
-    let mut vcs: usize = 2;
-    let mut flits: u32 = 4;
-    let mut policy = VcPolicy::HopIndexed;
-    let mut faults_arg: Option<String> = None;
-    let mut workers: Option<u32> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--obs" => {
-                obs_path = Some(it.next().ok_or("--obs needs a file path")?.into());
-            }
-            "--obs-interval" => {
-                let v = it.next().ok_or("--obs-interval needs a cycle count")?;
-                obs_interval = v.parse().map_err(|_| format!("bad --obs-interval `{v}`"))?;
-            }
-            "--trace" => {
-                trace_path = Some(it.next().ok_or("--trace needs a file path")?.into());
-            }
-            "--trace-interval" => {
-                let v = it.next().ok_or("--trace-interval needs a cycle count")?;
-                trace_interval = v
-                    .parse()
-                    .map_err(|_| format!("bad --trace-interval `{v}`"))?;
-                if trace_interval == 0 {
-                    return Err("--trace-interval must be ≥ 1".into());
-                }
-            }
-            "--wormhole" => wormhole = true,
-            "--vcs" => {
-                let v = it.next().ok_or("--vcs needs a channel count")?;
-                vcs = v.parse().map_err(|_| format!("bad --vcs `{v}`"))?;
-                if vcs == 0 {
-                    return Err("--vcs must be ≥ 1".into());
-                }
-            }
-            "--flits" => {
-                let v = it.next().ok_or("--flits needs a packet length")?;
-                flits = v.parse().map_err(|_| format!("bad --flits `{v}`"))?;
-                if flits == 0 {
-                    return Err("--flits must be ≥ 1".into());
-                }
-            }
-            "--policy" => {
-                policy = match it.next().ok_or("--policy needs single|hop")?.as_str() {
-                    "single" => VcPolicy::Single,
-                    "hop" => VcPolicy::HopIndexed,
-                    other => return Err(format!("bad --policy `{other}` (single|hop)")),
-                };
-            }
-            "--faults" => {
-                faults_arg = Some(
-                    it.next()
-                        .ok_or("--faults needs a spec (see `ipg help`)")?
-                        .clone(),
-                );
-            }
-            "--workers" => {
-                let v = it.next().ok_or("--workers needs a process count")?;
-                let w: u32 = v.parse().map_err(|_| format!("bad --workers `{v}`"))?;
-                if w == 0 {
-                    return Err("--workers must be ≥ 1".into());
-                }
-                workers = Some(w);
-            }
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown simulate flag `{flag}`; try `ipg help`"));
-            }
-            _ => positional.push(a),
-        }
-    }
-    if let Some(extra) = positional.get(2) {
-        return Err(format!(
-            "unexpected argument `{extra}`: simulate takes a network and an optional rate"
-        ));
-    }
-    if workers.is_some() && wormhole {
-        return Err("--workers applies to the packet engine only, not --wormhole".into());
-    }
+fn cmd_simulate(p: &Parsed) -> Result<(), String> {
+    let wormhole = p.opt("--wormhole").is_some();
+    let faults = p.opt("--faults");
+    let obs_path = p.opt("--obs").map(PathBuf::from);
+    let obs_interval: u32 = p.get("--obs-interval")?;
+    let trace_path = p.opt("--trace").map(PathBuf::from);
+    let trace_interval: u32 = p.get("--trace-interval")?;
     // Check the environment knob a `--workers` run reads before any work.
-    let workers = workers
-        .map(|w| dist_timeout().map(|t| (w, t)))
-        .transpose()?;
-    let netspec = positional.first().ok_or("simulate needs a network")?;
+    let workers = match p.opt("--workers") {
+        Some(_) => Some((p.get("--workers")?, dist_timeout()?)),
+        None => None,
+    };
+    let netspec = p.text("network")?;
     // The multi-process path admits larger networks: workers route by
     // tuple codec without materializing the graph, so the memory bound
     // is per shard range, not per network.
@@ -420,14 +298,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     } else {
         parse(netspec)?
     };
-    let rate: f64 = match positional.get(1) {
-        Some(s) => s
-            .parse()
-            .ok()
-            .filter(|r| (0.0..=1.0).contains(r))
-            .ok_or_else(|| format!("bad rate `{s}`: expected a number in [0, 1]"))?,
-        None => 0.01,
-    };
+    let rate: f64 = p.get("rate")?;
     let cfg = SimConfig {
         injection_rate: rate,
         warmup_cycles: 500,
@@ -436,13 +307,13 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         ..SimConfig::default()
     };
     let module: Vec<u32> = match &net.partition {
-        Some(p) => p.class.clone(),
+        Some(part) => part.class.clone(),
         None => vec![0; net.graph.node_count()],
     };
     // A fault campaign compiles against the topology and the run seed
     // (the seed only matters for `rate:` sections) and upgrades the
     // router to the fault-aware detour wrapper.
-    let fault_plan = match &faults_arg {
+    let fault_plan = match faults {
         Some(s) => {
             let spec = FaultSpec::parse(s).map_err(|e| format!("bad --faults: {e}"))?;
             let plan = FaultPlan::compile(&spec, &net.graph, cfg.seed)
@@ -461,7 +332,9 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         ));
     }
     let obs = match &obs_path {
-        Some(p) => Obs::to_file(p).map_err(|e| format!("cannot open {}: {e}", p.display()))?,
+        Some(path) => {
+            Obs::to_file(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?
+        }
         None => Obs::disabled(),
     };
     let trace_cfg = trace_path
@@ -477,10 +350,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
                 MetaVal::from(if wormhole { "wormhole" } else { "packet" }),
             ),
             ("router", MetaVal::from(router_kind)),
-            (
-                "faults",
-                MetaVal::from(faults_arg.as_deref().unwrap_or("none")),
-            ),
+            ("faults", MetaVal::from(faults.unwrap_or("none"))),
             ("injection_rate", MetaVal::from(rate)),
             ("warmup_cycles", MetaVal::from(cfg.warmup_cycles as u64)),
             ("measure_cycles", MetaVal::from(cfg.measure_cycles as u64)),
@@ -497,11 +367,15 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     println!("router:     {router_kind}");
     println!("rate:       {rate}");
     if wormhole {
+        let (vcs, flits): (usize, u32) = (p.get("--vcs")?, p.get("--flits")?);
         let wcfg = WormholeConfig {
             vcs,
             packet_flits: flits,
             injection_rate: rate,
-            policy,
+            policy: match p.text("--policy")? {
+                "single" => VcPolicy::Single,
+                _ => VcPolicy::HopIndexed,
+            },
             ..WormholeConfig::default()
         };
         let mut sim = WormholeSim::with_router(router, &net.graph);
@@ -517,7 +391,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
                     s.delivered,
                     100.0 * s.delivered as f64 / s.injected.max(1) as f64
                 );
-                if faults_arg.is_some() {
+                if faults.is_some() {
                     println!("dropped:    {} (unreachable)", s.dropped);
                 }
                 println!("latency:    avg {:.2}", s.avg_latency);
@@ -548,7 +422,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
                 let dc = ipg_sim::dist::DistConfig {
                     workers: w,
                     worker_argv: vec![exe, "worker".into()],
-                    netspec: (*netspec).clone(),
+                    netspec: netspec.to_string(),
                     window: obs_interval,
                     trace: trace_cfg.clone(),
                     read_timeout,
@@ -578,7 +452,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
             r.delivered,
             100.0 * r.delivered as f64 / r.injected.max(1) as f64
         );
-        if faults_arg.is_some() {
+        if faults.is_some() {
             println!("dropped:    {} (unreachable)", r.dropped_unreachable);
         }
         println!(
@@ -592,8 +466,8 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         println!("throughput: {:.4} packets/node/cycle", r.throughput);
         write_trace(trace, trace_path.as_deref())?;
     }
-    if let Some(p) = obs_path {
-        println!("manifest:   {}", p.display());
+    if let Some(path) = obs_path {
+        println!("manifest:   {}", path.display());
     }
     Ok(())
 }
@@ -614,7 +488,7 @@ fn dist_timeout() -> Result<std::time::Duration, String> {
 
 /// The hidden `ipg worker` mode: adopt the coordinator socket from
 /// stdin and run the worker half of the distributed cycle protocol.
-fn cmd_dist_worker() -> Result<(), String> {
+fn cmd_dist_worker(_: &Parsed) -> Result<(), String> {
     ipg_sim::dist::worker_main(build_worker_router, vm_hwm_kb).map_err(|e| e.to_string())
 }
 
@@ -724,67 +598,24 @@ fn write_trace(trace: Option<Trace>, path: Option<&std::path::Path>) -> Result<(
     Ok(())
 }
 
-/// `ipg trace summary <t.jsonl>` / `ipg trace chrome <t.jsonl> <out.json>`:
-/// post-process a flight-recorder trace written by `simulate --trace`.
-fn cmd_trace(args: &[String]) -> Result<(), String> {
-    const USAGE: &str =
-        "trace needs a subcommand: summary <t.jsonl> [--top <n>] | chrome <t.jsonl> <out.json> [--name <s>]";
-    let load = |p: &String| -> Result<Trace, String> {
-        let text = std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))?;
-        Trace::from_jsonl(&text).map_err(|e| format!("{p}: {e}"))
-    };
-    match args.first().map(String::as_str) {
-        Some("summary") => {
-            let (positional, top) = trace_args(args, "--top", 1)?;
-            let top: usize = match top {
-                Some(v) => v.parse().map_err(|_| format!("bad --top `{v}`"))?,
-                None => 10,
-            };
-            let path = positional.first().ok_or("trace summary needs a file")?;
-            print!("{}", load(path)?.summarize(top).render());
-            Ok(())
-        }
-        Some("chrome") => {
-            let (positional, name) = trace_args(args, "--name", 2)?;
-            let input = positional
-                .first()
-                .ok_or("trace chrome needs an input file")?;
-            let out = positional
-                .get(1)
-                .ok_or("trace chrome needs an output file")?;
-            let json = load(input)?.to_chrome_json(name.map_or("ipg-trace", String::as_str));
-            std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
-            println!("chrome trace: {out} (load in ui.perfetto.dev or chrome://tracing)");
-            Ok(())
-        }
-        _ => Err(USAGE.into()),
-    }
+/// Load a flight-recorder trace written by `simulate --trace`.
+fn load_trace(path: &str) -> Result<Trace, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    Trace::from_jsonl(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Split `ipg trace <sub> …` into at most `max` positionals and the value
-/// of the subcommand's one flag `flag`. Any other `--` flag, a flag
-/// without its value or a positional past `max` is an error.
-fn trace_args<'a>(
-    args: &'a [String],
-    flag: &str,
-    max: usize,
-) -> Result<(Vec<&'a String>, Option<&'a String>), String> {
-    let sub = &args[0];
-    let mut positional = Vec::new();
-    let mut value = None;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            value = Some(it.next().ok_or_else(|| format!("{flag} needs a value"))?);
-        } else if a.starts_with("--") {
-            return Err(format!("unknown trace {sub} flag `{a}`; try `ipg help`"));
-        } else if positional.len() == max {
-            return Err(format!(
-                "unexpected argument `{a}`: trace {sub} takes {max} file argument(s)"
-            ));
-        } else {
-            positional.push(a);
-        }
-    }
-    Ok((positional, value))
+fn cmd_trace_summary(p: &Parsed) -> Result<(), String> {
+    let trace = load_trace(p.text("trace")?)?;
+    print!("{}", trace.summarize(p.get("--top")?).render());
+    Ok(())
+}
+
+/// `ipg trace chrome <trace> <out>`: convert a trace to Chrome/Perfetto
+/// trace-event JSON.
+fn cmd_trace_chrome(p: &Parsed) -> Result<(), String> {
+    let out = p.text("out")?;
+    let json = load_trace(p.text("trace")?)?.to_chrome_json(p.text("--name")?);
+    std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
+    println!("chrome trace: {out} (load in ui.perfetto.dev or chrome://tracing)");
+    Ok(())
 }

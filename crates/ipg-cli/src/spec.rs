@@ -1,28 +1,28 @@
 //! The CLI's network mini-language.
 //!
 //! A network is written `family` or `family:args`, where `args` is a
-//! comma-separated list of integers or `key=value` pairs. Examples:
-//!
-//! ```text
-//! hypercube:10            folded:8            torus:32
-//! star:7                  pancake:6           petersen
-//! debruijn:8              se:8                ccc:5
-//! ring:64                 complete:16         gh:3,4,5
-//! hsn:l=3,nucleus=Q4      ring-cn:l=4,nucleus=FQ4
-//! cn:l=3,nucleus=P        superflip:l=3,nucleus=Q2
-//! hcn:4                   hfn:3               hhn:3
-//! rcc:l=2,m=8             hse:l=2,n=4         cpn:3
-//! macro-star:l=2,n=2      rotator:6
-//! ```
-//!
-//! Nucleus names: `Q<n>` (hypercube), `FQ<n>` (folded hypercube), `K<n>`
-//! (complete), `S<n>` (star), `P` (Petersen), `C<n>` (ring),
-//! `GH<r>x<r>...` (generalized hypercube).
+//! comma-separated list of integers or `key=value` pairs. [`LANGUAGE`]
+//! lists the families and nuclei; `ipg help` prints it.
 
 use ipg_cluster::partition::{self, Partition};
 use ipg_core::graph::Csr;
 use ipg_core::superip::TupleNetwork;
 use ipg_networks::{classic, hier, ipdefs};
+
+/// The families and nuclei, as `ipg help` prints them.
+pub const LANGUAGE: &str = "\
+networks (family:args):
+  hypercube:10  folded:8  torus:32  kary:4,3  ring:64  complete:16
+  star:7  pancake:6  petersen  debruijn:8  se:8  ccc:5  gh:3,4,5
+  rotator:6  macro-star:l=2,n=3
+  hsn:l=3,nucleus=Q4      ring-cn:l=4,nucleus=FQ4
+  cn:l=3,nucleus=P        superflip:l=3,nucleus=Q2
+  hsn:l=2,nucleus=Q2,symmetric   (distinct-symbol Cayley variant)
+  hcn:4  hfn:3  hhn:3  rcc:l=2,m=8  hse:l=2,n=4  cpn:3
+
+nuclei: Q<n> (hypercube) FQ<n> (folded) K<n> (complete) S<n> (star)
+        C<n> (ring) P (Petersen) GH<r>x<r>... (generalized hypercube)
+";
 
 /// Hard ceiling on generated graph size (2^22 ~ 4.2M nodes). Specs whose
 /// node count would exceed it are rejected at parse time with a sizing
