@@ -332,6 +332,18 @@ fn trace_rejects_bad_input_with_a_contextual_error() {
 }
 
 #[test]
+fn solve_names_both_labels_when_no_sequence_exists() {
+    // Well-formed labels of different symbol multisets: no generator
+    // sequence joins them, and the error says which labels and why.
+    let rows: &[Row] = &[(
+        &["solve", "star:4", "1235", "2134"],
+        &[],
+        "label `2134` is unreachable from label `1235`: the labels hold different symbol multisets",
+    )];
+    assert_refused("solve", rows);
+}
+
+#[test]
 fn good_command_lines_succeed() {
     let rows: &[&[&str]] = &[
         &[],

@@ -55,6 +55,9 @@ pub struct NodeCodec {
     rank_to_id: Vec<u32>,
     /// Flat nucleus labels: `nucleus_syms[id·m..(id+1)·m]`.
     nucleus_syms: Vec<u8>,
+    /// The nucleus seed's multiset as ascending `(symbol, count)` runs:
+    /// what every block must hold after its color shift.
+    nucleus_runs: Vec<(u8, u32)>,
     /// `S_l` permutation rank → order index ([`NONE`] outside `H`);
     /// empty for repeated seeds.
     sl_rank_to_order: Vec<u32>,
@@ -126,6 +129,10 @@ impl NodeCodec {
             seed_kind: spec.seed_kind,
             rank_to_id,
             nucleus_syms,
+            nucleus_runs: (0..=u8::MAX)
+                .filter(|&s| counts[s as usize] > 0)
+                .map(|s| (s, counts[s as usize]))
+                .collect(),
             sl_rank_to_order,
             nucleus_min: nucleus_seed.iter().copied().min().unwrap_or(0),
         })
@@ -160,27 +167,19 @@ impl NodeCodec {
                 ((c * self.m) as u8, c as u8)
             }
         };
-        let mut buf = [0u8; 256];
-        let shifted = &mut buf[..self.m];
-        for (o, &s) in shifted.iter_mut().zip(block.iter()) {
-            *o = s.checked_sub(shift)?;
-        }
-        // The multiset must match the nucleus seed's, otherwise the rank
-        // below is an index into a different arrangement family.
-        let mut counts = [0u32; 256];
-        for &s in shifted.iter() {
-            counts[s as usize] += 1;
-        }
-        for &s in shifted.iter() {
-            let mut want = 0u32;
-            for &t in &self.nucleus_syms[..self.m] {
-                want += (t == s) as u32;
-            }
-            if counts[s as usize] != want {
+        // The multiset must match the nucleus seed's shifted by the
+        // color, otherwise the rank below is an index into a different
+        // arrangement family. The runs' counts sum to `m`, the block
+        // length, so matching every run leaves room for no other symbol.
+        for &(s, want) in &self.nucleus_runs {
+            let at = u16::from(s) + u16::from(shift);
+            if block.iter().filter(|&&b| u16::from(b) == at).count() != want as usize {
                 return None;
             }
         }
-        let r = rank::multiset_rank(shifted) as usize;
+        // An arrangement's rank depends only on the order of its
+        // symbols, which the color shift keeps: rank the block as is.
+        let r = rank::multiset_rank(block) as usize;
         match self.rank_to_id.get(r) {
             Some(&id) if id != NONE => Some((id, color)),
             _ => None,

@@ -36,6 +36,15 @@ pub enum IpgError {
         /// Destination node index.
         to: u32,
     },
+    /// No generator sequence carries one label to the other.
+    UnreachableLabel {
+        /// Display form of the source label.
+        from: String,
+        /// Display form of the destination label.
+        to: String,
+        /// Why no sequence exists.
+        reason: &'static str,
+    },
     /// A super-IP specification was internally inconsistent.
     InvalidSpec {
         /// Human-readable reason.
@@ -78,6 +87,12 @@ impl fmt::Display for IpgError {
             }
             IpgError::Unreachable { from, to } => {
                 write!(f, "node {to} is unreachable from node {from}")
+            }
+            IpgError::UnreachableLabel { from, to, reason } => {
+                write!(
+                    f,
+                    "label `{to}` is unreachable from label `{from}`: {reason}"
+                )
             }
             IpgError::InvalidSpec { reason } => write!(f, "invalid super-IP spec: {reason}"),
             IpgError::Dist {

@@ -42,25 +42,28 @@ fn binomial(n: u32, k: u32) -> u64 {
 }
 
 /// Lexicographic rank of `label` among all arrangements of its multiset.
+///
+/// Right to left, keeping `arr`, the arrangement count of the suffix
+/// `label[i..]`: adding `s = label[i]` multiplies it by `len / same`
+/// (`len` suffix positions, `same` of them holding `s`), and the
+/// arrangements that put a smaller symbol at `i` number
+/// `arr · smaller / len`. `O(k²)` byte compares and no count table.
+/// Exact while the multiset's arrangement count fits in `u64`.
 pub fn multiset_rank(label: &[u8]) -> u64 {
-    let mut counts = [0u32; 256];
-    for &s in label {
-        counts[s as usize] += 1;
-    }
-    let mut rank = 0u64;
-    for (i, &s) in label.iter().enumerate() {
-        let remaining = (label.len() - i) as u32;
-        for smaller in 0..s as usize {
-            if counts[smaller] == 0 {
-                continue;
-            }
-            // arrangements of the remaining positions if we placed
-            // `smaller` here
-            counts[smaller] -= 1;
-            rank += arrangements_of(&counts, remaining - 1);
-            counts[smaller] += 1;
-        }
-        counts[s as usize] -= 1;
+    // `a · b / c` for exact quotients whose product may pass u64.
+    let mul_div = |a: u64, b: u64, c: u64| match a.checked_mul(b) {
+        Some(p) => p / c,
+        None => (u128::from(a) * u128::from(b) / u128::from(c)) as u64,
+    };
+    let (mut rank, mut arr) = (0u64, 1u64);
+    for i in (0..label.len()).rev() {
+        let s = label[i];
+        let suffix = &label[i..];
+        let len = suffix.len() as u64;
+        let same = suffix.iter().filter(|&&t| t == s).count() as u64;
+        let smaller = suffix.iter().filter(|&&t| t < s).count() as u64;
+        arr = mul_div(arr, len, same);
+        rank += mul_div(arr, smaller, len);
     }
     rank
 }
@@ -180,6 +183,24 @@ mod tests {
             prev = Some(label);
         }
         assert_eq!(multiset_unrank(&counts, total), None);
+    }
+
+    #[test]
+    fn rank_inverts_unrank_on_assorted_multisets() {
+        // gaps in the symbol range, one heavy symbol, all distinct
+        for counts in [&[3, 0, 2][..], &[1, 5, 1], &[1; 6], &[2, 2, 2, 1]] {
+            for r in 0..multiset_count(counts) {
+                let label = multiset_unrank(counts, r).unwrap();
+                assert_eq!(multiset_rank(&label), r, "{counts:?} rank {r}");
+            }
+        }
+        // a colour-shifted block ranks like its unshifted copy
+        let counts = [1u32, 2, 1, 1, 1, 1, 1];
+        for r in (0..multiset_count(&counts)).step_by(7) {
+            let label = multiset_unrank(&counts, r).unwrap();
+            let shifted: Vec<u8> = label.iter().map(|&s| s + 33).collect();
+            assert_eq!(multiset_rank(&shifted), r, "shifted rank {r}");
+        }
     }
 
     #[test]

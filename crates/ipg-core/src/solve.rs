@@ -47,8 +47,9 @@ pub fn verify_solution(spec: &IpGraphSpec, src: &Label, dst: &Label, moves: &[us
 /// Find a shortest generator sequence from `src` to `dst`, exploring at
 /// most `node_budget` labels (across both frontiers). Errors with
 /// [`IpgError::BudgetExceeded`] when the budget runs out and with
-/// [`IpgError::Unreachable`] when the frontiers exhaust without meeting
-/// (different orbits).
+/// [`IpgError::UnreachableLabel`], naming both labels and the reason,
+/// when the labels hold different symbol multisets or the frontiers
+/// exhaust without meeting (different orbits).
 pub fn solve(spec: &IpGraphSpec, src: &Label, dst: &Label, node_budget: usize) -> Result<Solution> {
     let k = spec.seed.len();
     if src.len() != k || dst.len() != k {
@@ -56,8 +57,15 @@ pub fn solve(spec: &IpGraphSpec, src: &Label, dst: &Label, node_budget: usize) -
             label: format!("{src} / {dst}"),
         });
     }
+    let unreachable = |reason| IpgError::UnreachableLabel {
+        from: src.to_string(),
+        to: dst.to_string(),
+        reason,
+    };
     if src.multiset_signature() != dst.multiset_signature() {
-        return Err(IpgError::Unreachable { from: 0, to: 0 });
+        return Err(unreachable(
+            "the labels hold different symbol multisets, and generators only permute symbols",
+        ));
     }
     if src == dst {
         return Ok(Solution { moves: vec![] });
@@ -108,7 +116,9 @@ pub fn solve(spec: &IpGraphSpec, src: &Label, dst: &Label, node_budget: usize) -
             (&mut bq, &mut bwd, &fwd, &bwd_perms)
         };
         if queue.is_empty() {
-            return Err(IpgError::Unreachable { from: 0, to: 0 });
+            return Err(unreachable(
+                "both search frontiers are exhausted: the labels lie in different orbits",
+            ));
         }
         let level = queue.len();
         let mut best: Option<(u32, Label)> = None;
@@ -208,13 +218,34 @@ mod tests {
 
     #[test]
     fn different_orbits_unreachable() {
+        // Different multisets: refused before any search.
         let spec = IpGraphSpec::star(4);
         let src = Label::parse("1234").unwrap();
         let dst = Label::parse("1123").unwrap();
-        assert!(matches!(
-            solve(&spec, &src, &dst, 1_000),
-            Err(IpgError::Unreachable { .. })
-        ));
+        let err = solve(&spec, &src, &dst, 1_000).unwrap_err();
+        assert!(matches!(err, IpgError::UnreachableLabel { .. }));
+        assert_eq!(
+            err.to_string(),
+            "label `1123` is unreachable from label `1234`: the labels hold different symbol \
+             multisets, and generators only permute symbols"
+        );
+
+        // Same multiset, but one cyclic shift reaches only the four
+        // rotations of the source: the frontiers exhaust.
+        let rotate = crate::perm::Perm::from_image(vec![1, 2, 3, 0]).unwrap();
+        let spec = IpGraphSpec::new(
+            "C4",
+            Label::parse("1234").unwrap(),
+            vec![crate::spec::Generator::new("r", rotate)],
+        )
+        .unwrap();
+        let dst = Label::parse("2134").unwrap();
+        let err = solve(&spec, &src, &dst, 1_000).unwrap_err().to_string();
+        assert!(
+            err.contains("`2134` is unreachable from label `1234`")
+                && err.contains("frontiers are exhausted"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -29,8 +29,8 @@ use ipg_core::graph::Csr;
 use ipg_obs::{HistSnapshot, MetricSnapshot, Obs, ShardTracer, Trace, TraceConfig, ENGINE_TRACK};
 
 use crate::engine::{
-    phase_span, shard_layout, shard_link_arrays, shard_span, window_end, EngineObs, RunTotals,
-    SimConfig, SimResult,
+    link_intervals, link_speeds, phase_span, shard_layout, shard_link_arrays, shard_span,
+    window_end, EngineObs, RunTotals, SimConfig, SimResult,
 };
 use crate::fault::FaultPlan;
 
@@ -222,12 +222,12 @@ pub fn run_dist(
         })?;
         for si in lo..hi {
             let (base, node_count) = shard_span(n as u32, shard_size, si);
-            let (link_of, to, interval) = shard_link_arrays(g, &module, cfg, base, node_count);
+            let (link_of, to, off_module) = shard_link_arrays(g, &module, base, node_count);
             io.frame_send(&ShardLinksFrame {
                 shard: si,
                 link_of,
                 to,
-                interval,
+                interval: link_intervals(&off_module, link_speeds(cfg)),
             })?;
         }
     }

@@ -19,7 +19,7 @@ use ipg_core::error::{IpgError, Result};
 use ipg_obs::{NullRecorder, Obs, ShardTracer, Trace, TraceConfig, ENGINE_TRACK};
 
 use crate::engine::{
-    cycle_params, link_interval, shard_layout, shard_span, window_end, Shard, ShardRange,
+    cycle_params, link_speeds, shard_layout, shard_span, window_end, Shard, ShardRange, Switching,
 };
 use crate::fault::FaultPlan;
 use crate::router::Router;
@@ -51,13 +51,14 @@ fn planned_test_exit() -> Option<(u32, u32)> {
 }
 
 /// Check one shard's shipped link arrays against what
-/// `Shard::assemble` and the cycle loop index with; names the first
-/// offending field.
+/// `Shard::assemble` and the cycle loop index with, and every interval
+/// against the two link classes `speed` of the config, the only ones a
+/// shard can hold; names the first offending field.
 fn check_links(
     sl: &ShardLinksFrame,
     node_count: u32,
     n: u32,
-    max_interval: u32,
+    speed: [u32; 2],
 ) -> Option<&'static str> {
     let (link_of, links) = (&sl.link_of, sl.to.len());
     if link_of.len() != node_count as usize + 1 {
@@ -71,12 +72,8 @@ fn check_links(
         Some("links.interval: not one per entry of links.to")
     } else if sl.to.iter().any(|&v| v >= n) {
         Some("links.to: names a node outside the network")
-    } else if sl
-        .interval
-        .iter()
-        .any(|iv| !(1..=max_interval).contains(iv))
-    {
-        Some("links.interval: outside 1..=the slower link class of setup.cfg")
+    } else if sl.interval.iter().any(|iv| !speed.contains(iv)) {
+        Some("links.interval: neither the on-module nor the off-module interval of setup.cfg")
     } else {
         None
     }
@@ -112,17 +109,29 @@ fn serve(
         )));
     }
     // The coordinator builds every link from `cfg`, so the slower link
-    // class bounds them all. `cycle_params` sizes the wheel and the run
-    // from these in u32.
+    // class bounds them all. `cycle_params` sizes the wheel, the
+    // cut-through tail and the run from these in u32, and a latency
+    // adds the tail to at most the run's length.
     let c = &setup.cfg;
-    let max_interval = link_interval(c, true).max(link_interval(c, false));
-    let wheel = max_interval.checked_mul(c.message_length.max(1));
-    if wheel.and_then(|w| w.checked_add(1)).is_none() {
+    let speed = link_speeds(c);
+    let max_interval = speed[0].max(speed[1]);
+    let flits = c.message_length.max(1);
+    let (advance, tail) = match c.switching {
+        Switching::StoreForward => (max_interval.checked_mul(flits), Some(0)),
+        Switching::CutThrough => (
+            Some(max_interval),
+            (flits - 1).checked_mul(c.on_module_interval),
+        ),
+    };
+    if advance.and_then(|w| w.checked_add(1)).is_none() {
         return Err(io.fault("setup.cfg: arrival wheel size overflows u32".to_string()));
     }
     let cycles = c.warmup_cycles.checked_add(c.measure_cycles);
-    if cycles.and_then(|m| m.checked_add(c.drain_cycles)).is_none() {
+    let Some(cycles) = cycles.and_then(|m| m.checked_add(c.drain_cycles)) else {
         return Err(io.fault("setup.cfg: cycle count overflows u32".to_string()));
+    };
+    if tail.and_then(|t| t.checked_add(cycles)).is_none() {
+        return Err(io.fault("setup.cfg: cut-through latency overflows u32".to_string()));
     }
 
     let ws = WorkerSetup {
@@ -150,15 +159,12 @@ fn serve(
             )));
         }
         let (base, node_count) = shard_span(setup.n, shard_size, si);
-        if let Some(why) = check_links(&sl, node_count, setup.n, max_interval) {
+        if let Some(why) = check_links(&sl, node_count, setup.n, speed) {
             return Err(io.fault(format!("shard {si} of {} nodes: {why}", setup.n)));
         }
+        let off_module = sl.interval.iter().map(|&iv| iv != speed[0]).collect();
         shards.push(Shard::assemble(
-            base,
-            node_count,
-            sl.link_of,
-            sl.to,
-            sl.interval,
+            base, node_count, sl.link_of, sl.to, off_module, speed,
         ));
     }
 
@@ -278,7 +284,7 @@ fn serve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{shard_link_arrays, Msg, SimConfig};
+    use crate::engine::{link_intervals, shard_link_arrays, Msg, SimConfig};
     use crate::table::RoutingTable;
     use ipg_core::graph::Csr;
     use ipg_networks::classic;
@@ -314,13 +320,12 @@ mod tests {
 
     fn links(g: &Csr, si: u32) -> ShardLinksFrame {
         let (base, node_count) = shard_span(514, 129, si);
-        let (link_of, to, interval) =
-            shard_link_arrays(g, |_| 0, &SimConfig::default(), base, node_count);
+        let (link_of, to, off_module) = shard_link_arrays(g, |_| 0, base, node_count);
         ShardLinksFrame {
             shard: si,
             link_of,
             to,
-            interval,
+            interval: link_intervals(&off_module, link_speeds(&SimConfig::default())),
         }
     }
 
@@ -393,6 +398,10 @@ mod tests {
         for forge in [
             |c: &mut SimConfig| c.off_module_interval = u32::MAX,
             |c: &mut SimConfig| c.drain_cycles = u32::MAX,
+            |c: &mut SimConfig| {
+                c.switching = Switching::CutThrough;
+                c.message_length = u32::MAX;
+            },
         ] {
             let mut s = setup();
             forge(&mut s.cfg);
@@ -417,6 +426,13 @@ mod tests {
         cases.push(forge("links.to", |l| l.to[3] = 514));
         cases.push(forge("links.interval", |l| l.interval[3] = 0));
         cases.push(forge("links.interval", |l| l.interval[3] = 2));
+        // Between the two classes (on 1, off 4): inside the old
+        // `1..=max` bound, but no link of either class runs at 2.
+        let mut s = setup();
+        s.cfg.off_module_interval = 4;
+        let mut ls = good_links.to_vec();
+        ls[1].interval[3] = 2;
+        cases.push(("links.interval", s, ls, Vec::new()));
         for (field, m) in [
             ("arrivals.to", Msg { to: 5, ..arrival }),
             ("arrivals.to", Msg { to: 515, ..arrival }),

@@ -41,10 +41,31 @@
 //! # Flat data layout
 //!
 //! Queued packets live in a per-shard slab pool (struct-of-arrays: `dst`,
-//! `born`, `tagged`, `next`); link FIFOs are intrusive lists threaded
-//! through the pool's `next` array, and the arrival wheel and outboxes
+//! `born`, `tagged`, `next`); link FIFOs are circular intrusive lists
+//! threaded through the pool's `next` array (a link keeps only its
+//! tail; the head is `next[tail]`), and the arrival wheel and outboxes
 //! recycle their buffers — so steady-state cycles perform no heap
 //! allocation at all.
+//!
+//! A shard keeps its links in parallel arrays. Bytes per directed link
+//! in a run without obs or trace (DESIGN.md §10):
+//!
+//! | state | was | now |
+//! |---|---|---|
+//! | `to` (next node) | 4 | 4 |
+//! | service interval | 4 (`u32` per link) | 1/8 (one off-module bit; the shard keeps the `[on, off]` pair) |
+//! | `next_free` (link clock) | 8 (`u64`) | 4 (`u32`, saturating at `u32::MAX`, a cycle no run reaches) |
+//! | FIFO head | 4 | 0 (`pool.next[tail]`) |
+//! | FIFO tail | 4 | 4 |
+//! | `qlen` | 4 | 0 (4 when obs or trace reads it) |
+//! | owning node | 4 | 0 (sampled gauges walk `link_of`) |
+//! | active-link worklist bit | 1/8 | 1/8 |
+//! | **total** | **32.125** | **12.25** |
+//!
+//! Per node, the shard keeps `link_of` (4 bytes) and the node's RNG
+//! stream; the per-node busy-link count (4 bytes) is gone too. Obs adds
+//! `link_busy` (8), `queue_hw` (4) and `qlen` (4) per link, a trace
+//! `link_busy` and `qlen`, a fault plan one dead flag (1).
 //!
 //! # Sparse cycle kernel
 //!
@@ -80,7 +101,7 @@ use crate::fault::{FaultPlan, LocalFault, ShardFaults};
 use crate::rng::{node_stream, InjectionSchedule, NodeRng, SCHEDULE_CHUNK};
 use crate::router::Router;
 use crate::table::RoutingTable;
-use crate::worklist::Worklist;
+use crate::worklist::{FrozenBits, Worklist};
 use ipg_core::fault::FaultView;
 use ipg_core::graph::Csr;
 use ipg_obs::{Counter, Histogram, Obs, ShardTracer, Span, Trace, TraceConfig, ENGINE_TRACK};
@@ -228,9 +249,10 @@ pub(crate) struct Msg {
     pub(crate) slot: u32,
 }
 
-/// Slab pool of queued packets, struct-of-arrays. Link FIFOs are intrusive
-/// lists threaded through `next`; freed slots form a freelist through the
-/// same array, so steady-state alloc/free touches no allocator.
+/// Slab pool of queued packets, struct-of-arrays. Link FIFOs are circular
+/// intrusive lists threaded through `next`; freed slots form a freelist
+/// through the same array, so steady-state alloc/free touches no
+/// allocator.
 #[derive(Default)]
 struct Pool {
     dst: Vec<u32>,
@@ -281,14 +303,23 @@ impl Pool {
     }
 }
 
-/// Per-link state, struct-of-arrays over the links owned by one shard.
-#[derive(Default)]
+/// Per-link state, struct-of-arrays over the links owned by one shard:
+/// 12 bytes per link plus one bit (the module docs' table).
 struct Links {
     to: Vec<u32>,
-    interval: Vec<u32>,
-    next_free: Vec<u64>,
-    qhead: Vec<u32>,
-    qtail: Vec<u32>,
+    /// Last packet of each link's FIFO, [`NIL`] when it is empty. The
+    /// FIFO is a circular list through [`Pool::next`]: the head is
+    /// `next[tail]`.
+    tail: Vec<u32>,
+    /// First cycle the link may launch again. Saturates at `u32::MAX`,
+    /// which no cycle of a run reaches.
+    next_free: Vec<u32>,
+    /// Service interval of the two link classes: `[on-module,
+    /// off-module]`.
+    speed: [u32; 2],
+    /// Links of the off-module class (`speed[1]`).
+    off_module: FrozenBits,
+    /// FIFO lengths, allocated only when obs or trace reads them.
     qlen: Vec<u32>,
 }
 
@@ -298,25 +329,62 @@ impl Links {
     }
 
     #[inline]
-    fn enqueue(&mut self, li: usize, p: u32, pool: &mut Pool) {
-        if self.qtail[li] == NIL {
-            self.qhead[li] = p;
-        } else {
-            pool.next[self.qtail[li] as usize] = p;
-        }
-        self.qtail[li] = p;
-        self.qlen[li] += 1;
+    fn interval(&self, li: usize) -> u32 {
+        self.speed[usize::from(self.off_module.get(li))]
     }
 
     #[inline]
-    fn dequeue(&mut self, li: usize, pool: &Pool) -> u32 {
-        let p = self.qhead[li];
-        self.qhead[li] = pool.next[p as usize];
-        if self.qhead[li] == NIL {
-            self.qtail[li] = NIL;
+    fn is_empty(&self, li: usize) -> bool {
+        self.tail[li] == NIL
+    }
+
+    /// The slowest service interval among the links (1 without links).
+    fn max_interval(&self) -> u32 {
+        let slow = self.off_module.count_ones();
+        let mut m = 1;
+        if slow < self.len() {
+            m = m.max(self.speed[0]);
         }
-        self.qlen[li] -= 1;
-        p
+        if slow > 0 {
+            m = m.max(self.speed[1]);
+        }
+        m
+    }
+
+    /// Append `p` to link `li`'s FIFO; returns whether it was empty.
+    #[inline]
+    fn enqueue(&mut self, li: usize, p: u32, pool: &mut Pool) -> bool {
+        let t = self.tail[li];
+        let was_empty = t == NIL;
+        if was_empty {
+            pool.next[p as usize] = p;
+        } else {
+            pool.next[p as usize] = pool.next[t as usize];
+            pool.next[t as usize] = p;
+        }
+        self.tail[li] = p;
+        if !self.qlen.is_empty() {
+            self.qlen[li] += 1;
+        }
+        was_empty
+    }
+
+    /// Take the head of link `li`'s FIFO, which must be non-empty;
+    /// returns it and whether the FIFO is now empty.
+    #[inline]
+    fn dequeue(&mut self, li: usize, pool: &mut Pool) -> (u32, bool) {
+        let t = self.tail[li];
+        let head = pool.next[t as usize];
+        let now_empty = head == t;
+        if now_empty {
+            self.tail[li] = NIL;
+        } else {
+            pool.next[t as usize] = pool.next[head as usize];
+        }
+        if !self.qlen.is_empty() {
+            self.qlen[li] -= 1;
+        }
+        (head, now_empty)
     }
 }
 
@@ -331,8 +399,6 @@ pub(crate) struct Shard {
     node_count: u32,
     /// Per-node offsets into `links` (length `node_count + 1`).
     link_of: Vec<u32>,
-    /// Local node index owning each link (the inverse of `link_of`).
-    link_owner: Vec<u32>,
     links: Links,
     pool: Pool,
     rngs: Vec<NodeRng>,
@@ -343,10 +409,6 @@ pub(crate) struct Shard {
     active_links: Worklist,
     /// Scratch for snapshotting `active_links` while the loop mutates it.
     active_scratch: Vec<u32>,
-    /// Per-node count of non-empty out-FIFOs; `busy_nodes` counts the
-    /// entries > 0 (the O(1) `active_nodes` trace gauge).
-    node_busy: Vec<u32>,
-    busy_nodes: u32,
     /// O(1) occupancy counters: packets queued in FIFOs / waiting in the
     /// arrival wheel, total and tagged-only (the in-flight accounting).
     queued_total: u64,
@@ -442,18 +504,24 @@ pub(crate) struct RunParams {
 /// config's two link classes instead of scanning the graph.
 pub(crate) fn cycle_params(n: u32, cfg: &SimConfig, max_interval: u32) -> RunParams {
     let msg_len = cfg.message_length.max(1);
+    let store_forward = cfg.switching == Switching::StoreForward;
     // Arrival wheel: one slot per possible head-advance value. A link
     // with service interval k serves one message per k·L cycles; the
     // head advances after k (cut-through) or k·L (store-and-forward)
     // cycles — slow off-module signaling, §5.4.
-    let wheel_len = max_interval * msg_len + 1;
+    let max_advance = if store_forward {
+        max_interval * msg_len
+    } else {
+        max_interval
+    };
+    let wheel_len = max_advance + 1;
     RunParams {
         n,
         seed: cfg.seed,
         injection_rate: cfg.injection_rate,
         traffic: cfg.traffic,
         msg_len,
-        store_forward: cfg.switching == Switching::StoreForward,
+        store_forward,
         tag_lo: cfg.warmup_cycles,
         tag_hi: cfg.warmup_cycles + cfg.measure_cycles,
         wheel_len,
@@ -525,7 +593,8 @@ impl RunTotals {
 
 impl Shard {
     /// Construct a quiescent shard over `[base, base + node_count)` from
-    /// its per-node link offsets and `(to, interval)` link arrays; run
+    /// its per-node link offsets, its links' next nodes `to`, which of
+    /// them are off-module, and the `[on, off]` service intervals; run
     /// state starts empty until [`Shard::prepare_run`]. The dist worker
     /// checks shipped arrays against these preconditions first.
     pub(crate) fn assemble(
@@ -533,31 +602,24 @@ impl Shard {
         node_count: u32,
         link_of: Vec<u32>,
         to: Vec<u32>,
-        interval: Vec<u32>,
+        off_module: FrozenBits,
+        speed: [u32; 2],
     ) -> Shard {
         debug_assert_eq!(link_of.len(), node_count as usize + 1);
-        debug_assert_eq!(to.len(), interval.len());
+        debug_assert_eq!(to.len(), off_module.len());
         let nl = to.len();
         let links = Links {
             to,
-            interval,
+            tail: vec![NIL; nl],
             next_free: vec![0; nl],
-            qhead: vec![NIL; nl],
-            qtail: vec![NIL; nl],
-            qlen: vec![0; nl],
+            speed,
+            off_module,
+            qlen: Vec::new(),
         };
-        let mut link_owner = Vec::with_capacity(nl);
-        for local in 0..node_count as usize {
-            for _ in link_of[local]..link_of[local + 1] {
-                link_owner.push(local as u32);
-            }
-        }
-        debug_assert_eq!(link_owner.len(), nl);
         Shard {
             base,
             node_count,
             link_of,
-            link_owner,
             links,
             pool: Pool {
                 free: NIL,
@@ -567,8 +629,6 @@ impl Shard {
             sched: InjectionSchedule::default(),
             active_links: Worklist::new(nl),
             active_scratch: Vec::new(),
-            node_busy: vec![0u32; node_count as usize],
-            busy_nodes: 0,
             queued_total: 0,
             tagged_queued: 0,
             wheel_live: 0,
@@ -600,12 +660,9 @@ impl Shard {
         track_id: u16,
     ) {
         let nl = self.links.len();
-        for li in 0..nl {
-            self.links.next_free[li] = 0;
-            self.links.qhead[li] = NIL;
-            self.links.qtail[li] = NIL;
-            self.links.qlen[li] = 0;
-        }
+        self.links.next_free.fill(0);
+        self.links.tail.fill(NIL);
+        self.links.qlen = vec![0u32; if track_links { nl } else { 0 }];
         self.pool.reset();
         self.rngs = (self.base..self.base + self.node_count)
             .map(|v| node_stream(pr.seed, v))
@@ -613,8 +670,6 @@ impl Shard {
         self.sched.reset();
         self.active_links.clear();
         self.active_scratch.clear();
-        self.node_busy.fill(0);
-        self.busy_nodes = 0;
         self.queued_total = 0;
         self.tagged_queued = 0;
         self.wheel_live = 0;
@@ -665,23 +720,18 @@ impl Shard {
     }
 
     /// Enqueue pool slot `p` on link `li`. The only sanctioned FIFO push:
-    /// it keeps the active-link worklist, the per-node busy counts, and
-    /// the queued-occupancy counters in lockstep with the queue state
-    /// (the DESIGN.md §13 activation invariant).
+    /// it keeps the active-link worklist and the queued-occupancy
+    /// counters in lockstep with the queue state (the DESIGN.md §13
+    /// activation invariant).
     #[inline]
     fn fifo_push(&mut self, li: usize, p: u32) {
-        self.links.enqueue(li, p, &mut self.pool);
+        let was_empty = self.links.enqueue(li, p, &mut self.pool);
         self.queued_total += 1;
         if self.pool.tagged[p as usize] {
             self.tagged_queued += 1;
         }
-        if self.links.qlen[li] == 1 {
+        if was_empty {
             self.active_links.insert(li as u32);
-            let owner = self.link_owner[li] as usize;
-            self.node_busy[owner] += 1;
-            if self.node_busy[owner] == 1 {
-                self.busy_nodes += 1;
-            }
         }
     }
 
@@ -689,20 +739,37 @@ impl Shard {
     /// sanctioned FIFO pop — see [`Shard::fifo_push`].
     #[inline]
     fn fifo_pop(&mut self, li: usize) -> u32 {
-        let p = self.links.dequeue(li, &self.pool);
+        let (p, now_empty) = self.links.dequeue(li, &mut self.pool);
         self.queued_total -= 1;
         if self.pool.tagged[p as usize] {
             self.tagged_queued -= 1;
         }
-        if self.links.qlen[li] == 0 {
+        if now_empty {
             self.active_links.remove(li as u32);
-            let owner = self.link_owner[li] as usize;
-            self.node_busy[owner] -= 1;
-            if self.node_busy[owner] == 0 {
-                self.busy_nodes -= 1;
-            }
         }
         p
+    }
+
+    /// Nodes with a non-empty out-FIFO, and the deepest FIFO (0 unless
+    /// obs or trace keeps `qlen`): one ascending walk of the active
+    /// links against `link_of`, so a node is counted once however many
+    /// of its links are active. Only sampled trace cycles call it.
+    fn busy_nodes_and_deepest(&self) -> (u32, u32) {
+        let (mut busy, mut deepest) = (0u32, 0u32);
+        let (mut node, mut last) = (0usize, usize::MAX);
+        self.active_links.for_each(|li| {
+            while self.link_of[node + 1] <= li {
+                node += 1;
+            }
+            if node != last {
+                busy += 1;
+                last = node;
+            }
+            if let Some(&q) = self.links.qlen.get(li as usize) {
+                deepest = deepest.max(q);
+            }
+        });
+        (busy, deepest)
     }
 
     #[inline]
@@ -773,7 +840,7 @@ impl Shard {
                     self.base + (self.link_of.partition_point(|&o| o as usize <= li) - 1) as u32;
                 // ipg-analyze: allow(ALLOC001) reason="fault application runs once per injected fault event, not per cycle; orphan list is bounded by the dead link's queue"
                 let mut orphans = Vec::new();
-                while self.links.qhead[li] != NIL {
+                while !self.links.is_empty(li) {
                     let p = self.fifo_pop(li);
                     let i = p as usize;
                     orphans.push((self.pool.dst[i], self.pool.born[i], self.pool.tagged[i]));
@@ -788,7 +855,7 @@ impl Shard {
                 let hi = self.link_of[local as usize + 1] as usize;
                 for li in lo..hi {
                     self.link_dead[li] = true;
-                    while self.links.qhead[li] != NIL {
+                    while !self.links.is_empty(li) {
                         let p = self.fifo_pop(li);
                         let tagged = self.pool.tagged[p as usize];
                         self.pool.release(p);
@@ -829,19 +896,21 @@ impl Shard {
         if !self.link_dead.is_empty() && self.link_dead[li] {
             return; // dead links refuse launches
         }
-        if self.links.next_free[li] <= u64::from(cycle) && self.links.qhead[li] != NIL {
+        if self.links.next_free[li] <= cycle && !self.links.is_empty(li) {
             let p = self.fifo_pop(li);
-            let occupancy = u64::from(self.links.interval[li]) * u64::from(pr.msg_len);
+            let interval = self.links.interval(li);
             // occupancy: the whole message crosses the link
-            self.links.next_free[li] = u64::from(cycle) + occupancy;
+            let occupancy = u64::from(interval) * u64::from(pr.msg_len);
+            self.links.next_free[li] =
+                u32::try_from(u64::from(cycle) + occupancy).unwrap_or(u32::MAX);
             if !self.link_busy.is_empty() {
                 self.link_busy[li] += occupancy;
             }
             // forward progress of the head
             let advance = if pr.store_forward {
-                self.links.interval[li] * pr.msg_len
+                interval * pr.msg_len
             } else {
-                self.links.interval[li]
+                interval
             };
             let slot = (cycle + advance) % pr.wheel_len;
             self.outbox.push(Msg {
@@ -910,17 +979,14 @@ impl Shard {
         }
         self.active_scratch = scratch;
         let launched = self.outbox.len() as u64;
-        if let Some(t) = self.tracer.as_mut() {
-            if t.sampled(u64::from(cycle)) {
-                t.phase_a(u64::from(cycle), injected_now, launched as u32);
-                t.outbox_depth(u64::from(cycle), launched);
-                t.link_util(u64::from(cycle), &self.link_busy);
-                t.worklist(
-                    u64::from(cycle),
-                    self.active_links.len(),
-                    self.busy_nodes,
-                    self.queued_total,
-                );
+        let c = u64::from(cycle);
+        if self.tracer.as_ref().is_some_and(|t| t.sampled(c)) {
+            let (busy, _) = self.busy_nodes_and_deepest();
+            if let Some(t) = self.tracer.as_mut() {
+                t.phase_a(c, injected_now, launched as u32);
+                t.outbox_depth(c, launched);
+                t.link_util(c, &self.link_busy);
+                t.worklist(c, self.active_links.len(), busy, self.queued_total);
             }
         }
     }
@@ -987,19 +1053,17 @@ impl Shard {
         buf.clear();
         self.wheel[slot] = buf;
         if sampling {
+            // Gauges read the O(1) occupancy counters the fifo helpers
+            // and the wheel merge maintain; only the busy-node count and
+            // the deepest-queue probe walk anything, and only the links
+            // that actually hold packets.
+            let (busy, deepest) = self.busy_nodes_and_deepest();
             if let Some(t) = self.tracer.as_mut() {
                 let c = u64::from(cycle);
                 t.phase_b(c, drained, delivered_now);
-                // Gauges read the O(1) occupancy counters the fifo
-                // helpers and the wheel merge maintain; only the
-                // deepest-queue probe walks anything, and only the
-                // links that actually hold packets.
-                t.active_nodes(c, u64::from(self.busy_nodes));
+                t.active_nodes(c, u64::from(busy));
                 t.pool_occupancy(c, u64::from(self.pool.live));
                 t.wheel_depth(c, self.wheel_live);
-                let mut deepest = 0u32;
-                self.active_links
-                    .for_each(|li| deepest = deepest.max(self.links.qlen[li as usize]));
                 t.queue_depth(c, deepest, self.queued_total);
             }
         }
@@ -1077,42 +1141,50 @@ pub(crate) fn shard_span(n: u32, shard_size: u32, si: u32) -> (u32, u32) {
     (base, shard_size.min(n - base))
 }
 
-/// The service interval of a link: `cfg.on_module_interval` when both
-/// endpoints share a module, `cfg.off_module_interval` otherwise, and
-/// never below 1.
-pub(crate) fn link_interval(cfg: &SimConfig, same_module: bool) -> u32 {
-    if same_module {
-        cfg.on_module_interval
-    } else {
-        cfg.off_module_interval
-    }
-    .max(1)
+/// The service intervals of the two link classes, `[on-module,
+/// off-module]`: a link forwards one packet every
+/// `cfg.on_module_interval` cycles when both endpoints share a module,
+/// every `cfg.off_module_interval` otherwise, and never faster than one
+/// per cycle.
+pub(crate) fn link_speeds(cfg: &SimConfig) -> [u32; 2] {
+    [
+        cfg.on_module_interval.max(1),
+        cfg.off_module_interval.max(1),
+    ]
 }
 
-/// Flatten one shard's outgoing links from the graph: per-node offsets
-/// plus `(to, interval)` arrays in (node, neighbor) order, exactly the
-/// order the cycle loops service them in. The distributed coordinator
-/// uses this to ship link data to workers so they never materialize the
-/// full CSR.
+/// Flatten one shard's outgoing links from the graph: per-node offsets,
+/// each link's next node and whether it leaves its module, in (node,
+/// neighbor) order, exactly the order the cycle loops service them in.
+/// The distributed coordinator ships these (as
+/// [`link_intervals`]) so workers never materialize the full CSR.
 pub(crate) fn shard_link_arrays(
     g: &Csr,
     module: impl Fn(u32) -> u32,
-    cfg: &SimConfig,
     base: u32,
     node_count: u32,
-) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+) -> (Vec<u32>, Vec<u32>, FrozenBits) {
+    let nodes = base..base + node_count;
     let mut link_of = Vec::with_capacity(node_count as usize + 1);
     link_of.push(0u32);
-    let mut to = Vec::new();
-    let mut interval = Vec::new();
-    for u in base..base + node_count {
-        for &v in g.neighbors(u) {
-            to.push(v);
-            interval.push(link_interval(cfg, module(u) == module(v)));
-        }
+    let mut to = Vec::with_capacity(nodes.clone().map(|u| g.neighbors(u).len()).sum());
+    for u in nodes.clone() {
+        to.extend_from_slice(g.neighbors(u));
         link_of.push(to.len() as u32);
     }
-    (link_of, to, interval)
+    let module = &module;
+    let off_module = nodes
+        .flat_map(|u| g.neighbors(u).iter().map(move |&v| module(u) != module(v)))
+        .collect();
+    (link_of, to, off_module)
+}
+
+/// Each link's service interval: `speed[1]` for the off-module links,
+/// `speed[0]` for the rest (the shipped form of a shard's link classes).
+pub(crate) fn link_intervals(off_module: &FrozenBits, speed: [u32; 2]) -> Vec<u32> {
+    (0..off_module.len())
+        .map(|li| speed[usize::from(off_module.get(li))])
+        .collect()
 }
 
 /// The cycle driver: a contiguous run `[lo, hi)` of the shard layout
@@ -1264,7 +1336,7 @@ impl<'a, R: Router + ?Sized> ShardRange<'a, R> {
             let cycles = u64::from(self.pr.total_cycles.max(1));
             for sh in self.shards.iter() {
                 for (busy, hw) in sh.link_busy.iter().zip(&sh.queue_hw) {
-                    let pct = (busy * 100 / cycles).min(100);
+                    let pct = (busy.saturating_mul(100) / cycles).min(100);
                     h_util.observe(pct);
                     g_util.record_max(pct);
                     h_qhw.observe(u64::from(*hw));
@@ -1304,9 +1376,10 @@ impl<R: Router> Simulator<R> {
         let mut max_interval = 1u32;
         for si in 0..shard_count as u32 {
             let (base, node_count) = shard_span(n as u32, shard_size, si);
-            let (link_of, to, interval) = shard_link_arrays(g, &module, cfg, base, node_count);
-            max_interval = interval.iter().fold(max_interval, |m, &iv| m.max(iv));
-            shards.push(Shard::assemble(base, node_count, link_of, to, interval));
+            let (link_of, to, off_module) = shard_link_arrays(g, &module, base, node_count);
+            let sh = Shard::assemble(base, node_count, link_of, to, off_module, link_speeds(cfg));
+            max_interval = max_interval.max(sh.links.max_interval());
+            shards.push(sh);
         }
         Simulator {
             n,
@@ -1326,38 +1399,50 @@ impl<R: Router> Simulator<R> {
         for (si, sh) in self.shards.iter().enumerate() {
             let mut queued = 0u64;
             let mut tagged_q = 0u64;
-            let mut busy = vec![0u32; sh.node_count as usize];
+            let mut busy = 0u32;
             let mut active = 0u32;
-            for li in 0..sh.links.len() {
-                let ql = sh.links.qlen[li];
-                assert_eq!(
-                    sh.active_links.contains(li as u32),
-                    ql > 0,
-                    "shard {si}: worklist bit desynced from link {li} (qlen {ql})"
-                );
-                if ql > 0 {
-                    busy[sh.link_owner[li] as usize] += 1;
-                    active += 1;
-                }
-                let mut p = sh.links.qhead[li];
-                let mut walked = 0u32;
-                while p != NIL {
-                    queued += 1;
-                    if sh.pool.tagged[p as usize] {
-                        tagged_q += 1;
+            for local in 0..sh.node_count as usize {
+                let mut owner_busy = false;
+                for li in sh.link_of[local] as usize..sh.link_of[local + 1] as usize {
+                    // Walk the circular FIFO from its head back to its
+                    // tail; a list that does not close is caught by the
+                    // pool-size bound instead of looping forever.
+                    let tail = sh.links.tail[li];
+                    let mut walked = 0u32;
+                    let mut p = tail;
+                    while tail != NIL && (walked == 0 || p != tail) {
+                        p = sh.pool.next[p as usize];
+                        walked += 1;
+                        assert!(
+                            walked as usize <= sh.pool.next.len(),
+                            "shard {si}: FIFO of link {li} does not close at its tail"
+                        );
+                        queued += 1;
+                        if sh.pool.tagged[p as usize] {
+                            tagged_q += 1;
+                        }
                     }
-                    walked += 1;
-                    p = sh.pool.next[p as usize];
+                    assert_eq!(
+                        sh.active_links.contains(li as u32),
+                        walked > 0,
+                        "shard {si}: worklist bit desynced from link {li} ({walked} queued)"
+                    );
+                    if walked > 0 {
+                        owner_busy = true;
+                        active += 1;
+                    }
+                    if let Some(&ql) = sh.links.qlen.get(li) {
+                        assert_eq!(walked, ql, "shard {si}: qlen desynced on link {li}");
+                    }
                 }
-                assert_eq!(walked, ql, "shard {si}: qlen desynced on link {li}");
+                busy += u32::from(owner_busy);
             }
             assert_eq!(queued, sh.queued_total, "shard {si}: queued_total");
             assert_eq!(tagged_q, sh.tagged_queued, "shard {si}: tagged_queued");
-            assert_eq!(busy, sh.node_busy, "shard {si}: node_busy");
             assert_eq!(
-                busy.iter().filter(|&&b| b > 0).count() as u32,
-                sh.busy_nodes,
-                "shard {si}: busy_nodes"
+                busy,
+                sh.busy_nodes_and_deepest().0,
+                "shard {si}: busy nodes"
             );
             assert_eq!(active, sh.active_links.len(), "shard {si}: worklist len");
             let wl: u64 = sh.wheel.iter().map(|s| s.len() as u64).sum();
@@ -2017,6 +2102,137 @@ mod tests {
                 "ranges {cuts:?}: shard trace differs"
             );
         }
+    }
+
+    /// Links with a queued packet and nodes owning one, counted from the
+    /// FIFO tails alone (no worklist, no sampled walk).
+    fn brute_force_busy(sh: &Shard) -> (u32, u32) {
+        let (mut active, mut busy) = (0u32, 0u32);
+        for local in 0..sh.node_count as usize {
+            let queued = (sh.link_of[local]..sh.link_of[local + 1])
+                .filter(|&li| sh.links.tail[li as usize] != NIL)
+                .count() as u32;
+            active += queued;
+            busy += u32::from(queued > 0);
+        }
+        (active, busy)
+    }
+
+    #[test]
+    fn trace_busy_gauges_match_a_brute_force_count() {
+        use ipg_obs::trace::EventKind;
+        // A saturated 4-shard ring: most links hold packets, so many
+        // nodes have both links busy and must be counted once.
+        let g = classic::ring(512);
+        let cfg = SimConfig {
+            injection_rate: 0.3,
+            warmup_cycles: 0,
+            measure_cycles: 300,
+            drain_cycles: 0,
+            seed: 7,
+            ..SimConfig::default()
+        };
+        let every = 10;
+        let tc = TraceConfig::with_interval(every);
+        for obs in [
+            Obs::disabled(),
+            Obs::with_recorder(Box::new(ipg_obs::NullRecorder)),
+        ] {
+            let mut sim = Simulator::new(&g, |_| 0, &cfg);
+            let pr = cycle_params(sim.n as u32, &cfg, sim.max_interval);
+            let mut range =
+                ShardRange::prepare(&mut sim.shards, 0, pr, &sim.router, None, &obs, Some(&tc));
+            // (cycle, shard, kind, worklist entries, busy nodes)
+            let mut want = Vec::new();
+            let mut remote = Vec::new();
+            let mut sample = |range: &ShardRange<'_, RoutingTable>, cycle: u32, kind| {
+                for (si, sh) in range.shards.iter().enumerate() {
+                    let (active, busy) = brute_force_busy(sh);
+                    let active = if kind == EventKind::Worklist {
+                        active
+                    } else {
+                        0
+                    };
+                    want.push((cycle, si as u16, kind as u16, active, busy));
+                }
+            };
+            for cycle in 0..pr.total_cycles {
+                range.phase_a(cycle);
+                if cycle % every == 0 {
+                    sample(&range, cycle, EventKind::Worklist);
+                }
+                range.phase_split(&mut remote);
+                range.phase_merge(&[], &[]);
+                range.phase_b(cycle);
+                if cycle % every == 0 {
+                    sample(&range, cycle, EventKind::ActiveNodes);
+                }
+            }
+            let (_, tracers) = range.finish(&obs);
+            let trace = Trace::collect(every, tracers, ShardTracer::new(ENGINE_TRACK, &tc));
+            let mut got: Vec<_> = trace
+                .events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    k if k == EventKind::Worklist as u16 => Some((e.cycle, e.shard, k, e.a, e.b)),
+                    k if k == EventKind::ActiveNodes as u16 => {
+                        Some((e.cycle, e.shard, k, 0, e.value as u32))
+                    }
+                    _ => None,
+                })
+                .collect();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(trace.dropped, 0);
+            assert_eq!(got, want, "obs {}: busy gauges", obs.enabled());
+            assert!(
+                want.iter()
+                    .any(|&(_, _, k, a, b)| k == EventKind::Worklist as u16 && b < a),
+                "the run must have nodes with two busy links"
+            );
+        }
+    }
+
+    /// Heap bytes of a shard's per-link state, by capacity.
+    fn link_bytes(sh: &Shard) -> usize {
+        let l = &sh.links;
+        4 * (l.to.capacity() + l.tail.capacity() + l.next_free.capacity() + l.qlen.capacity())
+            + l.off_module.heap_bytes()
+            + sh.active_links.heap_bytes()
+            + 8 * sh.link_busy.capacity()
+            + 4 * sh.queue_hw.capacity()
+            + sh.link_dead.capacity()
+    }
+
+    #[test]
+    fn plain_run_link_state_stays_at_twelve_and_a_quarter_bytes_per_link() {
+        // Both link classes present. Per link: `to`, `tail` and
+        // `next_free` (4 bytes each) plus the off-module bit and the
+        // worklist bit in whole u64 words — 12.25 bytes once a shard's
+        // link count is a multiple of 64, as here (576 per shard).
+        let g = classic::torus2d(24);
+        let cfg = SimConfig {
+            off_module_interval: 3,
+            ..light_cfg()
+        };
+        let mut sim = Simulator::new(&g, |u| u / 8, &cfg);
+        assert!(sim.run(&cfg).delivered > 0);
+        let (mut bytes, mut links) = (0, 0);
+        for sh in &sim.shards {
+            let nl = sh.links.len();
+            let bound = 12 * nl + 2 * 8 * nl.div_ceil(64);
+            assert!(
+                link_bytes(sh) <= bound,
+                "{} bytes for {nl} links",
+                link_bytes(sh)
+            );
+            bytes += link_bytes(sh);
+            links += nl;
+        }
+        assert!(
+            bytes * 4 <= links * 49,
+            "{bytes} bytes for {links} links is over 12.25 per link"
+        );
     }
 
     #[test]

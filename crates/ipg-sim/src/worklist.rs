@@ -10,6 +10,8 @@
 //!
 //! The backing [`FixedBitSet`] is vendored here (dependency-free, ~60
 //! lines) rather than pulled from crates.io; the build is hermetic.
+//! [`FrozenBits`] wraps the same words for flags set once at assembly
+//! and only read afterwards (the packet engine's off-module links).
 //!
 //! # Invariant discipline
 //!
@@ -195,6 +197,64 @@ impl Worklist {
             from = i + 1;
         }
     }
+
+    /// Heap bytes held (the bitset's words, by capacity).
+    pub fn heap_bytes(&self) -> usize {
+        self.set.words.capacity() * 8
+    }
+}
+
+/// One bit per index, fixed when it is built: per-link class flags the
+/// cycle loops read and never write. It has no mutator, so it needs
+/// no counted API and gives DET007 nothing to police.
+#[derive(Clone, Debug, Default)]
+pub struct FrozenBits {
+    set: FixedBitSet,
+}
+
+impl FrozenBits {
+    /// Number of indices.
+    pub fn len(&self) -> usize {
+        self.set.bits as usize
+    }
+
+    /// Does it cover no index?
+    pub fn is_empty(&self) -> bool {
+        self.set.bits == 0
+    }
+
+    /// Bit `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> bool {
+        self.set.test(i as u32)
+    }
+
+    /// Number of set bits.
+    pub fn count_ones(&self) -> usize {
+        self.set.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Heap bytes held (the words, by capacity).
+    pub fn heap_bytes(&self) -> usize {
+        self.set.words.capacity() * 8
+    }
+}
+
+impl FromIterator<bool> for FrozenBits {
+    fn from_iter<I: IntoIterator<Item = bool>>(bits: I) -> FrozenBits {
+        let mut set = FixedBitSet::default();
+        for b in bits {
+            if set.bits % 64 == 0 {
+                set.words.push(0);
+            }
+            if b {
+                set.words[(set.bits / 64) as usize] |= 1u64 << (set.bits % 64);
+            }
+            set.bits += 1;
+        }
+        set.words.shrink_to_fit();
+        FrozenBits { set }
+    }
 }
 
 #[cfg(test)]
@@ -248,6 +308,21 @@ mod tests {
         assert!(w.is_empty());
         assert_eq!(w.next_active(0), None);
         assert!(w.insert(63));
+    }
+
+    #[test]
+    fn frozen_bits_keep_what_they_were_built_from() {
+        let want: Vec<bool> = (0..130).map(|i| i % 3 == 0 || i == 64).collect();
+        let bits: FrozenBits = want.iter().copied().collect();
+        assert_eq!(bits.len(), 130);
+        assert_eq!(bits.count_ones(), want.iter().filter(|&&b| b).count());
+        for (i, &b) in want.iter().enumerate() {
+            assert_eq!(bits.get(i), b, "bit {i}");
+        }
+        assert_eq!(bits.heap_bytes(), 3 * 8, "130 bits fill three words");
+        assert!(std::iter::empty::<bool>()
+            .collect::<FrozenBits>()
+            .is_empty());
     }
 
     #[test]

@@ -210,6 +210,39 @@ fn reference_matches_packet_engine_under_faults() {
 }
 
 #[test]
+fn saturated_link_clock_never_frees_and_matches_the_reference() {
+    // Cut-through messages of 2^31 flits: an off-module link (interval
+    // 2) is busy for 2^32 cycles per packet, past `u32::MAX` from any
+    // cycle, so its clock saturates and it never launches again. A
+    // clock that wrapped would free it the next cycle. On-module links
+    // (interval 1) stay busy for 2^31 cycles, beyond the run too.
+    let g = classic::hypercube(4);
+    let module: Vec<u32> = (0..16).map(|v| v / 4).collect();
+    let cfg = SimConfig {
+        injection_rate: 0.05,
+        warmup_cycles: 10,
+        measure_cycles: 200,
+        drain_cycles: 100,
+        on_module_interval: 1,
+        off_module_interval: 2,
+        message_length: 1 << 31,
+        switching: Switching::CutThrough,
+        seed: 11,
+        ..SimConfig::default()
+    };
+    let r = packet_case(
+        "2^31-flit cut-through on Q4",
+        &g,
+        &module,
+        &cfg,
+        RoutingTable::new(&g),
+        None,
+    );
+    assert!(r.delivered > 0, "first packets still cross");
+    assert!(r.in_flight_at_end > 0, "busy links strand the rest");
+}
+
+#[test]
 fn reference_matches_wormhole_byte_for_byte() {
     // Congested multi-hop config: small buffers and long packets force
     // credit stalls and same-cycle multi-hop forwarding.

@@ -27,8 +27,9 @@ struct Packet {
 struct Link {
     to: u32,
     interval: u32,
-    /// First cycle at which the link may launch again.
-    free_at: u32,
+    /// First cycle at which the link may launch again (exact: a link
+    /// busy past the last `u32` cycle never launches again).
+    free_at: u64,
     dead: bool,
     fifo: VecDeque<Packet>,
 }
@@ -216,13 +217,13 @@ pub fn run<R: Router + ?Sized>(
             );
         }
         for l in &mut m.links {
-            if l.dead || l.free_at > cycle {
+            if l.dead || l.free_at > u64::from(cycle) {
                 continue;
             }
             let Some(p) = l.fifo.pop_front() else {
                 continue;
             };
-            l.free_at = cycle + l.interval * flits;
+            l.free_at = u64::from(cycle) + u64::from(l.interval) * u64::from(flits);
             let head = match cfg.switching {
                 Switching::StoreForward => l.interval * flits,
                 Switching::CutThrough => l.interval,
