@@ -6,6 +6,7 @@
 //! starts (no network built, no file opened), and [`help`] renders
 //! `ipg help` from the same rows.
 
+use crate::spec::{self, DIST_MAX_NODES};
 use ipg_core::label::Label;
 use ipg_core::spec::IpGraphSpec;
 use ipg_sim::fault::FaultSpec;
@@ -17,8 +18,8 @@ pub enum Kind {
     Switch,
     /// A file path or a name.
     Text,
-    /// A network spec. It is parsed where the network is built, so only
-    /// a `-`-prefixed token is refused here.
+    /// A network spec, checked and sized against the family table at
+    /// the `--workers` node cap.
     Network,
     /// A whole number in `[min, max]`.
     Count(u64, u64),
@@ -41,7 +42,7 @@ impl Kind {
     fn check(self, name: &str, token: &str) -> Result<(), String> {
         let (ok, want) = match self {
             Kind::Switch | Kind::Text => (true, String::new()),
-            Kind::Network => (!token.starts_with('-'), "a network".into()),
+            Kind::Network => return spec::parse(token, DIST_MAX_NODES).map(drop),
             Kind::Count(min, max) => (
                 token.parse().is_ok_and(|n: u64| (min..=max).contains(&n)),
                 format!("a whole number in [{min}, {max}]"),
@@ -53,7 +54,10 @@ impl Kind {
             ),
             Kind::Node => (token.parse::<u32>().is_ok(), "a node id".into()),
             Kind::Label => (Label::parse(token).is_some(), "a label".into()),
-            Kind::Game => (game(token).is_some(), "star:<n> or pancake:<n>".into()),
+            Kind::Game => (
+                game(token).is_some(),
+                format!("star|pancake:<1..={GAME_MAX}>"),
+            ),
             Kind::Faults => {
                 return FaultSpec::parse(token)
                     .map(drop)
@@ -68,15 +72,18 @@ impl Kind {
     }
 }
 
-/// A ball-arrangement game, `star:<n>` or `pancake:<n>`, as a deferred
-/// constructor of its spec: checking a token builds nothing.
+/// The largest game: its labels spell symbols `1`–`9` and `a`–`z`.
+const GAME_MAX: usize = 35;
+
+/// A ball-arrangement game, `star:<n>` or `pancake:<n>` with `n ≤ GAME_MAX`,
+/// as a deferred constructor of its spec: checking a token builds nothing.
 pub fn game(token: &str) -> Option<impl FnOnce() -> IpGraphSpec> {
     let (make, n): (fn(usize) -> IpGraphSpec, _) = match token.split_once(':')? {
         ("star", n) => (IpGraphSpec::star, n),
         ("pancake", n) => (IpGraphSpec::pancake, n),
         _ => return None,
     };
-    let n = n.parse().ok()?;
+    let n = n.parse().ok().filter(|n| (1..=GAME_MAX).contains(n))?;
     Some(move || make(n))
 }
 
@@ -335,7 +342,7 @@ pub fn help() -> String {
             }
         }
     }
-    out + "\n" + crate::spec::LANGUAGE
+    out + "\n" + &spec::help()
 }
 
 #[cfg(test)]

@@ -21,7 +21,6 @@ use ipg_sim::fault::{FaultPlan, FaultSpec};
 use ipg_sim::router::{DetourRouter, Router};
 use ipg_sim::table::RoutingTable;
 use ipg_sim::wormhole::{VcPolicy, WormholeConfig, WormholeOutcome, WormholeSim};
-use spec::parse;
 use std::borrow::Cow;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -102,8 +101,14 @@ fn main() -> ExitCode {
     }
 }
 
+/// Build the `network` argument, refusing more than `cap` nodes before
+/// anything is built.
+fn network(p: &Parsed, cap: usize) -> Result<spec::Network, String> {
+    spec::parse(p.text("network")?, cap)?.build()
+}
+
 fn cmd_info(p: &Parsed) -> Result<(), String> {
-    let net = parse(p.text("network")?)?;
+    let net = network(p, spec::MAX_NODES)?;
     let g = &net.graph;
     println!("network:      {}", net.name);
     println!("nodes:        {}", g.node_count());
@@ -144,14 +149,14 @@ fn cmd_info(p: &Parsed) -> Result<(), String> {
 }
 
 fn cmd_compare(p: &Parsed) -> Result<(), String> {
-    // Build every network before the first row, so a bad one fails
-    // without measuring the others.
-    let nets = p.all("network").map(parse).collect::<Result<Vec<_>, _>>()?;
+    let specs = p.all("network").map(|t| spec::parse(t, spec::MAX_NODES));
+    let specs = specs.collect::<Result<Vec<_>, _>>()?;
     println!(
         "{:<24} {:>8} {:>4} {:>5} {:>8} {:>6} {:>7} {:>8} {:>8}",
         "network", "N", "deg", "diam", "DD", "I-deg", "I-diam", "ID", "II"
     );
-    for net in &nets {
+    for spec in &specs {
+        let net = spec.build()?;
         let part = net
             .partition
             .clone()
@@ -174,10 +179,7 @@ fn cmd_compare(p: &Parsed) -> Result<(), String> {
 }
 
 fn cmd_dot(p: &Parsed) -> Result<(), String> {
-    let net = parse(p.text("network")?)?;
-    if net.graph.node_count() > 2_000 {
-        return Err("refusing to emit DOT for > 2000 nodes".into());
-    }
+    let net = network(p, 2_000)?;
     print!(
         "{}",
         ipg_networks::viz::to_dot(&net.graph, &net.name, |v| v.to_string())
@@ -186,7 +188,7 @@ fn cmd_dot(p: &Parsed) -> Result<(), String> {
 }
 
 fn cmd_route(p: &Parsed) -> Result<(), String> {
-    let net = parse(p.text("network")?)?;
+    let net = network(p, spec::MAX_NODES)?;
     let node = |name: &str| -> Result<u32, String> {
         let v: u32 = p.get(name)?;
         if (v as usize) < net.graph.node_count() {
@@ -226,10 +228,7 @@ fn cmd_route(p: &Parsed) -> Result<(), String> {
 }
 
 fn cmd_layout(p: &Parsed) -> Result<(), String> {
-    let net = parse(p.text("network")?)?;
-    if net.graph.node_count() > 4_096 {
-        return Err("layout analysis capped at 4096 nodes".into());
-    }
+    let net = network(p, 4_096)?;
     let b = ipg_layout::bisection::bisection_width_kl(&net.graph, 16, 0xcafe);
     println!("network:            {}", net.name);
     println!("bisection (KL ub):  {b}");
@@ -293,11 +292,21 @@ fn cmd_simulate(p: &Parsed) -> Result<(), String> {
     // The multi-process path admits larger networks: workers route by
     // tuple codec without materializing the graph, so the memory bound
     // is per shard range, not per network.
-    let net = if workers.is_some() {
-        spec::parse_with_cap(netspec, spec::DIST_MAX_NODES)?
-    } else {
-        parse(netspec)?
+    let cap = match workers {
+        Some(_) => spec::DIST_MAX_NODES,
+        None => spec::MAX_NODES,
     };
+    let spec = spec::parse(netspec, cap)?;
+    let choice = RouterChoice::new(spec.tuple()?, faults.is_some());
+    let router_kind = choice.label();
+    if choice.codec.is_none() && spec.nodes() > 65_536 {
+        return Err(format!(
+            "{} nodes exceed the 65536-node bound of the all-pairs routing table \
+             (table-free codec routing needs a super-IP spec with l ≤ {SHORTEST_ROUTER_MAX_L})",
+            spec.nodes()
+        ));
+    }
+    let net = spec.build()?;
     let rate: f64 = p.get("rate")?;
     let cfg = SimConfig {
         injection_rate: rate,
@@ -322,15 +331,6 @@ fn cmd_simulate(p: &Parsed) -> Result<(), String> {
         }
         None => None,
     };
-    let choice = RouterChoice::new(net.tuple.clone(), fault_plan.is_some());
-    let router_kind = choice.label();
-    if choice.codec.is_none() && net.graph.node_count() > 65_536 {
-        return Err(format!(
-            "{} nodes exceed the 65536-node bound of the all-pairs routing table \
-             (table-free codec routing needs a super-IP spec with l ≤ {SHORTEST_ROUTER_MAX_L})",
-            net.graph.node_count()
-        ));
-    }
     let obs = match &obs_path {
         Some(path) => {
             Obs::to_file(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?
@@ -555,15 +555,10 @@ impl RouterChoice {
 /// stays bounded by the shard range, which is what lets `--workers`
 /// clear the in-process node cap.
 fn build_worker_router(ws: &ipg_sim::dist::WorkerSetup) -> Result<Box<dyn Router>, String> {
-    let probe = spec::parse_worker(&ws.netspec, spec::DIST_MAX_NODES, false)?;
-    let choice = RouterChoice::new(probe.tuple, ws.faulted);
-    let graph = match probe.graph {
-        None if choice.needs_graph() => {
-            spec::parse_worker(&ws.netspec, spec::DIST_MAX_NODES, true)?.graph
-        }
-        graph => graph,
-    };
-    choice.build(graph.map(Cow::Owned), &Obs::disabled())
+    let spec = spec::parse(&ws.netspec, spec::DIST_MAX_NODES)?;
+    let choice = RouterChoice::new(spec.tuple()?, ws.faulted);
+    let graph = choice.needs_graph().then(|| spec.build()).transpose()?;
+    choice.build(graph.map(|net| Cow::Owned(net.graph)), &Obs::disabled())
 }
 
 /// Peak resident set size of this process in KiB, from the kernel's

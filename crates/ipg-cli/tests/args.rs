@@ -332,6 +332,41 @@ fn trace_rejects_bad_input_with_a_contextual_error() {
 }
 
 #[test]
+fn network_specs_are_checked_and_sized_before_any_work() {
+    // Every token of a spec is checked against its family's row, and the
+    // node count comes from the row's formula before anything is built.
+    let rows: &[Row] = &[
+        (&["info", "hsn:l=2,nucleus=Q2,symetric"], &[], "`symetric`"),
+        (&["info", "hypercube:6,foo=3"], &[], "`foo=3`"),
+        (&["info", "hypercube:6,7"], &[], "`7`"),
+        (&["info", "petersen:99"], &[], "`99`"),
+        (&["info", "hcn:3,symmetric"], &[], "`symmetric`"),
+        (&["info", "hsn:l=2,l=3,nucleus=Q2"], &[], "`l=3`"),
+        (&["compare", "q:3", "q:3,x"], &[], "`x`"),
+        (&["info", "hsn:l=1,nucleus=K1"], &[], "at least 2"),
+        (&["simulate", "complete:1", "0.5"], &[], "at least 2"),
+        (&["layout", "star:1"], &[], "at least 2"),
+        (&["layout", "q:13"], &[], "4096-node cap"),
+        (&["dot", "q:11"], &[], "2000-node cap"),
+        // 3,628,800 nodes: refused from the formula, not after a build.
+        (&["simulate", "star:10"], &[], "65536-node bound"),
+        (&["info", "hsn:l=2,nucleus=Q12"], &[], "4194304-node cap"),
+        (
+            &["simulate", "cn:l=2,nucleus=Q13", "--workers", "2"],
+            &[],
+            "16777216-node cap",
+        ),
+        (
+            &["solve", "star:99999999999", "12", "21"],
+            &[],
+            "game `star:99999999999`",
+        ),
+        (&["solve", "pancake:0", "1", "1"], &[], "game `pancake:0`"),
+    ];
+    assert_refused("network", rows);
+}
+
+#[test]
 fn solve_names_both_labels_when_no_sequence_exists() {
     // Well-formed labels of different symbol multisets: no generator
     // sequence joins them, and the error says which labels and why.
@@ -354,6 +389,13 @@ fn good_command_lines_succeed() {
         &["route", "q:3", "0", "7"],
         &["solve", "star:4", "1234", "2134"],
         &["compare", "q:3", "q:4"],
+        &["route", "cn:l=9,nucleus=Q1,symmetric", "0", "4607"],
+        &[
+            "solve",
+            "star:35",
+            "123456789abcdefghijklmnopqrstuvwxyz",
+            "213456789abcdefghijklmnopqrstuvwxyz",
+        ],
         &[
             "simulate",
             "q:3",
