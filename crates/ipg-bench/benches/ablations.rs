@@ -6,6 +6,7 @@
 //! - IP generation vs direct tuple construction at equal output.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ipg_bench::quotient_i_summary;
 use ipg_cluster::imetrics;
 use ipg_cluster::partition::subcube_partition;
 use ipg_core::algo;
@@ -75,10 +76,10 @@ fn bench_idistance_paths(c: &mut Criterion) {
     let mut grp = c.benchmark_group("ablation_imetrics");
     grp.sample_size(10);
     grp.bench_function("i_distance/zero_one_bfs", |b| {
-        b.iter(|| black_box(imetrics::exact_distance_metrics(&g, &p)))
+        b.iter(|| black_box(imetrics::i_distance_summary(&g, &p, &algo::all_nodes(&g))))
     });
     grp.bench_function("i_distance/quotient", |b| {
-        b.iter(|| black_box(imetrics::quotient_metrics(&g, &p)))
+        b.iter(|| black_box(quotient_i_summary(&g, &p, 512)))
     });
     grp.finish();
 }

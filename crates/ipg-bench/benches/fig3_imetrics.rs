@@ -3,8 +3,10 @@
 //! the exact 0/1-BFS path and the module-quotient shortcut.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ipg_bench::quotient_i_summary;
 use ipg_cluster::imetrics;
 use ipg_cluster::partition::{nucleus_partition, subcube_partition};
+use ipg_core::algo;
 use ipg_networks::{classic, hier};
 use std::hint::black_box;
 
@@ -14,10 +16,16 @@ fn bench(c: &mut Criterion) {
     let q12 = classic::hypercube(12);
     let pq = subcube_partition(12, 4);
     g.bench_function("exact_01bfs/Q12", |b| {
-        b.iter(|| black_box(imetrics::exact_distance_metrics(&q12, &pq)))
+        b.iter(|| {
+            black_box(imetrics::i_distance_summary(
+                &q12,
+                &pq,
+                &algo::all_nodes(&q12),
+            ))
+        })
     });
     g.bench_function("quotient/Q12", |b| {
-        b.iter(|| black_box(imetrics::quotient_metrics(&q12, &pq)))
+        b.iter(|| black_box(quotient_i_summary(&q12, &pq, 512)))
     });
     g.bench_function("i_degree/Q12", |b| {
         b.iter(|| black_box(imetrics::i_degree(&q12, &pq)))
@@ -27,10 +35,16 @@ fn bench(c: &mut Criterion) {
     let cn = tn.build();
     let pcn = nucleus_partition(&tn);
     g.bench_function("exact_01bfs/CN(3,Q4)", |b| {
-        b.iter(|| black_box(imetrics::exact_distance_metrics(&cn, &pcn)))
+        b.iter(|| {
+            black_box(imetrics::i_distance_summary(
+                &cn,
+                &pcn,
+                &algo::all_nodes(&cn),
+            ))
+        })
     });
     g.bench_function("quotient/CN(3,Q4)", |b| {
-        b.iter(|| black_box(imetrics::quotient_metrics(&cn, &pcn)))
+        b.iter(|| black_box(quotient_i_summary(&cn, &pcn, 512)))
     });
     g.finish();
 }

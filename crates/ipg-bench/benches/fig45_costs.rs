@@ -3,7 +3,7 @@
 //! scale the sweep uses.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ipg_bench::capped_nucleus_partition;
+use ipg_bench::{capped_nucleus_partition, quotient_i_summary};
 use ipg_cluster::imetrics;
 use ipg_cluster::partition::{subcube_partition, torus_block_partition, Partition};
 use ipg_networks::{classic, hier};
@@ -18,7 +18,7 @@ fn bench(c: &mut Criterion) {
             let g = classic::hypercube(12);
             let p = subcube_partition(12, 4);
             let i = imetrics::i_degree(&g, &p);
-            let (d, _) = imetrics::quotient_metrics(&g, &p);
+            let d = quotient_i_summary(&g, &p, 256).0.max;
             black_box((i, d))
         })
     });
@@ -27,7 +27,7 @@ fn bench(c: &mut Criterion) {
             let g = classic::torus2d(64);
             let p = torus_block_partition(64, 4, 4);
             let i = imetrics::i_degree(&g, &p);
-            let (d, _) = imetrics::quotient_metrics(&g, &p);
+            let d = quotient_i_summary(&g, &p, 256).0.max;
             black_box((i, d))
         })
     });
@@ -38,7 +38,7 @@ fn bench(c: &mut Criterion) {
             let (class, count) = capped_nucleus_partition(&tn, 16);
             let p = Partition::new(class, count);
             let i = imetrics::i_degree(&g, &p);
-            let (d, _) = imetrics::quotient_metrics(&g, &p);
+            let d = quotient_i_summary(&g, &p, 256).0.max;
             black_box((i, d))
         })
     });
@@ -48,7 +48,7 @@ fn bench(c: &mut Criterion) {
             let labels = classic::star_labels(7);
             let p = ipg_cluster::partition::substar_partition(&labels, 3);
             let i = imetrics::i_degree(&g, &p);
-            let (d, _) = imetrics::quotient_metrics(&g, &p);
+            let d = quotient_i_summary(&g, &p, 256).0.max;
             black_box((i, d))
         })
     });

@@ -77,7 +77,8 @@ fn main() {
             .collect();
         print_table(&["node", "radix-4", "neighbors"], &rows);
 
-        let diameter = algo::diameter(&g);
+        let distances = algo::distance_summary(&g, &algo::all_nodes(&g));
+        let diameter = distances.diameter();
         println!(
             "   nodes={} edges={} degree {}..{} diameter={} (Cor 4.2 predicts {})",
             g.node_count(),
@@ -101,7 +102,7 @@ fn main() {
             max_degree: g.max_degree(),
             min_degree: g.min_degree(),
             diameter,
-            avg_distance: algo::average_distance(&g),
+            avg_distance: distances.mean(),
             radix4_labels: labels,
         });
     }

@@ -12,9 +12,10 @@
 //! 0/1-BFS values because every module induces a connected subgraph —
 //! asserted for the small instances).
 
-use ipg_bench::{capped_nucleus_partition, f2, print_table, sample_sources, write_json};
+use ipg_bench::{capped_nucleus_partition, f2, print_table, quotient_i_summary, write_json};
 use ipg_cluster::imetrics;
 use ipg_cluster::partition::{subcube_partition, Partition};
+use ipg_core::algo;
 use ipg_core::graph::Csr;
 use ipg_core::superip::TupleNetwork;
 use ipg_networks::{classic, hier};
@@ -41,22 +42,12 @@ fn measure(family: &str, param: String, g: &Csr, part: &Partition) -> Fig3Point 
         "{family} module too big"
     );
     let i_degree = imetrics::i_degree(g, part);
-    let q = imetrics::module_graph(g, part);
-    let exact = q.node_count() <= 8192;
-    let (i_diameter, avg) = if exact {
-        imetrics::quotient_metrics(g, part)
-    } else {
-        let sources = sample_sources(&q, 512);
-        imetrics::quotient_metrics_on(&q, &part.module_sizes(), &sources)
-    };
-    // For small graphs, confirm the quotient shortcut against 0/1 BFS.
+    let (i, exact) = quotient_i_summary(g, part, 512);
+    // For small graphs, confirm the quotient shortcut against 0/1 BFS:
+    // both run from every source, so the integer summaries agree exactly.
     if g.node_count() <= 4096 {
-        let (de, ae) = imetrics::exact_distance_metrics(g, part);
-        assert_eq!(de, i_diameter, "{family} quotient vs exact I-diameter");
-        assert!(
-            (ae - avg).abs() < 1e-9,
-            "{family} quotient vs exact avg I-distance"
-        );
+        let e = imetrics::i_distance_summary(g, part, &algo::all_nodes(g));
+        assert_eq!(e, i, "{family} quotient vs exact I-distance summary");
     }
     Fig3Point {
         family: family.to_string(),
@@ -65,8 +56,8 @@ fn measure(family: &str, param: String, g: &Csr, part: &Partition) -> Fig3Point 
         log2_nodes: (g.node_count() as f64).log2(),
         module_size: part.max_module_size(),
         i_degree,
-        i_diameter,
-        avg_i_distance: avg,
+        i_diameter: i.max,
+        avg_i_distance: i.mean(),
         exact,
     }
 }

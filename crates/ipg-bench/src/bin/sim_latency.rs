@@ -10,8 +10,7 @@
 //! 3. *throughput* — heavy load, uniform links: accepted throughput is
 //!    inversely related to average distance.
 
-use ipg_bench::{f2, print_table, report};
-use ipg_cluster::imetrics;
+use ipg_bench::{f2, print_table, quotient_i_summary, report, sample_sources};
 use ipg_cluster::partition::{subcube_partition, torus_block_partition, Partition};
 use ipg_core::algo;
 use ipg_core::graph::Csr;
@@ -92,18 +91,19 @@ fn main() {
             ("seed", 7u64.into()),
         ],
     );
+    let nets = networks();
+    // Sampled average distance (sufficient at 4096 nodes): every network
+    // has 4096 nodes, so they share one even sample of 64 sources.
+    assert!(nets.iter().all(|(_, g, _)| g.node_count() == 4096));
+    let sources = sample_sources(&nets[0].1, 64);
     let mut rows = Vec::new();
-    for (name, g, part) in networks() {
+    for (name, g, part) in nets {
         eprintln!("simulating {name} ...");
         let _net_span = rep.obs().span(&name);
-        let avg_distance = {
-            // sampled average distance (sufficient at 4096 nodes)
-            let sources: Vec<u32> = (0..64u32)
-                .map(|i| i * (g.node_count() as u32 / 64))
-                .collect();
-            algo::average_distance_from_sources(&g, &sources)
-        };
-        let (_, avg_i) = imetrics::quotient_metrics(&g, &part);
+        let avg_distance = algo::distance_summary(&g, &sources).mean();
+        // 256 modules: the quotient summary runs from every module.
+        let (i, exact) = quotient_i_summary(&g, &part, 256);
+        assert!(exact, "{name}: sampled I-distance");
 
         let uniform = run_observed(&g, &part.class, &light(7), rep.obs());
         let slow_cfg = SimConfig {
@@ -124,7 +124,7 @@ fn main() {
             network: name,
             nodes: g.node_count(),
             avg_distance,
-            avg_i_distance: avg_i,
+            avg_i_distance: i.mean(),
             latency_uniform: uniform.avg_latency,
             latency_slow_off: slow.avg_latency,
             throughput_heavy: heavy.throughput,

@@ -6,6 +6,9 @@
 //! series as JSON under `results/` (next to the workspace root) so
 //! EXPERIMENTS.md can reference machine-readable artifacts.
 
+use ipg_cluster::imetrics;
+use ipg_cluster::partition::Partition;
+use ipg_core::algo::DistanceSummary;
 use ipg_core::graph::Csr;
 use ipg_core::superip::TupleNetwork;
 use serde::Serialize;
@@ -91,6 +94,18 @@ pub fn capped_nucleus_partition(tn: &TupleNetwork, cap: usize) -> (Vec<u32>, usi
     let modules = n / chunk;
     let class: Vec<u32> = (0..n as u32).map(|v| v / chunk as u32).collect();
     (class, modules)
+}
+
+/// I-distance summary of a packing through its module quotient, built
+/// once. Every module is a source up to 8192 modules, above that an even
+/// sample of `sample` modules. Returns the summary and whether every
+/// module was a source (the exact value).
+pub fn quotient_i_summary(g: &Csr, part: &Partition, sample: usize) -> (DistanceSummary, bool) {
+    let q = imetrics::module_graph(g, part);
+    let exact = part.count <= 8192;
+    let sources = sample_sources(&q, if exact { part.count } else { sample });
+    let summary = imetrics::quotient_summary(&q, &part.module_sizes(), &sources);
+    (summary, exact)
 }
 
 /// Evenly spaced sample of `k` sources from a graph (deterministic).

@@ -6,7 +6,7 @@
 //! small sizes and from the (test-verified) closed forms beyond. Analytic
 //! points extend each family's series to paper-scale sizes.
 
-use crate::{capped_nucleus_partition, sample_sources};
+use crate::{capped_nucleus_partition, quotient_i_summary};
 use ipg_cluster::analytic::{self, NucleusStats, NUC_FQ4, NUC_Q4};
 use ipg_cluster::imetrics;
 use ipg_cluster::partition::{
@@ -76,13 +76,7 @@ pub const MODULE_CAP: usize = 16;
 fn measured(family: &str, param: String, g: &Csr, part: &Partition, diameter: u64) -> CostPoint {
     assert!(part.max_module_size() <= MODULE_CAP);
     let i_degree = imetrics::i_degree(g, part);
-    let q = imetrics::module_graph(g, part);
-    let (i_diameter, _) = if q.node_count() <= 8192 {
-        imetrics::quotient_metrics(g, part)
-    } else {
-        let sources = sample_sources(&q, 256);
-        imetrics::quotient_metrics_on(&q, &part.module_sizes(), &sources)
-    };
+    let (i, _) = quotient_i_summary(g, part, 256);
     finish(
         family,
         param,
@@ -90,7 +84,7 @@ fn measured(family: &str, param: String, g: &Csr, part: &Partition, diameter: u6
         g.max_degree() as u32,
         diameter,
         i_degree,
-        i_diameter as u64,
+        i.max as u64,
         "measured",
     )
 }

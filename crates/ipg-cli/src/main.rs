@@ -4,7 +4,9 @@
 //! `trace summary`, `trace chrome`, `layout`, `solve`, `help` and the
 //! hidden `worker` — and their arguments are declared once, in
 //! [`COMMANDS`]. Every command line is checked against its table before
-//! any work starts, and `ipg help` is rendered from the tables.
+//! any work starts, and `ipg help` is rendered from the tables. `info`
+//! and `compare` run all-pairs distance passes only up to
+//! [`ALL_PAIRS_MAX_NODES`] nodes.
 
 mod args;
 mod spec;
@@ -90,6 +92,10 @@ pub static COMMANDS: &[Command] = &[
 const NETWORK: Pos = Pos("network", Kind::Network, Arity::One);
 const TRACE: Pos = Pos("trace", Kind::Text, Arity::One);
 
+/// The most nodes any all-pairs distance pass runs on: `info` skips its
+/// distance lines above it and `compare` refuses the spec.
+const ALL_PAIRS_MAX_NODES: usize = 100_000;
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match args::validate(&argv).and_then(|p| (p.cmd.run)(&p)) {
@@ -122,11 +128,14 @@ fn cmd_info(p: &Parsed) -> Result<(), String> {
         }
     );
     println!("degree:       {}..{}", g.min_degree(), g.max_degree());
-    if g.node_count() <= 100_000 {
-        println!("diameter:     {}", algo::diameter(g));
-        println!("avg distance: {:.3}", algo::average_distance(g));
+    let all_pairs = g.node_count() <= ALL_PAIRS_MAX_NODES;
+    let skipped = format!("(skipped; > {}k nodes)", ALL_PAIRS_MAX_NODES / 1000);
+    if all_pairs {
+        let s = algo::distance_summary(g, &algo::all_nodes(g));
+        println!("diameter:     {}", s.diameter());
+        println!("avg distance: {:.3}", s.mean());
     } else {
-        println!("diameter:     (skipped; > 100k nodes)");
+        println!("diameter:     {skipped}");
     }
     if g.node_count() <= 5_000 {
         if let Some(girth) = algo::girth(g) {
@@ -134,22 +143,28 @@ fn cmd_info(p: &Parsed) -> Result<(), String> {
         }
     }
     if let Some(part) = &net.partition {
-        let m = imetrics::exact_metrics(g, part);
         println!();
         println!(
             "packing:        {} modules of ≤ {} nodes",
             part.count,
             part.max_module_size()
         );
-        println!("I-degree:       {:.2}", m.i_degree);
-        println!("I-diameter:     {}", m.i_diameter);
-        println!("avg I-distance: {:.2}", m.avg_i_distance);
+        println!("I-degree:       {:.2}", imetrics::i_degree(g, part));
+        if all_pairs {
+            let s = imetrics::i_distance_summary(g, part, &algo::all_nodes(g));
+            println!("I-diameter:     {}", s.max);
+            println!("avg I-distance: {:.2}", s.mean());
+        } else {
+            println!("I-diameter:     {skipped}");
+        }
     }
     Ok(())
 }
 
 fn cmd_compare(p: &Parsed) -> Result<(), String> {
-    let specs = p.all("network").map(|t| spec::parse(t, spec::MAX_NODES));
+    let specs = p
+        .all("network")
+        .map(|t| spec::parse(t, ALL_PAIRS_MAX_NODES));
     let specs = specs.collect::<Result<Vec<_>, _>>()?;
     println!(
         "{:<24} {:>8} {:>4} {:>5} {:>8} {:>6} {:>7} {:>8} {:>8}",

@@ -9,7 +9,8 @@
 //! depends on. An accepted row exits zero.
 
 use std::path::Path;
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::Duration;
 
 const NET: &str = "hsn:l=2,nucleus=Q2";
 
@@ -351,6 +352,12 @@ fn network_specs_are_checked_and_sized_before_any_work() {
         // 3,628,800 nodes: refused from the formula, not after a build.
         (&["simulate", "star:10"], &[], "65536-node bound"),
         (&["info", "hsn:l=2,nucleus=Q12"], &[], "4194304-node cap"),
+        // 262,144 nodes: over the all-pairs bound, refused before a build.
+        (
+            &["compare", "q:3", "hsn:l=3,nucleus=Q6"],
+            &[],
+            "`hsn:l=3,nucleus=Q6`: hsn: 262144 nodes exceed the 100000-node cap",
+        ),
         (
             &["simulate", "cn:l=2,nucleus=Q13", "--workers", "2"],
             &[],
@@ -364,6 +371,43 @@ fn network_specs_are_checked_and_sized_before_any_work() {
         (&["solve", "pancake:0", "1", "1"], &[], "game `pancake:0`"),
     ];
     assert_refused("network", rows);
+}
+
+#[test]
+fn info_skips_all_pairs_passes_above_the_bound() {
+    // 262,144 nodes: every all-pairs line is skipped, so the run returns
+    // at once. The deadline turns a pass that would run for hours into a
+    // failure instead of a hung suite.
+    let dir = std::env::temp_dir();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ipg"))
+        .current_dir(&dir)
+        .args(["info", "hsn:l=3,nucleus=Q6"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn ipg");
+    // 1200 polls 50 ms apart: a deadline of at least 60 s, counted in
+    // polls so the test reads no clock.
+    let poll = Duration::from_millis(50);
+    let mut polls = 0;
+    while child.try_wait().expect("poll ipg").is_none() {
+        if polls == 1200 {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("ipg info hsn:l=3,nucleus=Q6 still running after 60 s");
+        }
+        polls += 1;
+        std::thread::sleep(poll);
+    }
+    let out = child.wait_with_output().expect("collect ipg output");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "ipg info failed:\n{stdout}");
+    for line in [
+        "diameter:     (skipped; > 100k nodes)",
+        "I-degree:       1.97",
+        "I-diameter:     (skipped; > 100k nodes)",
+    ] {
+        assert!(stdout.contains(line), "missing `{line}` in:\n{stdout}");
+    }
 }
 
 #[test]

@@ -9,6 +9,7 @@
 
 use crate::imetrics;
 use crate::partition::Partition;
+use ipg_core::algo;
 use ipg_core::graph::Csr;
 use ipg_obs::Obs;
 
@@ -122,7 +123,8 @@ pub fn greedy_broadcast_instrumented(
 /// the quotient graph.
 pub fn total_exchange_off_module_volume(g: &Csr, part: &Partition) -> f64 {
     let n = g.node_count() as f64;
-    let (_, avg) = imetrics::quotient_metrics(g, part);
+    let q = imetrics::module_graph(g, part);
+    let avg = imetrics::quotient_summary(&q, &part.module_sizes(), &algo::all_nodes(&q)).mean();
     avg * n * (n - 1.0)
 }
 
@@ -186,7 +188,7 @@ mod tests {
         let g = classic::hypercube(4);
         let p = subcube_partition(4, 2);
         let vol = total_exchange_off_module_volume(&g, &p);
-        let (_, avg) = imetrics::quotient_metrics(&g, &p);
+        let avg = imetrics::exact_metrics(&g, &p).avg_i_distance;
         assert!((vol - avg * 16.0 * 15.0).abs() < 1e-9);
     }
 

@@ -6,7 +6,7 @@
 //! (I-degree × diameter, Fig. 4); and when off-module links are the
 //! bottleneck it tracks **II-cost** (I-degree × I-diameter, Fig. 5).
 
-use crate::imetrics::{self, InterClusterMetrics};
+use crate::imetrics;
 use crate::partition::Partition;
 use ipg_core::algo;
 use ipg_core::graph::Csr;
@@ -53,23 +53,27 @@ impl CostSummary {
 }
 
 /// Compute every metric exactly (all-pairs BFS + 0/1 BFS; use only at
-/// BFS-feasible sizes).
+/// BFS-feasible sizes). With singleton modules every arc is off-module, so
+/// the I-metrics are the plain ones and the 0/1 BFS is skipped.
 pub fn summarize(name: impl Into<String>, g: &Csr, part: &Partition) -> CostSummary {
-    let InterClusterMetrics {
-        i_degree,
-        i_diameter,
-        avg_i_distance,
-    } = imetrics::exact_metrics(g, part);
+    let module_size = part.max_module_size();
+    let sources = algo::all_nodes(g);
+    let plain = algo::distance_summary(g, &sources);
+    let i = if module_size <= 1 {
+        plain
+    } else {
+        imetrics::i_distance_summary(g, part, &sources)
+    };
     CostSummary {
         name: name.into(),
         nodes: g.node_count(),
         degree: g.max_degree(),
-        diameter: algo::diameter(g),
-        avg_distance: algo::average_distance(g),
-        module_size: part.max_module_size(),
-        i_degree,
-        i_diameter,
-        avg_i_distance,
+        diameter: plain.diameter(),
+        avg_distance: plain.mean(),
+        module_size,
+        i_degree: imetrics::i_degree(g, part),
+        i_diameter: i.max,
+        avg_i_distance: i.mean(),
     }
 }
 

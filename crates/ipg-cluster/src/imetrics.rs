@@ -7,15 +7,17 @@
 //!   free); **I-diameter** is its maximum and **average I-distance** its
 //!   mean over distinct ordered pairs (§5.2).
 //!
-//! Two computation paths are provided: exact per-source 0/1-weighted BFS,
-//! and the *module quotient graph* (contract each module; distances in the
-//! quotient equal I-distances whenever modules induce connected subgraphs —
-//! true for every packing in this workspace, and asserted in tests).
+//! Both computation paths return an [`algo::DistanceSummary`] over an
+//! explicit source list, reduced by the one [`algo::reduce_sources`]:
+//! [`i_distance_summary`] runs exact per-source 0/1-weighted BFS, and
+//! [`quotient_summary`] BFS on the *module quotient graph* (contract each
+//! module; distances in the quotient equal I-distances whenever modules
+//! induce connected subgraphs — true for every packing in this workspace,
+//! and asserted in tests).
 
 use crate::partition::Partition;
-use ipg_core::algo;
+use ipg_core::algo::{self, DistanceSummary};
 use ipg_core::graph::Csr;
-use rayon::prelude::*;
 
 /// The three §5 measures for one (network, packing) pair.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -54,50 +56,23 @@ pub fn i_distances(g: &Csr, part: &Partition, src: u32) -> Vec<u32> {
     algo::bfs_01(g, src, |u, v| !part.same(u, v))
 }
 
-/// Exact I-diameter and average I-distance by all-sources 0/1 BFS
-/// (parallel). `O(n·m)` — use [`quotient_metrics`] for large graphs.
-///
-/// Parallel-reduction audit: `(u32 max, u64 sum, u64 count)` — every
-/// component is associative and commutative, so the reduce is exact for
-/// any chunking; floats appear only in the final division.
-pub fn exact_distance_metrics(g: &Csr, part: &Partition) -> (u32, f64) {
-    let n = g.node_count();
-    let (max, sum, cnt) = (0..n as u32)
-        .into_par_iter()
-        .map(|s| {
-            let d = i_distances(g, part, s);
-            let mut mx = 0u32;
-            let mut sm = 0u64;
-            let mut ct = 0u64;
-            for (v, &dv) in d.iter().enumerate() {
-                if v as u32 != s && dv != algo::UNREACHABLE {
-                    mx = mx.max(dv);
-                    sm += dv as u64;
-                    ct += 1;
-                }
-            }
-            (mx, sm, ct)
-        })
-        // Parallel-reduction audit: `(u32 max, u64 sum, u64 count)` —
-        // associative/commutative per component, exact for any chunking.
-        .reduce(|| (0, 0, 0), |a, b| (a.0.max(b.0), a.1 + b.1, a.2 + b.2));
-    (
-        max,
-        if cnt == 0 {
-            0.0
-        } else {
-            sum as f64 / cnt as f64
-        },
-    )
+/// Exact I-distance summary over `sources` (0/1 BFS, parallel over
+/// sources): its `max` is the I-diameter and its `mean()` the average
+/// I-distance. `O(n·m)` over all sources — [`quotient_summary`] is the
+/// fast path for large graphs.
+pub fn i_distance_summary(g: &Csr, part: &Partition, sources: &[u32]) -> DistanceSummary {
+    algo::reduce_sources(sources, |s| {
+        DistanceSummary::of_row(s, &i_distances(g, part, s))
+    })
 }
 
 /// All three metrics, exactly.
 pub fn exact_metrics(g: &Csr, part: &Partition) -> InterClusterMetrics {
-    let (i_diameter, avg_i_distance) = exact_distance_metrics(g, part);
+    let s = i_distance_summary(g, part, &algo::all_nodes(g));
     InterClusterMetrics {
         i_degree: i_degree(g, part),
-        i_diameter,
-        avg_i_distance,
+        i_diameter: s.max,
+        avg_i_distance: s.mean(),
     }
 }
 
@@ -106,88 +81,31 @@ pub fn module_graph(g: &Csr, part: &Partition) -> Csr {
     g.quotient(&part.class, part.count)
 }
 
-/// I-diameter and average I-distance via the quotient graph, weighting
-/// module pairs by their sizes. Exact whenever every module induces a
-/// connected subgraph of `g`; otherwise a lower bound.
-///
-/// Parallel-reduction audit: `(u32 max, u64 sum)` — associative and
-/// commutative, exact for any chunking (same for [`quotient_metrics_on`]).
-pub fn quotient_metrics(g: &Csr, part: &Partition) -> (u32, f64) {
-    let q = module_graph(g, part);
-    let sizes = part.module_sizes();
+/// I-distance summary through the module quotient `q` with module sizes
+/// `sizes`, from the quotient nodes in `sources`. Module pairs are
+/// weighted by their sizes, and the mean divides by `Σ_a w_a·(N−1)` over
+/// the sources: same-module pairs count, at distance 0. Exact whenever
+/// every module induces a connected subgraph; otherwise a lower bound.
+/// From every module this is the exact summary; from a subset it is exact
+/// for vertex-transitive quotients with uniform module sizes.
+pub fn quotient_summary(q: &Csr, sizes: &[usize], sources: &[u32]) -> DistanceSummary {
     let n_total: u64 = sizes.iter().map(|&s| s as u64).sum();
-    let (max, sum) = (0..q.node_count() as u32)
-        .into_par_iter()
-        .map(|a| {
-            let d = algo::bfs(&q, a);
-            let wa = sizes[a as usize] as u64;
-            let mut mx = 0u32;
-            let mut sm = 0u64;
-            for (b, &db) in d.iter().enumerate() {
-                if db == algo::UNREACHABLE {
-                    continue;
-                }
-                mx = mx.max(db);
-                sm += db as u64 * wa * sizes[b] as u64;
+    algo::reduce_sources(sources, |a| {
+        let wa = sizes[a as usize] as u64;
+        let mut s = DistanceSummary {
+            pairs: wa * (n_total - 1),
+            ..DistanceSummary::default()
+        };
+        for (b, &db) in algo::bfs(q, a).iter().enumerate() {
+            if db == algo::UNREACHABLE {
+                s.unreachable = true;
+            } else {
+                s.max = s.max.max(db);
+                s.sum += db as u64 * wa * sizes[b] as u64;
             }
-            (mx, sm)
-        })
-        // Parallel-reduction audit: `(u32 max, u64 sum)` — associative and
-        // commutative, exact for any chunking (see doc comment).
-        .reduce(|| (0, 0), |x, y| (x.0.max(y.0), x.1 + y.1));
-    let pairs = n_total * (n_total - 1);
-    (
-        max,
-        if pairs == 0 {
-            0.0
-        } else {
-            sum as f64 / pairs as f64
-        },
-    )
-}
-
-/// Quotient-based metrics estimated from a subset of quotient sources
-/// (used for multi-million-node sweeps; exact for vertex-transitive
-/// quotients with uniform module sizes).
-pub fn quotient_metrics_sampled(g: &Csr, part: &Partition, sources: &[u32]) -> (u32, f64) {
-    let q = module_graph(g, part);
-    quotient_metrics_on(&q, &part.module_sizes(), sources)
-}
-
-/// Core of [`quotient_metrics_sampled`], reusable when the quotient graph
-/// is constructed directly (without materializing the base network).
-pub fn quotient_metrics_on(q: &Csr, sizes: &[usize], sources: &[u32]) -> (u32, f64) {
-    let n_total: u64 = sizes.iter().map(|&s| s as u64).sum();
-    let (max, sum, denom) = sources
-        .par_iter()
-        .map(|&a| {
-            let d = algo::bfs(q, a);
-            let wa = sizes[a as usize] as u64;
-            let mut mx = 0u32;
-            let mut sm = 0u64;
-            for (b, &db) in d.iter().enumerate() {
-                if db == algo::UNREACHABLE {
-                    continue;
-                }
-                mx = mx.max(db);
-                sm += db as u64 * wa * sizes[b] as u64;
-            }
-            // ordered pairs with this source module: wa·(N−1) minus the
-            // wa·(wa−1) same-module pairs... same-module pairs contribute 0
-            // distance but do count in the denominator.
-            (mx, sm, wa * (n_total - 1))
-        })
-        // Parallel-reduction audit: `(u32 max, u64 sum, u64 sum)` —
-        // associative/commutative per component, exact for any chunking.
-        .reduce(|| (0, 0, 0), |x, y| (x.0.max(y.0), x.1 + y.1, x.2 + y.2));
-    (
-        max,
-        if denom == 0 {
-            0.0
-        } else {
-            sum as f64 / denom as f64
-        },
-    )
+        }
+        s
+    })
 }
 
 #[cfg(test)]
@@ -269,13 +187,23 @@ mod tests {
             let tn = TupleNetwork::from_spec(&spec).unwrap();
             let g = tn.build();
             let p = crate::partition::nucleus_partition(&tn);
-            let (idiam, _) = exact_distance_metrics(&g, &p);
+            let idiam = i_distance_summary(&g, &p, &algo::all_nodes(&g)).max;
             assert_eq!(idiam as usize, l - 1, "HSN({l},Q1)");
         }
     }
 
+    /// The exact and the quotient summary over every source.
+    fn both_summaries(g: &Csr, p: &Partition) -> (DistanceSummary, DistanceSummary) {
+        let q = module_graph(g, p);
+        (
+            i_distance_summary(g, p, &algo::all_nodes(g)),
+            quotient_summary(&q, &p.module_sizes(), &algo::all_nodes(&q)),
+        )
+    }
+
     #[test]
     fn quotient_equals_exact_on_connected_modules() {
+        let tn = ipg_networks::hier::hsn(3, classic::hypercube(2), "Q2");
         for (g, p) in [
             (
                 classic::hypercube(6),
@@ -285,29 +213,23 @@ mod tests {
                 classic::torus2d(8),
                 crate::partition::torus_block_partition(8, 2, 2),
             ),
+            (tn.build(), crate::partition::nucleus_partition(&tn)),
         ] {
-            let (de, ae) = exact_distance_metrics(&g, &p);
-            let (dq, aq) = quotient_metrics(&g, &p);
-            assert_eq!(de, dq);
-            assert!((ae - aq).abs() < 1e-9);
+            // Same-module pairs sit at distance 0 on both paths, so the
+            // integer sums, pair counts and maxima agree exactly.
+            let (exact, quotient) = both_summaries(&g, &p);
+            assert_eq!(exact, quotient);
         }
-        let tn = ipg_networks::hier::hsn(3, classic::hypercube(2), "Q2");
-        let g = tn.build();
-        let p = crate::partition::nucleus_partition(&tn);
-        let (de, ae) = exact_distance_metrics(&g, &p);
-        let (dq, aq) = quotient_metrics(&g, &p);
-        assert_eq!(de, dq);
-        assert!((ae - aq).abs() < 1e-9);
     }
 
     #[test]
     fn sampled_equals_full_for_vertex_transitive_quotient() {
         let g = classic::hypercube(6);
         let p = crate::partition::subcube_partition(6, 2);
-        let (d_full, a_full) = quotient_metrics(&g, &p);
-        let (d_s, a_s) = quotient_metrics_sampled(&g, &p, &[0]);
-        assert_eq!(d_full, d_s);
-        assert!((a_full - a_s).abs() < 1e-9);
+        let (_, full) = both_summaries(&g, &p);
+        let one = quotient_summary(&module_graph(&g, &p), &p.module_sizes(), &[0]);
+        assert_eq!(full.max, one.max);
+        assert!((full.mean() - one.mean()).abs() < 1e-9);
     }
 
     use ipg_core::algo;

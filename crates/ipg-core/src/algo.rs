@@ -1,9 +1,11 @@
 //! Graph algorithms: BFS, eccentricities, diameter, average distance,
 //! 0/1-weighted BFS (for inter-cluster metrics), and connectivity.
 //!
-//! All-pairs sweeps (diameter, average distance) are embarrassingly parallel
-//! over sources and run on rayon. Distances are `u32`, with `UNREACHABLE`
-//! marking disconnected pairs.
+//! Every distance metric over many sources — diameter, average distance,
+//! and the I-metrics of `ipg-cluster` — is one [`DistanceSummary`] built by
+//! [`reduce_sources`], which runs one closure per source on rayon and
+//! reduces exact integers. Distances are `u32`, with `UNREACHABLE` marking
+//! disconnected pairs.
 
 use crate::graph::Csr;
 use rayon::prelude::*;
@@ -75,76 +77,105 @@ pub fn eccentricity(g: &Csr, src: u32) -> u32 {
     bfs(g, src).into_iter().max().unwrap_or(0)
 }
 
-/// Exact diameter by all-sources parallel BFS. Returns `UNREACHABLE` for
-/// disconnected graphs.
+/// Max, sum and pair count of the distances from a set of sources.
 ///
-/// Parallel-reduction audit: `max` over `u32` — order-independent (ties
-/// between equal eccentricities carry no payload).
-pub fn diameter(g: &Csr) -> u32 {
-    (0..g.node_count() as u32)
-        .into_par_iter()
-        .map(|s| eccentricity(g, s))
-        .max()
-        .unwrap_or(0)
+/// Every field is an exact integer, so summaries reduce in any order to
+/// the same value; [`DistanceSummary::mean`] does the one float division.
+/// Pairs are ordered and distinct, and only finite distances count.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DistanceSummary {
+    /// Largest finite distance.
+    pub max: u32,
+    /// Sum of the finite distances.
+    pub sum: u64,
+    /// The mean's denominator: the number of pairs summed.
+    pub pairs: u64,
+    /// Whether some source does not reach some node.
+    pub unreachable: bool,
 }
 
-/// Diameter estimated from a subset of sources (exact if the graph is
-/// vertex-transitive and `sources` is non-empty, since then all
-/// eccentricities are equal).
-pub fn diameter_from_sources(g: &Csr, sources: &[u32]) -> u32 {
-    sources
-        .par_iter()
-        .map(|&s| eccentricity(g, s))
-        .max()
-        .unwrap_or(0)
-}
+impl DistanceSummary {
+    /// The summary of one source's distance row: the finite distances to
+    /// every node but `src` itself.
+    pub fn of_row(src: u32, dist: &[u32]) -> Self {
+        let mut s = Self::default();
+        for (v, &d) in dist.iter().enumerate() {
+            if d == UNREACHABLE {
+                s.unreachable = true;
+            } else if v as u32 != src {
+                s.max = s.max.max(d);
+                s.sum += d as u64;
+                s.pairs += 1;
+            }
+        }
+        s
+    }
 
-/// Sum of distances and finite-pair count from one source.
-fn distance_sum(g: &Csr, src: u32) -> (u64, u64) {
-    let d = bfs(g, src);
-    let mut sum = 0u64;
-    let mut cnt = 0u64;
-    for (v, &dv) in d.iter().enumerate() {
-        if dv != UNREACHABLE && v as u32 != src {
-            sum += dv as u64;
-            cnt += 1;
+    /// Two summaries over disjoint source sets, combined.
+    fn merge(self, o: Self) -> Self {
+        Self {
+            max: self.max.max(o.max),
+            sum: self.sum + o.sum,
+            pairs: self.pairs + o.pairs,
+            unreachable: self.unreachable || o.unreachable,
         }
     }
-    (sum, cnt)
-}
 
-/// Average distance over all ordered pairs of distinct, mutually reachable
-/// nodes (all-sources parallel BFS).
-///
-/// Parallel-reduction audit: the reduce is over `u64` sums — associative
-/// and commutative, so any chunking gives the exact sequential value; the
-/// single float division happens after the reduction.
-pub fn average_distance(g: &Csr) -> f64 {
-    let (sum, cnt) = (0..g.node_count() as u32)
-        .into_par_iter()
-        .map(|s| distance_sum(g, s))
-        .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
-    if cnt == 0 {
-        0.0
-    } else {
-        sum as f64 / cnt as f64
+    /// Mean distance, `sum / pairs`; 0 when there are no pairs.
+    pub fn mean(&self) -> f64 {
+        if self.pairs == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.pairs as f64
+        }
+    }
+
+    /// Largest distance, or `UNREACHABLE` if some pair is unreachable.
+    pub fn diameter(&self) -> u32 {
+        if self.unreachable {
+            UNREACHABLE
+        } else {
+            self.max
+        }
     }
 }
 
-/// Average distance estimated from the given sources only.
-pub fn average_distance_from_sources(g: &Csr, sources: &[u32]) -> f64 {
-    let (sum, cnt) = sources
+/// The one parallel distance reduction: `per_source` summarizes each of
+/// `sources` and the summaries merge into one.
+pub fn reduce_sources(
+    sources: &[u32],
+    per_source: impl Fn(u32) -> DistanceSummary + Sync + Send,
+) -> DistanceSummary {
+    sources
         .par_iter()
-        .map(|&s| distance_sum(g, s))
-        // Parallel-reduction audit: `(u64 sum, u64 count)` — associative
-        // and commutative, exact for any chunking (same argument as
-        // `average_distance` above).
-        .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
-    if cnt == 0 {
-        0.0
-    } else {
-        sum as f64 / cnt as f64
-    }
+        .map(|&s| per_source(s))
+        // Parallel-reduction audit: `(u32 max, u64 sum, u64 pairs, bool
+        // or)` — each component is associative and commutative, so any
+        // chunking gives the exact sequential value; the float division
+        // happens after, in `DistanceSummary::mean`.
+        .reduce(DistanceSummary::default, DistanceSummary::merge)
+}
+
+/// Every node id of `g`, the source list of an all-pairs pass.
+pub fn all_nodes(g: &Csr) -> Vec<u32> {
+    (0..g.node_count() as u32).collect()
+}
+
+/// BFS distance summary over `sources` (parallel over sources).
+pub fn distance_summary(g: &Csr, sources: &[u32]) -> DistanceSummary {
+    reduce_sources(sources, |s| DistanceSummary::of_row(s, &bfs(g, s)))
+}
+
+/// Exact diameter by all-sources BFS. Returns `UNREACHABLE` for a graph
+/// that is not (strongly) connected.
+pub fn diameter(g: &Csr) -> u32 {
+    distance_summary(g, &all_nodes(g)).diameter()
+}
+
+/// Average distance over all ordered pairs `(u, v)` of distinct nodes
+/// with `v` reachable from `u` (all-sources BFS).
+pub fn average_distance(g: &Csr) -> f64 {
+    distance_summary(g, &all_nodes(g)).mean()
 }
 
 /// Distance histogram from one source: `hist[d]` = number of nodes at
@@ -292,6 +323,7 @@ pub fn fingerprint(g: &Csr) -> Fingerprint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cycle(n: usize) -> Csr {
         Csr::from_fn(n, |u, out| {
@@ -319,6 +351,97 @@ mod tests {
         // C4: each node sees distances 1,1,2 => mean 4/3.
         let avg = average_distance(&cycle(4));
         assert!((avg - 4.0 / 3.0).abs() < 1e-12);
+    }
+
+    fn two_triangles() -> Csr {
+        Csr::from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], true)
+    }
+
+    #[test]
+    fn disconnected_summary_counts_finite_pairs_only() {
+        let g = two_triangles();
+        assert_eq!(diameter(&g), UNREACHABLE);
+        let s = distance_summary(&g, &all_nodes(&g));
+        // Each node reaches the two others of its triangle at distance 1.
+        assert_eq!((s.max, s.sum, s.pairs, s.unreachable), (1, 12, 12, true));
+        assert_eq!(average_distance(&g), 1.0);
+    }
+
+    #[test]
+    fn directed_path_is_unreachable_backwards() {
+        let path = Csr::from_edges(3, [(0, 1), (1, 2)], false);
+        assert_eq!(diameter(&path), UNREACHABLE);
+        let s = distance_summary(&path, &all_nodes(&path));
+        // 0→1, 0→2, 1→2 at 1, 2, 1; nothing reaches backwards.
+        assert_eq!((s.max, s.sum, s.pairs, s.unreachable), (2, 4, 3, true));
+        let from_0 = distance_summary(&path, &[0]);
+        assert_eq!(from_0.diameter(), 2);
+        assert_eq!(from_0.mean(), 1.5);
+    }
+
+    #[test]
+    fn source_subsets() {
+        let g = cycle(6);
+        let one = distance_summary(&g, &[2]);
+        assert_eq!(
+            (one.max, one.sum, one.pairs, one.unreachable),
+            (3, 9, 5, false)
+        );
+        let none = distance_summary(&g, &[]);
+        assert_eq!(none, DistanceSummary::default());
+        assert_eq!((none.diameter(), none.mean()), (0, 0.0));
+    }
+
+    /// All-pairs distances by Floyd–Warshall, `UNREACHABLE` where no path.
+    fn floyd_warshall(g: &Csr) -> Vec<Vec<u32>> {
+        let n = g.node_count();
+        let mut d = vec![vec![UNREACHABLE; n]; n];
+        for (u, row) in d.iter_mut().enumerate() {
+            row[u] = 0;
+            for &v in g.neighbors(u as u32) {
+                row[v as usize] = row[v as usize].min(1);
+            }
+        }
+        for k in 0..n {
+            let dk = d[k].clone();
+            for row in d.iter_mut().filter(|row| row[k] != UNREACHABLE) {
+                let dik = row[k];
+                for (dij, &dkj) in row.iter_mut().zip(&dk) {
+                    if dkj != UNREACHABLE {
+                        *dij = (*dij).min(dik + dkj);
+                    }
+                }
+            }
+        }
+        d
+    }
+
+    proptest! {
+        #[test]
+        fn summary_matches_floyd_warshall(
+            n in 1usize..13,
+            directed in 0usize..2,
+            edges in proptest::collection::vec((0u32..12, 0u32..12), 0..30),
+        ) {
+            let edges = edges.into_iter().map(|(u, v)| (u % n as u32, v % n as u32));
+            let g = Csr::from_edges(n, edges, directed == 0);
+            let d = floyd_warshall(&g);
+            let mut want = DistanceSummary::default();
+            for (u, row) in d.iter().enumerate() {
+                for (v, &duv) in row.iter().enumerate() {
+                    if duv == UNREACHABLE {
+                        want.unreachable = true;
+                    } else if u != v {
+                        want.max = want.max.max(duv);
+                        want.sum += duv as u64;
+                        want.pairs += 1;
+                    }
+                }
+            }
+            prop_assert_eq!(distance_summary(&g, &all_nodes(&g)), want);
+            let diam = if want.unreachable { UNREACHABLE } else { want.max };
+            prop_assert_eq!(diameter(&g), diam);
+        }
     }
 
     #[test]
@@ -372,11 +495,7 @@ mod tests {
     #[test]
     fn fingerprints_distinguish() {
         let c6 = fingerprint(&cycle(6));
-        let two_triangles = {
-            let g = Csr::from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], true);
-            fingerprint(&g)
-        };
-        assert_ne!(c6, two_triangles); // same n, arcs, degrees — girth differs
+        assert_ne!(c6, fingerprint(&two_triangles())); // same n, arcs, degrees — girth differs
     }
 
     #[test]

@@ -74,9 +74,10 @@ fn metrics_pipeline_consistency() {
     assert_eq!(s.nodes, 512);
     assert_eq!(s.diameter, 11); // (3+1)·3 − 1
     assert_eq!(s.i_diameter, 2); // t = l − 1
-    let (qd, qa) = imetrics::quotient_metrics(&g, &part);
-    assert_eq!(qd, s.i_diameter);
-    assert!((qa - s.avg_i_distance).abs() < 1e-9);
+    let q = imetrics::module_graph(&g, &part);
+    let qs = imetrics::quotient_summary(&q, &part.module_sizes(), &algo::all_nodes(&q));
+    assert_eq!(qs.max, s.i_diameter);
+    assert!((qs.mean() - s.avg_i_distance).abs() < 1e-9);
     assert!(s.dd_cost() >= s.id_cost());
     assert!(s.id_cost() >= s.ii_cost());
 }

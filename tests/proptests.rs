@@ -163,10 +163,10 @@ proptest! {
         let tn = hier::hsn(l, classic::hypercube(n), "Q");
         let g = tn.build();
         let part = partition::nucleus_partition(&tn);
-        let (de, ae) = imetrics::exact_distance_metrics(&g, &part);
-        let (dq, aq) = imetrics::quotient_metrics(&g, &part);
-        prop_assert_eq!(de, dq);
-        prop_assert!((ae - aq).abs() < 1e-9);
+        let q = imetrics::module_graph(&g, &part);
+        let exact = imetrics::i_distance_summary(&g, &part, &algo::all_nodes(&g));
+        let quotient = imetrics::quotient_summary(&q, &part.module_sizes(), &algo::all_nodes(&q));
+        prop_assert_eq!(exact, quotient);
     }
 
     #[test]
