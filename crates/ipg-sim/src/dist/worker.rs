@@ -19,7 +19,8 @@ use ipg_core::error::{IpgError, Result};
 use ipg_obs::{NullRecorder, Obs, ShardTracer, Trace, TraceConfig, ENGINE_TRACK};
 
 use crate::engine::{
-    cycle_params, link_speeds, shard_layout, shard_span, window_end, Shard, ShardRange, Switching,
+    cycle_params, link_speeds, shard_layout, shard_span, window_end, Shard, ShardRange, SimConfig,
+    Switching, Traffic,
 };
 use crate::fault::FaultPlan;
 use crate::router::Router;
@@ -79,6 +80,31 @@ fn check_links(
     }
 }
 
+/// Check the injection rate and the traffic pattern of `c` against what
+/// the injection schedule and the destination draw accept for an
+/// `n`-node run; names the first offending field.
+fn check_traffic(c: &SimConfig, n: u32) -> Option<String> {
+    let unit = |x: f64| (0.0..=1.0).contains(&x);
+    let rate = c.injection_rate;
+    match c.traffic {
+        _ if !unit(rate) => Some(format!("setup.cfg.injection_rate {rate} is not in [0, 1]")),
+        Traffic::Hotspot { fraction, .. } if !unit(fraction) => Some(format!(
+            "setup.cfg.traffic.fraction {fraction} is not in [0, 1]"
+        )),
+        Traffic::Hotspot { target, .. } if target >= n => Some(format!(
+            "setup.cfg.traffic.target {target} names a node outside the {n}-node network"
+        )),
+        Traffic::BitComplement if !n.is_power_of_two() => Some(format!(
+            "setup.cfg.traffic: bit-complement needs a power-of-two node count, not {n}"
+        )),
+        Traffic::Transpose if !n.is_power_of_two() || n.trailing_zeros() % 2 != 0 => Some(format!(
+            "setup.cfg.traffic: transpose needs a power-of-two node count with an even \
+             bit width, not {n}"
+        )),
+        _ => None,
+    }
+}
+
 /// Entry point for the hidden `worker` mode of a host binary: adopt
 /// the coordinator channel from stdin, rebuild the router via
 /// `build_router`, run the sharded cycle loop, and ship a final frame.
@@ -132,6 +158,9 @@ fn serve(
     };
     if tail.and_then(|t| t.checked_add(cycles)).is_none() {
         return Err(io.fault("setup.cfg: cut-through latency overflows u32".to_string()));
+    }
+    if let Some(why) = check_traffic(c, setup.n) {
+        return Err(io.fault(why));
     }
 
     let ws = WorkerSetup {
@@ -284,7 +313,7 @@ fn serve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{link_intervals, shard_link_arrays, Msg, SimConfig};
+    use crate::engine::{link_intervals, shard_link_arrays, Msg};
     use crate::table::RoutingTable;
     use ipg_core::graph::Csr;
     use ipg_networks::classic;
@@ -407,6 +436,28 @@ mod tests {
             forge(&mut s.cfg);
             cases.push(("setup.cfg", s, good_links.to_vec(), Vec::new()));
         }
+        // Rates and patterns the injection draw or `pick_destination`
+        // would take wrongly or panic on.
+        let hotspot = |fraction, target| Traffic::Hotspot { fraction, target };
+        for (field, rate, traffic) in [
+            ("setup.cfg.injection_rate", f64::NAN, Traffic::Uniform),
+            ("setup.cfg.injection_rate", -0.1, Traffic::Uniform),
+            ("setup.cfg.injection_rate", 1.5, Traffic::Uniform),
+            ("setup.cfg.traffic.fraction", 0.5, hotspot(f64::NAN, 7)),
+            ("setup.cfg.traffic.fraction", 0.5, hotspot(1.5, 7)),
+            ("setup.cfg.traffic.target", 0.5, hotspot(0.5, 514)),
+            ("setup.cfg.traffic", 0.5, Traffic::BitComplement),
+            ("setup.cfg.traffic", 0.5, Traffic::Transpose),
+        ] {
+            let mut s = setup();
+            s.cfg.injection_rate = rate;
+            s.cfg.traffic = traffic;
+            cases.push((field, s, good_links.to_vec(), Vec::new()));
+        }
+        // 512 = 2^9: a power of two, but an odd bit width.
+        let mut s = SetupFrame { n: 512, ..setup() };
+        s.cfg.traffic = Traffic::Transpose;
+        cases.push(("setup.cfg.traffic", s, good_links.to_vec(), Vec::new()));
         let forge = |field: &'static str, f: fn(&mut ShardLinksFrame)| {
             let mut ls = good_links.to_vec();
             f(&mut ls[1]);

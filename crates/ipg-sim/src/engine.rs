@@ -5,17 +5,18 @@
 //! cycles (off-module links may be slower, modeling the §5.4 regime where
 //! on-chip links run at a higher clock rate). Arriving packets are either
 //! consumed (destination reached) or appended to the next output queue.
-//! Injection is Bernoulli per node per cycle with uniform random
-//! destinations.
+//! Injection is Bernoulli(p) per node per cycle in law, drawn as one
+//! geometric gap per packet (injection contract v2,
+//! [`crate::rng::InjectionSchedule`]), with uniform random destinations.
 //!
 //! # Execution model: shards, mailboxes, and a two-phase cycle
 //!
 //! Nodes are partitioned into contiguous **shards** (a pure function of the
 //! node count — never of the worker count). Each cycle runs as:
 //!
-//! 1. **Phase A** (parallel over shards): every node draws its injection
-//!    Bernoulli from its private RNG stream and enqueues into its local
-//!    link FIFO; every ready link launches its head packet into the
+//! 1. **Phase A** (parallel over shards): every node due to inject this
+//!    cycle (its gap, drawn from its private RNG stream, ends here)
+//!    enqueues into its local link FIFO; every ready link launches its head packet into the
 //!    shard's **outbox** as a plain-value message stamped with its arrival
 //!    wheel slot.
 //! 2. **Merge** (sequential): outboxes are drained in shard order and each
@@ -74,10 +75,10 @@
 //! flight (DESIGN.md §13):
 //!
 //! - injection decisions are drawn ahead of time in node-major chunks
-//!   ([`crate::rng::InjectionSchedule`]); its contract is the per-node
-//!   cycle-major draw order — one Bernoulli per cycle from the node's
-//!   stream, each success followed by its destination draws, exactly as
-//!   if every live node drew every cycle;
+//!   ([`crate::rng::InjectionSchedule`]); its contract is one geometric
+//!   gap draw per node per chunk window and one more per packet, each
+//!   injection's destination draws coming right before the next gap, so
+//!   a chunk costs O(live nodes + packets) draws, not O(nodes × cycles);
 //! - link service iterates a [`crate::worklist::Worklist`] of non-empty
 //!   FIFOs in ascending (CSR) link order, maintained by the
 //!   `fifo_push`/`fifo_pop` helpers that every queue mutation —
@@ -87,8 +88,9 @@
 //!   accounting O(1).
 //!
 //! The oracle is a reference model outside the crate
-//! (`tests/reference/packet.rs`): every node draws every cycle, every
-//! link is visited, and it must produce the same [`SimResult`].
+//! (`tests/reference/packet.rs`): a cycle-major loop that keeps every
+//! node's pending injection cycle and visits every link, and it must
+//! produce the same [`SimResult`].
 //!
 //! # Routing
 //!

@@ -16,7 +16,8 @@
 //! - [`engine`] — cycle-based store-and-forward / virtual-cut-through
 //!   engine: output-queued routers, per-link service intervals,
 //!   shortest-path next-hop tables with deterministic tie-breaking,
-//!   Bernoulli injection with uniform / permutation / hotspot traffic;
+//!   Bernoulli-law injection (one geometric gap draw per packet) with
+//!   uniform / permutation / hotspot traffic;
 //! - [`wormhole`] — flit-level wormhole switching with finite per-VC
 //!   buffers, hop-indexed virtual-channel allocation, and deadlock
 //!   detection;

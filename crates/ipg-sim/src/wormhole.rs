@@ -38,7 +38,8 @@
 //!
 //! A cycle touches only the work in flight (DESIGN.md §13): injection
 //! is precomputed in node-major chunks ([`crate::rng::InjectionSchedule`],
-//! whose contract is the per-node cycle-major draw order), and the
+//! whose contract is one geometric gap draw per node per chunk window
+//! and one per packet, the same as the packet engine's), and the
 //! per-cycle link-service loop iterates a node [`Worklist`] instead of
 //! every link. The activation invariant is **exact**, not lazy: node `u`
 //! is on the worklist iff `demand[u] > 0`, where `demand[u]` counts
@@ -52,8 +53,9 @@
 //! this cycle. `step_link` returns early on `demand == 0`: a speed rule
 //! only, since a node without demand has nothing any VC probe could
 //! move. The oracle is a reference model outside the crate
-//! (`tests/reference/wormhole.rs`) that steps every link every cycle
-//! and must reach the same [`WormholeOutcome`].
+//! (`tests/reference/wormhole.rs`) that keeps every node's pending
+//! injection cycle, steps every link every cycle and must reach the
+//! same [`WormholeOutcome`].
 
 use crate::fault::{FaultPlan, LocalFault, ShardFaults};
 use crate::rng::{node_stream, InjectionSchedule, NodeRng, SCHEDULE_CHUNK};

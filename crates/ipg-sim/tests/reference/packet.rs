@@ -1,8 +1,9 @@
 //! Reference model of the packet engine (`ipg_sim::engine`).
 //!
-//! One cycle: apply the kills due now, let every live node inject (node
-//! order), let every link launch its head packet (CSR order), then handle
-//! the packets whose head arrives at the end of the cycle (launch order).
+//! One cycle: apply the kills due now, let every live node whose pending
+//! injection falls due inject (node order; [`super::Injection`]), let
+//! every link launch its head packet (CSR order), then handle the
+//! packets whose head arrives at the end of the cycle (launch order).
 //! A link with service interval `k` carrying `L`-flit messages is busy
 //! for `k·L` cycles per packet; the head arrives after `k·L` cycles with
 //! store-and-forward and after `k` with cut-through, where the tail
@@ -15,6 +16,8 @@ use ipg_sim::rng::{node_stream, NodeRng};
 use ipg_sim::{Router, SimConfig, SimResult, Switching, Traffic};
 use rand::Rng;
 use std::collections::{BTreeMap, VecDeque};
+
+use super::Injection;
 
 #[derive(Clone, Copy)]
 struct Packet {
@@ -169,6 +172,7 @@ pub fn run<R: Router + ?Sized>(
         dropped: 0,
     };
     let mut rngs: Vec<NodeRng> = (0..n).map(|v| node_stream(cfg.seed, v)).collect();
+    let mut injection = Injection::new(n, cfg.injection_rate);
     let window = cfg.warmup_cycles..cfg.warmup_cycles + cfg.measure_cycles;
     let cycles = window.end + cfg.drain_cycles;
     let tail = match cfg.switching {
@@ -199,10 +203,12 @@ pub fn run<R: Router + ?Sized>(
                 continue; // dead nodes never draw again
             }
             let rng = &mut rngs[src as usize];
-            if rng.gen::<f64>() >= cfg.injection_rate {
+            if !injection.fires(src, cycle, rng) {
                 continue;
             }
-            let Some(dst) = destination(n, src, cfg.traffic, rng) else {
+            let dst = destination(n, src, cfg.traffic, rng);
+            injection.rearm(src, cycle, rng);
+            let Some(dst) = dst else {
                 continue;
             };
             let tagged = window.contains(&cycle);

@@ -1,8 +1,9 @@
 //! Reference model of the wormhole engine (`ipg_sim::wormhole`).
 //!
-//! One cycle: apply the kills due now, let every live node inject (node
-//! order), step every link once (CSR order), then eject every flit that
-//! has reached its destination. A link step probes its VCs round-robin
+//! One cycle: apply the kills due now, let every live node whose pending
+//! injection falls due inject (node order; [`super::Injection`]), step
+//! every link once (CSR order), then eject every flit that has reached
+//! its destination. A link step probes its VCs round-robin
 //! from the one after its last winner and moves one flit into the first
 //! VC buffer with room that either continues the packet owning it or is
 //! free and wanted by a head flit at the link's source. A flit moved to
@@ -17,6 +18,8 @@ use ipg_sim::wormhole::{VcPolicy, WormTraffic, WormholeConfig, WormholeOutcome, 
 use ipg_sim::Router;
 use rand::Rng;
 use std::collections::VecDeque;
+
+use super::Injection;
 
 #[derive(Clone, Copy)]
 struct Flit {
@@ -263,6 +266,7 @@ pub fn run<R: Router + ?Sized>(
         dropped: 0,
     };
     let mut rngs: Vec<_> = (0..n).map(|v| node_stream(cfg.seed, v)).collect();
+    let mut injection = Injection::new(n, cfg.injection_rate);
     let (mut injected, mut delivered, mut latency_sum) = (0u64, 0u64, 0u64);
     let (mut applied, mut idle) = (0, 0);
     for cycle in 0..cfg.cycles {
@@ -293,7 +297,7 @@ pub fn run<R: Router + ?Sized>(
                 continue; // dead nodes never draw again
             }
             let rng = &mut rngs[src as usize];
-            if rng.gen::<f64>() >= cfg.injection_rate {
+            if !injection.fires(src, cycle, rng) {
                 continue;
             }
             let dst = match &cfg.traffic {
@@ -303,6 +307,7 @@ pub fn run<R: Router + ?Sized>(
                 }
                 WormTraffic::Fixed(map) => map[src as usize],
             };
+            injection.rearm(src, cycle, rng);
             if dst == src {
                 continue;
             }

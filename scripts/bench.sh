@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
 # Regenerate results/BENCH_core.json reproducibly: fixed instance list
 # (see benches/addressing.rs and benches/thm41_routing.rs), pinned
-# worker count, medians over 20 samples. Run from anywhere.
+# worker count, medians over 20 samples. Then rebuild every committed
+# file that depends on the engines' random streams: BENCH_sim.json and
+# the docs' blocks generated from it, the bench bins' JSON and
+# manifests (BENCH_faults.json among them) and the example Chrome
+# trace. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,7 +22,8 @@ if ! cargo run -q -p ipg-analyze --     --rules DET001,DET002,DET003,DET004,DET0
 fi
 
 jsonl="$(mktemp /tmp/addressing.XXXXXX.jsonl)"
-trap 'rm -f "$jsonl"' EXIT
+tracedir="$(mktemp -d /tmp/example_trace.XXXXXX)"
+trap 'rm -f "$jsonl"; rm -rf "$tracedir"' EXIT
 
 echo "== cargo bench --bench addressing (IPG_THREADS=$IPG_THREADS) =="
 CRITERION_JSON="$jsonl" cargo bench -p ipg-bench --bench addressing
@@ -44,3 +49,17 @@ for bin in fault_sweep fig2_dd_cost link_utilization sim_latency thm_checks worm
     echo "-- $bin"
     cargo run -q --release -p ipg-bench --bin "$bin" > /dev/null
 done
+
+# The two commands in the header of crates/ipg-cli/tests/trace_example.rs,
+# run under the same relative file names the test uses; that test holds
+# the committed file to them byte for byte.
+echo "== ipg simulate --trace, ipg trace chrome -> results/example_trace.chrome.json =="
+cargo build -q --release -p ipg-cli
+ipg="$PWD/target/release/ipg"
+(
+    cd "$tracedir"
+    IPG_THREADS=2 "$ipg" simulate ring-cn:l=2,nucleus=Q2 0.03 \
+        --trace example.trace.jsonl --trace-interval 200 > /dev/null
+    IPG_THREADS=2 "$ipg" trace chrome example.trace.jsonl example.chrome.json
+)
+cp "$tracedir/example.chrome.json" results/example_trace.chrome.json
