@@ -11,7 +11,6 @@ use crate::imetrics;
 use crate::partition::Partition;
 use ipg_core::algo;
 use ipg_core::graph::Csr;
-use ipg_obs::Obs;
 
 /// Outcome of a broadcast schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,20 +40,6 @@ pub fn greedy_broadcast(
     root: u32,
     hierarchical: bool,
 ) -> BroadcastStats {
-    greedy_broadcast_instrumented(g, part, root, hierarchical, &Obs::disabled())
-}
-
-/// [`greedy_broadcast`] with observability: a `broadcast` span, round and
-/// on-/off-module send counters, and a per-round coverage histogram.
-pub fn greedy_broadcast_instrumented(
-    g: &Csr,
-    part: &Partition,
-    root: u32,
-    hierarchical: bool,
-    obs: &Obs,
-) -> BroadcastStats {
-    let _span = obs.span("broadcast");
-    let h_round = obs.histogram("cluster.broadcast_round_sends");
     let n = g.node_count();
     let mut informed = vec![false; n];
     informed[root as usize] = true;
@@ -103,13 +88,9 @@ pub fn greedy_broadcast_instrumented(
             // cannot happen when modules induce connected subgraphs.
             break;
         }
-        h_round.observe(new_nodes.len() as u64);
         covered += new_nodes.len();
         informed_list.extend(new_nodes);
     }
-    obs.counter("cluster.broadcast_rounds").add(rounds as u64);
-    obs.counter("cluster.broadcast_on_module_sends").add(on);
-    obs.counter("cluster.broadcast_off_module_sends").add(off);
     BroadcastStats {
         rounds,
         off_module_sends: off,

@@ -271,13 +271,7 @@ pub fn run_dist(
         let mut moved = 0u32;
         for (w, io) in ios.iter_mut().enumerate() {
             io.note_cycle(u64::from(cycle));
-            let ob: OutboxFrame = io.frame_recv()?;
-            if ob.cycle != cycle {
-                return Err(io.fault(format!(
-                    "outbox for cycle {} while coordinating cycle {cycle}",
-                    ob.cycle
-                )));
-            }
+            let ob: OutboxFrame = io.recv_at(u64::from(cycle))?;
             moved += ob.launched_total;
             for msg in ob.msgs {
                 let shard = (msg.to / shard_size) as usize;
@@ -312,13 +306,7 @@ pub fn run_dist(
         }
         if let Some(at) = window_end(dc.window, cycle).filter(|_| track) {
             for w in 0..wcount {
-                let snap: SnapshotFrame = ios[w].frame_recv()?;
-                if snap.cycle != at {
-                    return Err(ios[w].fault(format!(
-                        "metric snapshot for cycle {} at window boundary {at}",
-                        snap.cycle
-                    )));
-                }
+                let snap: SnapshotFrame = ios[w].recv_at(at)?;
                 absorb_worker_metrics(obs, &mut prev_metrics[w], snap.metrics);
             }
             obs.emit_window(at);

@@ -9,6 +9,12 @@
 //! no serde — so the wire format is a closed artifact documented in
 //! DESIGN.md §15 and cannot drift with a library upgrade.
 //!
+//! Every payload type implements [`Wire`] once: structs and frames by
+//! listing their fields in wire order (`wire_struct!`,
+//! `wire_frame!`), which derives both the encoder and the decoder
+//! (and the decoder's error paths) from that one list; the four enums
+//! by one hand-written impl each.
+//!
 //! Frame layout:
 //!
 //! ```text
@@ -57,11 +63,15 @@ fn fnv1a_chain(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// A decode result: the error is a message that [`FrameIo`] stamps
+/// with its worker, cycle and last good frame.
+type Decoded<T> = std::result::Result<T, String>;
+
 // ---------------------------------------------------------------------------
-// Primitive encoding
+// Encode buffer and decode cursor
 // ---------------------------------------------------------------------------
 
-/// Append-only little-endian encode buffer for one frame payload.
+/// Append-only little-endian encode buffer for one frame.
 pub(crate) struct WireBuf {
     bytes: Vec<u8>,
 }
@@ -77,42 +87,6 @@ impl WireBuf {
         WireBuf { bytes }
     }
 
-    pub(crate) fn put_u8(&mut self, v: u8) {
-        self.bytes.push(v);
-    }
-
-    pub(crate) fn put_u16(&mut self, v: u16) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn put_u32(&mut self, v: u32) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn put_u64(&mut self, v: u64) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    pub(crate) fn put_bool(&mut self, v: bool) {
-        self.put_u8(u8::from(v));
-    }
-
-    pub(crate) fn put_str(&mut self, s: &str) {
-        self.put_u32(s.len() as u32);
-        self.bytes.extend_from_slice(s.as_bytes());
-    }
-
-    pub(crate) fn put_u32_slice(&mut self, vs: &[u32]) {
-        self.put_u32(vs.len() as u32);
-        for &v in vs {
-            self.put_u32(v);
-        }
-    }
-
     /// Patch the length field and append the checksum; returns the
     /// finished frame bytes.
     fn seal(mut self) -> Vec<u8> {
@@ -124,8 +98,8 @@ impl WireBuf {
     }
 }
 
-/// Bounds-checked little-endian decode cursor over one frame payload.
-/// Every accessor returns `Err` on underrun; nothing panics.
+/// Bounds-checked decode cursor over one frame payload. Every accessor
+/// returns `Err` on underrun; nothing panics.
 pub(crate) struct WireCursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -140,7 +114,7 @@ impl<'a> WireCursor<'a> {
         self.bytes.len() - self.pos
     }
 
-    fn advance(&mut self, n: usize, what: &str) -> std::result::Result<&'a [u8], String> {
+    fn advance(&mut self, n: usize, what: &str) -> Decoded<&'a [u8]> {
         if self.remaining() < n {
             return Err(format!(
                 "payload underrun reading {what}: need {n} bytes, {} left",
@@ -152,77 +126,27 @@ impl<'a> WireCursor<'a> {
         Ok(s)
     }
 
-    pub(crate) fn take_u8(&mut self, what: &str) -> std::result::Result<u8, String> {
-        Ok(self.advance(1, what)?[0])
-    }
-
-    pub(crate) fn take_u16(&mut self, what: &str) -> std::result::Result<u16, String> {
-        let s = self.advance(2, what)?;
-        Ok(u16::from_le_bytes([s[0], s[1]]))
-    }
-
-    pub(crate) fn take_u32(&mut self, what: &str) -> std::result::Result<u32, String> {
-        let s = self.advance(4, what)?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    pub(crate) fn take_u64(&mut self, what: &str) -> std::result::Result<u64, String> {
-        let s = self.advance(8, what)?;
-        Ok(u64::from_le_bytes([
-            s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
-        ]))
-    }
-
-    pub(crate) fn take_f64(&mut self, what: &str) -> std::result::Result<f64, String> {
-        Ok(f64::from_bits(self.take_u64(what)?))
-    }
-
-    /// A flag byte: exactly 0 or 1. Anything else is a forged or
-    /// misaligned frame, never a silent `true`.
-    pub(crate) fn take_bool(&mut self, what: &str) -> std::result::Result<bool, String> {
-        match self.take_u8(what)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            v => Err(format!(
-                "invalid flag byte {v} for {what} (expected 0 or 1)"
-            )),
-        }
+    fn array<const N: usize>(&mut self, what: &str) -> Decoded<[u8; N]> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.advance(N, what)?);
+        Ok(out)
     }
 
     /// Element count prefix, validated against the bytes actually left:
-    /// a frame cannot hold more than `remaining / elem_size` elements,
-    /// so a forged count can never drive allocation past the payload.
-    pub(crate) fn take_count(
-        &mut self,
-        elem_size: usize,
-        what: &str,
-    ) -> std::result::Result<usize, String> {
-        let count = self.take_u32(what)? as usize;
-        if count.saturating_mul(elem_size) > self.remaining() {
+    /// a frame cannot hold more than `remaining / min_len` elements, so
+    /// a forged count can never drive allocation past the payload.
+    fn take_count(&mut self, min_len: usize, what: &'static str) -> Decoded<usize> {
+        let count = u32::take(self, what)? as usize;
+        if count.saturating_mul(min_len) > self.remaining() {
             return Err(format!(
-                "count overrun reading {what}: {count} elements of {elem_size}+ bytes, {} left",
+                "count overrun reading {what}: {count} elements of {min_len}+ bytes, {} left",
                 self.remaining()
             ));
         }
         Ok(count)
     }
 
-    pub(crate) fn take_str(&mut self, what: &str) -> std::result::Result<String, String> {
-        let len = self.take_count(1, what)?;
-        let raw = self.advance(len, what)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| format!("{what} is not valid UTF-8"))
-    }
-
-    pub(crate) fn take_u32_vec(&mut self, what: &str) -> std::result::Result<Vec<u32>, String> {
-        let count = self.take_count(4, what)?;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(self.take_u32(what)?);
-        }
-        Ok(out)
-    }
-
-    fn finish(&self, kind_name: &str) -> std::result::Result<(), String> {
+    fn finish(&self, kind_name: &str) -> Decoded<()> {
         if self.remaining() != 0 {
             return Err(format!(
                 "{} trailing bytes after {kind_name} payload",
@@ -234,15 +158,336 @@ impl<'a> WireCursor<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Frame trait + shared sub-codecs
+// The Wire trait and its layouts
 // ---------------------------------------------------------------------------
 
-/// A typed frame: a kind byte plus a total (panic-free) body codec.
-pub(crate) trait DistFrame: Sized {
+/// A type with one fixed wire layout. `take` is total: `path` names
+/// the field being decoded (`"setup.track"`) in every error it returns.
+pub(crate) trait Wire: Sized {
+    /// The fewest bytes any value encodes to, so an element count can
+    /// be checked against the payload before anything is allocated.
+    const MIN_LEN: usize;
+    fn put(&self, b: &mut WireBuf);
+    fn take(c: &mut WireCursor<'_>, path: &'static str) -> Decoded<Self>;
+}
+
+/// Fixed-width integers, little-endian.
+macro_rules! wire_le {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_LEN: usize = std::mem::size_of::<$t>();
+            fn put(&self, b: &mut WireBuf) {
+                b.bytes.extend_from_slice(&self.to_le_bytes());
+            }
+            fn take(c: &mut WireCursor<'_>, path: &'static str) -> Decoded<Self> {
+                Ok(<$t>::from_le_bytes(c.array(path)?))
+            }
+        }
+    )*};
+}
+
+wire_le!(u8, u16, u32, u64);
+
+impl Wire for f64 {
+    const MIN_LEN: usize = u64::MIN_LEN;
+    fn put(&self, b: &mut WireBuf) {
+        self.to_bits().put(b);
+    }
+    fn take(c: &mut WireCursor<'_>, path: &'static str) -> Decoded<Self> {
+        Ok(f64::from_bits(u64::take(c, path)?))
+    }
+}
+
+/// A flag byte: exactly 0 or 1. Anything else is a forged or misaligned
+/// frame, never a silent `true`.
+impl Wire for bool {
+    const MIN_LEN: usize = u8::MIN_LEN;
+    fn put(&self, b: &mut WireBuf) {
+        u8::from(*self).put(b);
+    }
+    fn take(c: &mut WireCursor<'_>, path: &'static str) -> Decoded<Self> {
+        match u8::take(c, path)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            v => Err(format!(
+                "invalid flag byte {v} for {path} (expected 0 or 1)"
+            )),
+        }
+    }
+}
+
+/// A `u32` byte length, then the UTF-8 bytes.
+impl Wire for String {
+    const MIN_LEN: usize = u32::MIN_LEN;
+    fn put(&self, b: &mut WireBuf) {
+        (self.len() as u32).put(b);
+        b.bytes.extend_from_slice(self.as_bytes());
+    }
+    fn take(c: &mut WireCursor<'_>, path: &'static str) -> Decoded<Self> {
+        let len = c.take_count(1, path)?;
+        let raw = c.advance(len, path)?;
+        String::from_utf8(raw.to_vec()).map_err(|_| format!("{path} is not valid UTF-8"))
+    }
+}
+
+/// A `u32` element count, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = u32::MIN_LEN;
+    fn put(&self, b: &mut WireBuf) {
+        (self.len() as u32).put(b);
+        for v in self {
+            v.put(b);
+        }
+    }
+    fn take(c: &mut WireCursor<'_>, path: &'static str) -> Decoded<Self> {
+        let count = c.take_count(T::MIN_LEN, path)?;
+        let mut out = Vec::with_capacity(count);
+        for _ in 0..count {
+            out.push(T::take(c, path)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
+    fn put(&self, b: &mut WireBuf) {
+        self.0.put(b);
+        self.1.put(b);
+    }
+    fn take(c: &mut WireCursor<'_>, path: &'static str) -> Decoded<Self> {
+        Ok((A::take(c, path)?, B::take(c, path)?))
+    }
+}
+
+/// An always-present flag, then the value (`T::default()` for `None`),
+/// so the encoded length does not depend on the variant.
+impl<T: Wire + Default> Wire for Option<T> {
+    const MIN_LEN: usize = bool::MIN_LEN + T::MIN_LEN;
+    fn put(&self, b: &mut WireBuf) {
+        self.is_some().put(b);
+        match self {
+            Some(v) => v.put(b),
+            None => T::default().put(b),
+        }
+    }
+    fn take(c: &mut WireCursor<'_>, path: &'static str) -> Decoded<Self> {
+        let some = bool::take(c, path)?;
+        let v = T::take(c, path)?;
+        Ok(some.then_some(v))
+    }
+}
+
+/// Implements [`Wire`] for a struct as its listed fields in wire order.
+/// Decode errors name the field as `"<prefix>.<field>"`; the struct
+/// literal makes the compiler reject a list that misses a field.
+macro_rules! wire_struct {
+    ($ty:ident, $prefix:literal { $($field:ident: $fty:ty),* $(,)? }) => {
+        impl Wire for $ty {
+            const MIN_LEN: usize = 0 $(+ <$fty as Wire>::MIN_LEN)*;
+            fn put(&self, b: &mut WireBuf) {
+                $(<$fty as Wire>::put(&self.$field, b);)*
+            }
+            fn take(c: &mut WireCursor<'_>, _path: &'static str) -> Decoded<Self> {
+                Ok($ty {
+                    $($field: <$fty as Wire>::take(c, concat!($prefix, ".", stringify!($field)))?,)*
+                })
+            }
+        }
+    };
+}
+
+wire_struct!(Msg, "msg" { to: u32, dst: u32, born: u32, tagged: bool, slot: u32 });
+
+wire_struct!(SimConfig, "cfg" {
+    injection_rate: f64,
+    warmup_cycles: u32,
+    measure_cycles: u32,
+    drain_cycles: u32,
+    on_module_interval: u32,
+    off_module_interval: u32,
+    seed: u64,
+    message_length: u32,
+    switching: Switching,
+    traffic: Traffic,
+});
+
+wire_struct!(FaultEvent, "fault" { cycle: u32, kind: FaultKind });
+
+wire_struct!(HistSnapshot, "hist" {
+    buckets: Vec<(u32, u64)>,
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+});
+
+wire_struct!(TraceEvent, "event" {
+    cycle: u32,
+    kind: u16,
+    shard: u16,
+    a: u32,
+    b: u32,
+    value: u64,
+});
+
+wire_struct!(RunTotals, "totals" {
+    injected: u64,
+    delivered: u64,
+    unmeasured: u64,
+    dropped: u64,
+    latency_sum: u64,
+    max_latency: u32,
+    in_flight: u64,
+});
+
+/// A `u8` tag: 0 store-and-forward, 1 cut-through.
+impl Wire for Switching {
+    const MIN_LEN: usize = u8::MIN_LEN;
+    fn put(&self, b: &mut WireBuf) {
+        let tag: u8 = match self {
+            Switching::StoreForward => 0,
+            Switching::CutThrough => 1,
+        };
+        tag.put(b);
+    }
+    fn take(c: &mut WireCursor<'_>, path: &'static str) -> Decoded<Self> {
+        match u8::take(c, path)? {
+            0 => Ok(Switching::StoreForward),
+            1 => Ok(Switching::CutThrough),
+            t => Err(format!("unknown switching tag {t} in {path}")),
+        }
+    }
+}
+
+/// A `u8` tag (uniform, bit-complement, transpose, hotspot), then the
+/// hotspot's fraction and target, zero for the other patterns.
+impl Wire for Traffic {
+    const MIN_LEN: usize = <(u8, (f64, u32))>::MIN_LEN;
+    fn put(&self, b: &mut WireBuf) {
+        let wire: (u8, (f64, u32)) = match *self {
+            Traffic::Uniform => (0, (0.0, 0)),
+            Traffic::BitComplement => (1, (0.0, 0)),
+            Traffic::Transpose => (2, (0.0, 0)),
+            Traffic::Hotspot { fraction, target } => (3, (fraction, target)),
+        };
+        wire.put(b);
+    }
+    fn take(c: &mut WireCursor<'_>, path: &'static str) -> Decoded<Self> {
+        match <(u8, (f64, u32))>::take(c, path)? {
+            (0, _) => Ok(Traffic::Uniform),
+            (1, _) => Ok(Traffic::BitComplement),
+            (2, _) => Ok(Traffic::Transpose),
+            (3, (fraction, target)) => Ok(Traffic::Hotspot { fraction, target }),
+            (t, _) => Err(format!("unknown traffic tag {t} in {path}")),
+        }
+    }
+}
+
+/// A `u8` tag (0 link, 1 node), then two node ids, the second zero for
+/// a node kill.
+impl Wire for FaultKind {
+    const MIN_LEN: usize = <(u8, (u32, u32))>::MIN_LEN;
+    fn put(&self, b: &mut WireBuf) {
+        let wire: (u8, (u32, u32)) = match *self {
+            FaultKind::Link(u, v) => (0, (u, v)),
+            FaultKind::Node(v) => (1, (v, 0)),
+        };
+        wire.put(b);
+    }
+    fn take(c: &mut WireCursor<'_>, path: &'static str) -> Decoded<Self> {
+        match <(u8, (u32, u32))>::take(c, path)? {
+            (0, (u, v)) => Ok(FaultKind::Link(u, v)),
+            (1, (v, _)) => Ok(FaultKind::Node(v)),
+            (t, _) => Err(format!("unknown fault kind tag {t} in {path}")),
+        }
+    }
+}
+
+/// A `u8` tag (0 counter, 1 gauge, 2 histogram), then the value: a
+/// `u64` for counters and gauges, a [`HistSnapshot`] for histograms.
+impl Wire for MetricSnapshot {
+    const MIN_LEN: usize = u8::MIN_LEN + u64::MIN_LEN;
+    fn put(&self, b: &mut WireBuf) {
+        match self {
+            MetricSnapshot::Counter(v) => (0u8, *v).put(b),
+            MetricSnapshot::Gauge(v) => (1u8, *v).put(b),
+            MetricSnapshot::Hist(h) => {
+                2u8.put(b);
+                h.put(b);
+            }
+        }
+    }
+    fn take(c: &mut WireCursor<'_>, path: &'static str) -> Decoded<Self> {
+        match u8::take(c, path)? {
+            0 => Ok(MetricSnapshot::Counter(u64::take(c, path)?)),
+            1 => Ok(MetricSnapshot::Gauge(u64::take(c, path)?)),
+            2 => Ok(MetricSnapshot::Hist(HistSnapshot::take(c, path)?)),
+            t => Err(format!("unknown metric tag {t} in {path}")),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Frames
+// ---------------------------------------------------------------------------
+
+/// A typed frame: a kind byte and name on top of its [`Wire`] layout.
+pub(crate) trait DistFrame: Wire {
     const KIND: u8;
     const NAME: &'static str;
-    fn put_body(&self, b: &mut WireBuf);
-    fn take_body(c: &mut WireCursor<'_>) -> std::result::Result<Self, String>;
+
+    /// Encode this frame as a whole payload.
+    fn put_body(&self, b: &mut WireBuf) {
+        self.put(b);
+    }
+
+    /// Decode a whole payload: the frame, then no trailing bytes.
+    fn take_body(c: &mut WireCursor<'_>) -> Decoded<Self> {
+        let f = Self::take(c, Self::NAME)?;
+        c.finish(Self::NAME)?;
+        Ok(f)
+    }
+}
+
+/// A per-cycle frame: it carries the cycle (or window boundary) it was
+/// sent for, which [`FrameIo::recv_at`] holds to the receiver's own.
+pub(crate) trait Stamped: DistFrame {
+    fn stamp(&self) -> u64;
+}
+
+/// Declares a frame once: the struct, its [`Wire`] layout (the fields
+/// in the order written, see `wire_struct!`), its kind byte and name,
+/// and, when marked `stamped`, its `cycle` field as the [`Stamped`]
+/// stamp.
+macro_rules! wire_frame {
+    (
+        $(#[$attr:meta])*
+        struct $name:ident = $kind:literal, $frame:literal, $prefix:literal $(, $stamped:ident)? {
+            $($(#[$fattr:meta])* $field:ident: $fty:ty,)*
+        }
+    ) => {
+        $(#[$attr])*
+        pub(crate) struct $name {
+            $($(#[$fattr])* pub(crate) $field: $fty,)*
+        }
+
+        wire_struct!($name, $prefix { $($field: $fty),* });
+
+        impl DistFrame for $name {
+            const KIND: u8 = $kind;
+            const NAME: &'static str = $frame;
+        }
+
+        $(wire_frame!(@$stamped $name);)?
+    };
+    (@stamped $name:ident) => {
+        impl Stamped for $name {
+            fn stamp(&self) -> u64 {
+                u64::from(self.cycle)
+            }
+        }
+    };
 }
 
 /// Serialize a frame to its complete wire bytes (header + payload +
@@ -254,7 +499,7 @@ pub(crate) fn frame_to_bytes<F: DistFrame>(f: &F) -> Vec<u8> {
 }
 
 /// Validate a complete header; returns `(kind, payload_len)`.
-fn header_fields(h: &[u8; HEADER_LEN]) -> std::result::Result<(u8, u32), String> {
+fn header_fields(h: &[u8; HEADER_LEN]) -> Decoded<(u8, u32)> {
     if h[0..3] != WIRE_MAGIC {
         return Err(format!(
             "bad frame magic {:02x}{:02x}{:02x} (expected \"IPG\")",
@@ -279,25 +524,12 @@ fn header_fields(h: &[u8; HEADER_LEN]) -> std::result::Result<(u8, u32), String>
 /// Verify the checksum trailing `body` and decode the payload as `F`.
 /// `body` is payload + 8 checksum bytes; `hdr_tail` is header bytes
 /// 4..10 (kind, flags, len), which the checksum covers.
-fn body_to_frame<F: DistFrame>(
-    kind: u8,
-    hdr_tail: &[u8],
-    body: &[u8],
-) -> std::result::Result<F, String> {
+fn body_to_frame<F: DistFrame>(kind: u8, hdr_tail: &[u8], body: &[u8]) -> Decoded<F> {
     if body.len() < 8 {
         return Err("frame truncated before checksum".to_string());
     }
     let (payload, sum_bytes) = body.split_at(body.len() - 8);
-    let want = u64::from_le_bytes([
-        sum_bytes[0],
-        sum_bytes[1],
-        sum_bytes[2],
-        sum_bytes[3],
-        sum_bytes[4],
-        sum_bytes[5],
-        sum_bytes[6],
-        sum_bytes[7],
-    ]);
+    let want = u64::take(&mut WireCursor::over(sum_bytes), "checksum")?;
     let got = fnv1a_chain(fnv1a_chain(FNV_OFFSET, hdr_tail), payload);
     if got != want {
         return Err(format!(
@@ -312,17 +544,14 @@ fn body_to_frame<F: DistFrame>(
             F::KIND
         ));
     }
-    let mut c = WireCursor::over(payload);
-    let f = F::take_body(&mut c)?;
-    c.finish(F::NAME)?;
-    Ok(f)
+    F::take_body(&mut WireCursor::over(payload))
 }
 
 /// Decode a frame from complete wire bytes. The streaming recv path
 /// reads header and body separately; this whole-buffer entry exists
 /// for the adversarial codec tests.
 #[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn frame_from_bytes<F: DistFrame>(bytes: &[u8]) -> std::result::Result<F, String> {
+pub(crate) fn frame_from_bytes<F: DistFrame>(bytes: &[u8]) -> Decoded<F> {
     if bytes.len() < HEADER_LEN {
         return Err(format!(
             "frame truncated inside header: {} of {HEADER_LEN} bytes",
@@ -343,518 +572,104 @@ pub(crate) fn frame_from_bytes<F: DistFrame>(bytes: &[u8]) -> std::result::Resul
     body_to_frame::<F>(kind, &h[4..], body)
 }
 
-fn put_msg(b: &mut WireBuf, m: &Msg) {
-    b.put_u32(m.to);
-    b.put_u32(m.dst);
-    b.put_u32(m.born);
-    b.put_bool(m.tagged);
-    b.put_u32(m.slot);
-}
-
-const MSG_WIRE_LEN: usize = 17;
-
-fn take_msg(c: &mut WireCursor<'_>) -> std::result::Result<Msg, String> {
-    Ok(Msg {
-        to: c.take_u32("msg.to")?,
-        dst: c.take_u32("msg.dst")?,
-        born: c.take_u32("msg.born")?,
-        tagged: c.take_bool("msg.tagged")?,
-        slot: c.take_u32("msg.slot")?,
-    })
-}
-
-fn put_msgs(b: &mut WireBuf, msgs: &[Msg]) {
-    b.put_u32(msgs.len() as u32);
-    for m in msgs {
-        put_msg(b, m);
+wire_frame! {
+    /// Coordinator → worker, once: the complete run description. The
+    /// worker derives the shard geometry from `n` (`engine::shard_layout`).
+    #[derive(Clone, Debug, PartialEq)]
+    struct SetupFrame = 1, "Setup", "setup" {
+        worker: u32,
+        n: u32,
+        /// Global index of the first shard this worker owns.
+        shard_lo: u32,
+        /// One past the last owned shard.
+        shard_hi: u32,
+        /// Window size for metric snapshots (0 = none).
+        window: u32,
+        track: bool,
+        /// A fault plan is installed (possibly with zero events) — this
+        /// changes engine behavior independent of the event list.
+        faulted: bool,
+        /// Trace sampling `(interval, ring_capacity)` when tracing.
+        trace: Option<(u32, u64)>,
+        /// Network spec the worker rebuilds its router from.
+        netspec: String,
+        cfg: SimConfig,
+        faults: Vec<FaultEvent>,
     }
 }
 
-fn take_msgs(c: &mut WireCursor<'_>) -> std::result::Result<Vec<Msg>, String> {
-    let count = c.take_count(MSG_WIRE_LEN, "msgs")?;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        out.push(take_msg(c)?);
-    }
-    Ok(out)
-}
-
-fn put_sim_config(b: &mut WireBuf, cfg: &SimConfig) {
-    b.put_f64(cfg.injection_rate);
-    b.put_u32(cfg.warmup_cycles);
-    b.put_u32(cfg.measure_cycles);
-    b.put_u32(cfg.drain_cycles);
-    b.put_u32(cfg.on_module_interval);
-    b.put_u32(cfg.off_module_interval);
-    b.put_u64(cfg.seed);
-    b.put_u32(cfg.message_length);
-    b.put_u8(match cfg.switching {
-        Switching::StoreForward => 0,
-        Switching::CutThrough => 1,
-    });
-    let (traffic, fraction, target) = match cfg.traffic {
-        Traffic::Uniform => (0u8, 0.0, 0),
-        Traffic::BitComplement => (1, 0.0, 0),
-        Traffic::Transpose => (2, 0.0, 0),
-        Traffic::Hotspot { fraction, target } => (3, fraction, target),
-    };
-    b.put_u8(traffic);
-    b.put_f64(fraction);
-    b.put_u32(target);
-}
-
-fn take_sim_config(c: &mut WireCursor<'_>) -> std::result::Result<SimConfig, String> {
-    let injection_rate = c.take_f64("cfg.injection_rate")?;
-    let warmup_cycles = c.take_u32("cfg.warmup_cycles")?;
-    let measure_cycles = c.take_u32("cfg.measure_cycles")?;
-    let drain_cycles = c.take_u32("cfg.drain_cycles")?;
-    let on_module_interval = c.take_u32("cfg.on_module_interval")?;
-    let off_module_interval = c.take_u32("cfg.off_module_interval")?;
-    let seed = c.take_u64("cfg.seed")?;
-    let message_length = c.take_u32("cfg.message_length")?;
-    let switching = match c.take_u8("cfg.switching")? {
-        0 => Switching::StoreForward,
-        1 => Switching::CutThrough,
-        t => return Err(format!("unknown switching tag {t}")),
-    };
-    let tag = c.take_u8("cfg.traffic")?;
-    let fraction = c.take_f64("cfg.traffic.fraction")?;
-    let target = c.take_u32("cfg.traffic.target")?;
-    let traffic = match tag {
-        0 => Traffic::Uniform,
-        1 => Traffic::BitComplement,
-        2 => Traffic::Transpose,
-        3 => Traffic::Hotspot { fraction, target },
-        t => return Err(format!("unknown traffic tag {t}")),
-    };
-    Ok(SimConfig {
-        injection_rate,
-        warmup_cycles,
-        measure_cycles,
-        drain_cycles,
-        on_module_interval,
-        off_module_interval,
-        seed,
-        message_length,
-        switching,
-        traffic,
-    })
-}
-
-fn put_fault_events(b: &mut WireBuf, events: &[FaultEvent]) {
-    b.put_u32(events.len() as u32);
-    for ev in events {
-        b.put_u32(ev.cycle);
-        match ev.kind {
-            FaultKind::Link(u, v) => {
-                b.put_u8(0);
-                b.put_u32(u);
-                b.put_u32(v);
-            }
-            FaultKind::Node(v) => {
-                b.put_u8(1);
-                b.put_u32(v);
-                b.put_u32(0);
-            }
-        }
+wire_frame! {
+    /// Coordinator → worker, once per owned shard: the flattened link
+    /// arrays, so the worker never materializes the full graph. The
+    /// shard's node range follows from the layout the worker derives
+    /// from Setup.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct ShardLinksFrame = 2, "ShardLinks", "links" {
+        shard: u32,
+        link_of: Vec<u32>,
+        to: Vec<u32>,
+        interval: Vec<u32>,
     }
 }
 
-fn take_fault_events(c: &mut WireCursor<'_>) -> std::result::Result<Vec<FaultEvent>, String> {
-    let count = c.take_count(13, "faults")?;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let cycle = c.take_u32("fault.cycle")?;
-        let tag = c.take_u8("fault.kind")?;
-        let a = c.take_u32("fault.a")?;
-        let b = c.take_u32("fault.b")?;
-        let kind = match tag {
-            0 => FaultKind::Link(a, b),
-            1 => FaultKind::Node(a),
-            t => return Err(format!("unknown fault kind tag {t}")),
-        };
-        out.push(FaultEvent { cycle, kind });
-    }
-    Ok(out)
-}
-
-fn put_metric_snapshots(b: &mut WireBuf, metrics: &[(String, MetricSnapshot)]) {
-    b.put_u32(metrics.len() as u32);
-    for (name, snap) in metrics {
-        b.put_str(name);
-        match snap {
-            MetricSnapshot::Counter(v) => {
-                b.put_u8(0);
-                b.put_u64(*v);
-            }
-            MetricSnapshot::Gauge(v) => {
-                b.put_u8(1);
-                b.put_u64(*v);
-            }
-            MetricSnapshot::Hist(h) => {
-                b.put_u8(2);
-                b.put_u32(h.buckets.len() as u32);
-                for &(i, v) in &h.buckets {
-                    b.put_u32(i);
-                    b.put_u64(v);
-                }
-                b.put_u64(h.count);
-                b.put_u64(h.sum);
-                b.put_u64(h.min);
-                b.put_u64(h.max);
-            }
-        }
+wire_frame! {
+    /// Worker → coordinator, once: router and shards are built.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    struct ReadyFrame = 3, "Ready", "ready" {
+        worker: u32,
     }
 }
 
-fn take_metric_snapshots(
-    c: &mut WireCursor<'_>,
-) -> std::result::Result<Vec<(String, MetricSnapshot)>, String> {
-    let count = c.take_count(10, "metrics")?;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let name = c.take_str("metric name")?;
-        let snap = match c.take_u8("metric tag")? {
-            0 => MetricSnapshot::Counter(c.take_u64("counter")?),
-            1 => MetricSnapshot::Gauge(c.take_u64("gauge")?),
-            2 => {
-                let nb = c.take_count(12, "hist buckets")?;
-                let mut buckets = Vec::with_capacity(nb);
-                for _ in 0..nb {
-                    let i = c.take_u32("bucket index")?;
-                    let v = c.take_u64("bucket value")?;
-                    buckets.push((i, v));
-                }
-                MetricSnapshot::Hist(HistSnapshot {
-                    buckets,
-                    count: c.take_u64("hist.count")?,
-                    sum: c.take_u64("hist.sum")?,
-                    min: c.take_u64("hist.min")?,
-                    max: c.take_u64("hist.max")?,
-                })
-            }
-            t => return Err(format!("unknown metric tag {t}")),
-        };
-        out.push((name, snap));
-    }
-    Ok(out)
-}
-
-fn put_trace_events(b: &mut WireBuf, events: &[TraceEvent]) {
-    b.put_u32(events.len() as u32);
-    for ev in events {
-        b.put_u32(ev.cycle);
-        b.put_u16(ev.kind);
-        b.put_u16(ev.shard);
-        b.put_u32(ev.a);
-        b.put_u32(ev.b);
-        b.put_u64(ev.value);
+wire_frame! {
+    /// Worker → coordinator, every cycle: departures bound for other
+    /// workers' shards, plus the total outbox volume (including messages
+    /// that stayed local) for the merge-track trace gauge.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct OutboxFrame = 4, "Outbox", "outbox", stamped {
+        cycle: u32,
+        launched_total: u32,
+        msgs: Vec<Msg>,
     }
 }
 
-fn take_trace_events(c: &mut WireCursor<'_>) -> std::result::Result<Vec<TraceEvent>, String> {
-    let count = c.take_count(24, "trace events")?;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        out.push(TraceEvent {
-            cycle: c.take_u32("event.cycle")?,
-            kind: c.take_u16("event.kind")?,
-            shard: c.take_u16("event.shard")?,
-            a: c.take_u32("event.a")?,
-            b: c.take_u32("event.b")?,
-            value: c.take_u64("event.value")?,
-        });
-    }
-    Ok(out)
-}
-
-fn put_run_totals(b: &mut WireBuf, t: &RunTotals) {
-    b.put_u64(t.injected);
-    b.put_u64(t.delivered);
-    b.put_u64(t.unmeasured);
-    b.put_u64(t.dropped);
-    b.put_u64(t.latency_sum);
-    b.put_u32(t.max_latency);
-    b.put_u64(t.in_flight);
-}
-
-fn take_run_totals(c: &mut WireCursor<'_>) -> std::result::Result<RunTotals, String> {
-    Ok(RunTotals {
-        injected: c.take_u64("totals.injected")?,
-        delivered: c.take_u64("totals.delivered")?,
-        unmeasured: c.take_u64("totals.unmeasured")?,
-        dropped: c.take_u64("totals.dropped")?,
-        latency_sum: c.take_u64("totals.latency_sum")?,
-        max_latency: c.take_u32("totals.max_latency")?,
-        in_flight: c.take_u64("totals.in_flight")?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// The seven frame types
-// ---------------------------------------------------------------------------
-
-/// Coordinator → worker, once: the complete run description. The
-/// worker derives the shard geometry from `n` (`engine::shard_layout`).
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct SetupFrame {
-    pub(crate) worker: u32,
-    pub(crate) n: u32,
-    /// Global index of the first shard this worker owns.
-    pub(crate) shard_lo: u32,
-    /// One past the last owned shard.
-    pub(crate) shard_hi: u32,
-    /// Window size for metric snapshots (0 = none).
-    pub(crate) window: u32,
-    pub(crate) track: bool,
-    /// A fault plan is installed (possibly with zero events) — this
-    /// changes engine behavior independent of the event list.
-    pub(crate) faulted: bool,
-    /// Trace sampling `(interval, ring_capacity)` when tracing.
-    pub(crate) trace: Option<(u32, u64)>,
-    /// Network spec the worker rebuilds its router from.
-    pub(crate) netspec: String,
-    pub(crate) cfg: SimConfig,
-    pub(crate) faults: Vec<FaultEvent>,
-}
-
-impl DistFrame for SetupFrame {
-    const KIND: u8 = 1;
-    const NAME: &'static str = "Setup";
-
-    fn put_body(&self, b: &mut WireBuf) {
-        b.put_u32(self.worker);
-        b.put_u32(self.n);
-        b.put_u32(self.shard_lo);
-        b.put_u32(self.shard_hi);
-        b.put_u32(self.window);
-        b.put_bool(self.track);
-        b.put_bool(self.faulted);
-        match self.trace {
-            Some((interval, capacity)) => {
-                b.put_bool(true);
-                b.put_u32(interval);
-                b.put_u64(capacity);
-            }
-            None => {
-                b.put_bool(false);
-                b.put_u32(0);
-                b.put_u64(0);
-            }
-        }
-        b.put_str(&self.netspec);
-        put_sim_config(b, &self.cfg);
-        put_fault_events(b, &self.faults);
-    }
-
-    fn take_body(c: &mut WireCursor<'_>) -> std::result::Result<Self, String> {
-        let worker = c.take_u32("setup.worker")?;
-        let n = c.take_u32("setup.n")?;
-        let shard_lo = c.take_u32("setup.shard_lo")?;
-        let shard_hi = c.take_u32("setup.shard_hi")?;
-        let window = c.take_u32("setup.window")?;
-        let track = c.take_bool("setup.track")?;
-        let faulted = c.take_bool("setup.faulted")?;
-        let has_trace = c.take_bool("setup.trace")?;
-        let interval = c.take_u32("setup.trace.interval")?;
-        let capacity = c.take_u64("setup.trace.capacity")?;
-        let trace = has_trace.then_some((interval, capacity));
-        let netspec = c.take_str("setup.netspec")?;
-        let cfg = take_sim_config(c)?;
-        let faults = take_fault_events(c)?;
-        Ok(SetupFrame {
-            worker,
-            n,
-            shard_lo,
-            shard_hi,
-            window,
-            track,
-            faulted,
-            trace,
-            netspec,
-            cfg,
-            faults,
-        })
+wire_frame! {
+    /// Coordinator → worker, every cycle: cross-worker arrivals split by
+    /// origin — `pre` from workers with smaller ids, `post` from larger —
+    /// so the worker can interleave its local departures at exactly the
+    /// position the in-process global shard-order merge would have.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct ArrivalsFrame = 5, "Arrivals", "arrivals", stamped {
+        cycle: u32,
+        pre: Vec<Msg>,
+        post: Vec<Msg>,
     }
 }
 
-/// Coordinator → worker, once per owned shard: the flattened link
-/// arrays, so the worker never materializes the full graph. The shard's
-/// node range follows from the layout the worker derives from Setup.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct ShardLinksFrame {
-    pub(crate) shard: u32,
-    pub(crate) link_of: Vec<u32>,
-    pub(crate) to: Vec<u32>,
-    pub(crate) interval: Vec<u32>,
-}
-
-impl DistFrame for ShardLinksFrame {
-    const KIND: u8 = 2;
-    const NAME: &'static str = "ShardLinks";
-
-    fn put_body(&self, b: &mut WireBuf) {
-        b.put_u32(self.shard);
-        b.put_u32_slice(&self.link_of);
-        b.put_u32_slice(&self.to);
-        b.put_u32_slice(&self.interval);
-    }
-
-    fn take_body(c: &mut WireCursor<'_>) -> std::result::Result<Self, String> {
-        Ok(ShardLinksFrame {
-            shard: c.take_u32("links.shard")?,
-            link_of: c.take_u32_vec("links.link_of")?,
-            to: c.take_u32_vec("links.to")?,
-            interval: c.take_u32_vec("links.interval")?,
-        })
+wire_frame! {
+    /// Worker → coordinator at window boundaries: cumulative metric
+    /// values the coordinator folds as deltas into its own registry.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct SnapshotFrame = 6, "Snapshot", "snapshot", stamped {
+        cycle: u64,
+        metrics: Vec<(String, MetricSnapshot)>,
     }
 }
 
-/// Worker → coordinator, once: router and shards are built.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct ReadyFrame {
-    pub(crate) worker: u32,
-}
-
-impl DistFrame for ReadyFrame {
-    const KIND: u8 = 3;
-    const NAME: &'static str = "Ready";
-
-    fn put_body(&self, b: &mut WireBuf) {
-        b.put_u32(self.worker);
-    }
-
-    fn take_body(c: &mut WireCursor<'_>) -> std::result::Result<Self, String> {
-        Ok(ReadyFrame {
-            worker: c.take_u32("ready.worker")?,
-        })
-    }
-}
-
-/// Worker → coordinator, every cycle: departures bound for other
-/// workers' shards, plus the total outbox volume (including messages
-/// that stayed local) for the merge-track trace gauge.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct OutboxFrame {
-    pub(crate) cycle: u32,
-    pub(crate) launched_total: u32,
-    pub(crate) msgs: Vec<Msg>,
-}
-
-impl DistFrame for OutboxFrame {
-    const KIND: u8 = 4;
-    const NAME: &'static str = "Outbox";
-
-    fn put_body(&self, b: &mut WireBuf) {
-        b.put_u32(self.cycle);
-        b.put_u32(self.launched_total);
-        put_msgs(b, &self.msgs);
-    }
-
-    fn take_body(c: &mut WireCursor<'_>) -> std::result::Result<Self, String> {
-        Ok(OutboxFrame {
-            cycle: c.take_u32("outbox.cycle")?,
-            launched_total: c.take_u32("outbox.launched_total")?,
-            msgs: take_msgs(c)?,
-        })
-    }
-}
-
-/// Coordinator → worker, every cycle: cross-worker arrivals split by
-/// origin — `pre` from workers with smaller ids, `post` from larger —
-/// so the worker can interleave its local departures at exactly the
-/// position the in-process global shard-order merge would have.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct ArrivalsFrame {
-    pub(crate) cycle: u32,
-    pub(crate) pre: Vec<Msg>,
-    pub(crate) post: Vec<Msg>,
-}
-
-impl DistFrame for ArrivalsFrame {
-    const KIND: u8 = 5;
-    const NAME: &'static str = "Arrivals";
-
-    fn put_body(&self, b: &mut WireBuf) {
-        b.put_u32(self.cycle);
-        put_msgs(b, &self.pre);
-        put_msgs(b, &self.post);
-    }
-
-    fn take_body(c: &mut WireCursor<'_>) -> std::result::Result<Self, String> {
-        Ok(ArrivalsFrame {
-            cycle: c.take_u32("arrivals.cycle")?,
-            pre: take_msgs(c)?,
-            post: take_msgs(c)?,
-        })
-    }
-}
-
-/// Worker → coordinator at window boundaries: cumulative metric values
-/// the coordinator folds as deltas into its own registry.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct SnapshotFrame {
-    pub(crate) cycle: u64,
-    pub(crate) metrics: Vec<(String, MetricSnapshot)>,
-}
-
-impl DistFrame for SnapshotFrame {
-    const KIND: u8 = 6;
-    const NAME: &'static str = "Snapshot";
-
-    fn put_body(&self, b: &mut WireBuf) {
-        b.put_u64(self.cycle);
-        put_metric_snapshots(b, &self.metrics);
-    }
-
-    fn take_body(c: &mut WireCursor<'_>) -> std::result::Result<Self, String> {
-        Ok(SnapshotFrame {
-            cycle: c.take_u64("snapshot.cycle")?,
-            metrics: take_metric_snapshots(c)?,
-        })
-    }
-}
-
-/// Worker → coordinator, once after the cycle loop: run totals, final
-/// metric snapshot, drained trace events, and per-worker gauges.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct FinalFrame {
-    pub(crate) totals: RunTotals,
-    pub(crate) metrics: Vec<(String, MetricSnapshot)>,
-    pub(crate) trace_events: Vec<TraceEvent>,
-    pub(crate) trace_dropped: u64,
-    /// Worker peak RSS in KiB (`VmHWM`), probed by the host binary.
-    pub(crate) rss_kb: u64,
-    /// Frames sent + received by the worker before this one.
-    pub(crate) frames: u64,
-    /// Bytes sent + received by the worker before this frame.
-    pub(crate) frame_bytes: u64,
-}
-
-impl DistFrame for FinalFrame {
-    const KIND: u8 = 7;
-    const NAME: &'static str = "Final";
-
-    fn put_body(&self, b: &mut WireBuf) {
-        put_run_totals(b, &self.totals);
-        put_metric_snapshots(b, &self.metrics);
-        put_trace_events(b, &self.trace_events);
-        b.put_u64(self.trace_dropped);
-        b.put_u64(self.rss_kb);
-        b.put_u64(self.frames);
-        b.put_u64(self.frame_bytes);
-    }
-
-    fn take_body(c: &mut WireCursor<'_>) -> std::result::Result<Self, String> {
-        Ok(FinalFrame {
-            totals: take_run_totals(c)?,
-            metrics: take_metric_snapshots(c)?,
-            trace_events: take_trace_events(c)?,
-            trace_dropped: c.take_u64("final.trace_dropped")?,
-            rss_kb: c.take_u64("final.rss_kb")?,
-            frames: c.take_u64("final.frames")?,
-            frame_bytes: c.take_u64("final.frame_bytes")?,
-        })
+wire_frame! {
+    /// Worker → coordinator, once after the cycle loop: run totals, final
+    /// metric snapshot, drained trace events, and per-worker gauges.
+    #[derive(Clone, Debug, PartialEq)]
+    struct FinalFrame = 7, "Final", "final" {
+        totals: RunTotals,
+        metrics: Vec<(String, MetricSnapshot)>,
+        trace_events: Vec<TraceEvent>,
+        trace_dropped: u64,
+        /// Worker peak RSS in KiB (`VmHWM`), probed by the host binary.
+        rss_kb: u64,
+        /// Frames sent + received by the worker before this one.
+        frames: u64,
+        /// Bytes sent + received by the worker before this frame.
+        frame_bytes: u64,
     }
 }
 
@@ -1012,12 +827,36 @@ impl FrameIo {
         self.last = F::NAME;
         Ok(f)
     }
+
+    /// Receive a per-cycle frame that must be stamped `stamp`. A frame
+    /// for any other cycle is a protocol fault naming the frame kind and
+    /// both cycles; it does not count as the last good frame.
+    pub(crate) fn recv_at<F: Stamped>(&mut self, stamp: u64) -> Result<F> {
+        let last = self.last;
+        let f: F = self.frame_recv()?;
+        if f.stamp() != stamp {
+            self.last = last;
+            return Err(self.fault(format!(
+                "{} frame stamped for cycle {}, expected cycle {stamp}",
+                F::NAME,
+                f.stamp()
+            )));
+        }
+        Ok(f)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl WireBuf {
+        /// Append one raw byte past a frame's declared layout.
+        fn put_u8(&mut self, v: u8) {
+            self.bytes.push(v);
+        }
+    }
 
     fn sample_setup() -> SetupFrame {
         SetupFrame {
@@ -1151,6 +990,61 @@ mod tests {
             frame_from_bytes::<FinalFrame>(&frame_to_bytes(&fin)).unwrap(),
             fin
         );
+    }
+
+    /// The wire bytes of one sample frame per kind, pinned by FNV-1a 64
+    /// digest: a layout change that still roundtrips (two fields swapped
+    /// on both sides, a tag renumbered) fails here until `WIRE_VERSION`
+    /// is bumped and the digests are re-recorded.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let msg = Msg {
+            to: 1,
+            dst: 2,
+            born: 3,
+            tagged: true,
+            slot: 4,
+        };
+        let digest = |bytes: Vec<u8>| fnv1a_chain(FNV_OFFSET, &bytes);
+        let got = [
+            digest(frame_to_bytes(&sample_setup())),
+            digest(frame_to_bytes(&ShardLinksFrame {
+                shard: 5,
+                link_of: vec![0, 2, 4],
+                to: vec![1, 2, 3, 4],
+                interval: vec![1, 1, 3, 3],
+            })),
+            digest(frame_to_bytes(&ReadyFrame { worker: 3 })),
+            digest(frame_to_bytes(&OutboxFrame {
+                cycle: 17,
+                launched_total: 9,
+                msgs: vec![msg],
+            })),
+            digest(frame_to_bytes(&ArrivalsFrame {
+                cycle: 17,
+                pre: vec![msg],
+                post: vec![Msg {
+                    tagged: false,
+                    ..msg
+                }],
+            })),
+            digest(frame_to_bytes(&SnapshotFrame {
+                cycle: 500,
+                metrics: sample_final().metrics,
+            })),
+            digest(frame_to_bytes(&sample_final())),
+        ];
+        assert_eq!(WIRE_VERSION, 3);
+        let want: [u64; 7] = [
+            0x06af_c864_d5dd_928a, // Setup
+            0x00d0_d045_126f_5d76, // ShardLinks
+            0xf1a9_349d_a900_dd93, // Ready
+            0xcfd6_1e44_859f_b7c4, // Outbox
+            0x8dca_89cd_8acd_39fc, // Arrivals
+            0x8b0d_e825_d8f2_92fc, // Snapshot
+            0xdef2_024d_3ce9_9ae4, // Final
+        ];
+        assert_eq!(got, want, "{got:#018x?}");
     }
 
     #[test]

@@ -249,13 +249,7 @@ fn serve(
         out_frame.launched_total = range.phase_split(&mut out_frame.msgs);
         io.frame_send(&out_frame)?;
 
-        let arrivals: ArrivalsFrame = io.frame_recv()?;
-        if arrivals.cycle != cycle {
-            return Err(io.fault(format!(
-                "arrivals for cycle {} while executing cycle {cycle}",
-                arrivals.cycle
-            )));
-        }
+        let arrivals: ArrivalsFrame = io.recv_at(u64::from(cycle))?;
         // The merge and phase B index wheels, shards and nodes with these.
         for m in arrivals.pre.iter().chain(&arrivals.post) {
             let field = if m.to >= setup.n || !(lo..hi).contains(&(m.to / shard_size)) {
@@ -360,8 +354,14 @@ mod tests {
 
     /// Run [`serve`] on a thread against a scripted coordinator that
     /// sends `setup` and `shard_links`, then answers cycle 0's outbox
-    /// with `pre` as arrivals and every later cycle with none.
-    fn drive(setup: &SetupFrame, shard_links: &[ShardLinksFrame], pre: Vec<Msg>) -> Result<()> {
+    /// with `pre` as arrivals and every later cycle with none, each
+    /// arrivals frame stamped `skew` cycles late.
+    fn drive(
+        setup: &SetupFrame,
+        shard_links: &[ShardLinksFrame],
+        pre: Vec<Msg>,
+        skew: u32,
+    ) -> Result<()> {
         let g = ring();
         let (ours, theirs) = std::os::unix::net::UnixStream::pair().unwrap();
         let (mut coord, worker) = (FrameIo::over(ours, 1), FrameIo::over(theirs, u32::MAX));
@@ -384,7 +384,7 @@ mod tests {
                         break;
                     }
                     let arrivals = ArrivalsFrame {
-                        cycle,
+                        cycle: cycle + skew,
                         pre: pre.take().unwrap_or_default(),
                         post: Vec::new(),
                     };
@@ -408,7 +408,7 @@ mod tests {
             tagged: false,
             slot: 1,
         };
-        drive(&setup(), &good_links, vec![arrival]).expect("well-formed frames run");
+        drive(&setup(), &good_links, vec![arrival], 0).expect("well-formed frames run");
 
         let mut cases: Vec<(&str, SetupFrame, Vec<ShardLinksFrame>, Vec<Msg>)> = Vec::new();
         for (lo, hi) in [(3, 2), (2, 2), (2, 5)] {
@@ -499,11 +499,20 @@ mod tests {
             cases.push((field, setup(), good_links.to_vec(), vec![m]));
         }
         for (field, s, ls, pre) in cases {
-            let err = drive(&s, &ls, pre).expect_err(field).to_string();
+            let err = drive(&s, &ls, pre, 0).expect_err(field).to_string();
             assert!(
                 err.contains(field) && err.contains("worker 1"),
                 "{field}: unexpected error: {err}"
             );
         }
+        // Well-formed arrivals, stamped for the wrong cycle.
+        let field = "Arrivals frame stamped for cycle 1, expected cycle 0";
+        let err = drive(&setup(), &good_links, Vec::new(), 1)
+            .expect_err(field)
+            .to_string();
+        assert!(
+            err.contains(field) && err.contains("worker 1, cycle 0"),
+            "unexpected error: {err}"
+        );
     }
 }

@@ -40,8 +40,11 @@ cargo run --release -p ipg-bench --bin bench_report -- "$jsonl"
 # a fresh child process; then rewrite the generated blocks of README.md,
 # EXPERIMENTS.md and DESIGN.md from the new JSON, so the quoted numbers
 # cannot drift from it (the ipg-bench doc_blocks test checks they match).
+# Pinned to 2 threads whatever the pool above: the committed
+# BENCH_sim.json was measured at IPG_THREADS=2, and a 4-thread pool on a
+# 2-vCPU host moves its readings by oversubscription alone.
 echo "== sim_bench -> results/BENCH_sim.json, then the docs' generated blocks =="
-cargo run --release -p ipg-bench --bin sim_bench
+IPG_THREADS=2 cargo run --release -p ipg-bench --bin sim_bench
 cargo run --release -p ipg-bench --bin bench_report -- --render-docs
 
 echo "== regenerate results/*.manifest.jsonl =="
