@@ -132,6 +132,16 @@ impl Csr {
         &self.targets[self.offsets[u as usize] as usize..self.offsets[u as usize + 1] as usize]
     }
 
+    /// The rows of nodes `nodes`, as views into the CSR arrays: their
+    /// `nodes.len() + 1` offsets, which index the whole graph's targets
+    /// (so they start at `offsets[nodes.start]`, not at 0), and the
+    /// targets those offsets span, node by node in ascending order.
+    pub fn rows(&self, nodes: std::ops::Range<u32>) -> (&[u32], &[u32]) {
+        let offsets = &self.offsets[nodes.start as usize..=nodes.end as usize];
+        let (first, last) = (offsets[0] as usize, offsets[offsets.len() - 1] as usize);
+        (offsets, &self.targets[first..last])
+    }
+
     /// Out-degree of `u`.
     #[inline]
     pub fn degree(&self, u: u32) -> usize {
@@ -250,6 +260,24 @@ mod tests {
         assert!(r.has_arc(2, 1));
         assert!(!r.has_arc(0, 1));
         assert_eq!(g.symmetrized().arc_count(), 4);
+    }
+
+    #[test]
+    fn rows_view_a_node_range() {
+        // degrees 1, 0, 3, 2: node 1 has no out-arcs
+        let g = Csr::from_edges(4, [(0, 2), (2, 0), (2, 1), (2, 3), (3, 0), (3, 1)], false);
+        let (offsets, targets) = g.rows(0..4);
+        assert_eq!(offsets, [0, 1, 1, 4, 6]);
+        assert_eq!(targets, [2, 0, 1, 3, 0, 1]);
+        // empty range: one offset, no targets
+        assert_eq!(g.rows(2..2), (&[1u32][..], &[][..]));
+        // the degree-0 node alone
+        assert_eq!(g.rows(1..2), (&[1u32, 1][..], &[][..]));
+        // the last node: offsets keep their global values
+        assert_eq!(g.rows(3..4), (&[4u32, 6][..], &[0u32, 1][..]));
+        // a middle range starting at the degree-0 node
+        assert_eq!(g.rows(1..3), (&[1u32, 1, 4][..], &[0u32, 1, 3][..]));
+        assert_eq!(g.rows(4..4), (&[6u32][..], &[][..]));
     }
 
     #[test]

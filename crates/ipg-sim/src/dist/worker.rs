@@ -15,6 +15,8 @@
 //! byte crossing the process boundary goes through [`super::frame`] —
 //! this file performs no raw I/O (lint DET008).
 
+use std::borrow::Cow;
+
 use ipg_core::error::{IpgError, Result};
 use ipg_obs::{NullRecorder, Obs, ShardTracer, Trace, TraceConfig, ENGINE_TRACK};
 
@@ -177,8 +179,9 @@ fn serve(
         )));
     }
 
-    // Local shards, assembled from shipped link arrays (never a CSR).
-    let mut shards = Vec::with_capacity((hi - lo) as usize);
+    // Local shards, assembled from shipped link arrays (never a CSR), so
+    // they own their rows.
+    let mut shards: Vec<Shard<'static>> = Vec::with_capacity((hi - lo) as usize);
     for si in lo..hi {
         let sl: ShardLinksFrame = io.frame_recv()?;
         if sl.shard != si {
@@ -193,7 +196,12 @@ fn serve(
         }
         let off_module = sl.interval.iter().map(|&iv| iv != speed[0]).collect();
         shards.push(Shard::assemble(
-            base, node_count, sl.link_of, sl.to, off_module, speed,
+            base,
+            node_count,
+            Cow::Owned(sl.link_of),
+            Cow::Owned(sl.to),
+            off_module,
+            speed,
         ));
     }
 

@@ -53,7 +53,7 @@
 //!
 //! | state | was | now |
 //! |---|---|---|
-//! | `to` (next node) | 4 | 4 |
+//! | `to` (next node) | 4 | 0 in-process (a view of the run's CSR targets); 4 in a dist worker |
 //! | service interval | 4 (`u32` per link) | 1/8 (one off-module bit; the shard keeps the `[on, off]` pair) |
 //! | `next_free` (link clock) | 8 (`u64`) | 4 (`u32`, saturating at `u32::MAX`, a cycle no run reaches) |
 //! | FIFO head | 4 | 0 (`pool.next[tail]`) |
@@ -61,10 +61,16 @@
 //! | `qlen` | 4 | 0 (4 when obs or trace reads it) |
 //! | owning node | 4 | 0 (sampled gauges walk `link_of`) |
 //! | active-link worklist bit | 1/8 | 1/8 |
-//! | **total** | **32.125** | **12.25** |
+//! | **total** | **32.125** | **8.25** in-process; **12.25** in a dist worker |
 //!
-//! Per node, the shard keeps `link_of` (4 bytes) and the node's RNG
-//! stream; the per-node busy-link count (4 bytes) is gone too. Obs adds
+//! Per node, the shard keeps `link_of` and the node's RNG stream; the
+//! per-node busy-link count (4 bytes) is gone too. In-process, `to` and
+//! `link_of` cost no extra bytes: they are the shard's slices of the
+//! run's CSR targets and offsets, so the [`Csr`] a [`Simulator`] is
+//! built from must outlive it (the `'g` lifetime). A dist worker has no
+//! CSR and owns the copies it is shipped: 4 bytes per link and 4 per
+//! node. Both read node `local`'s links as `link_of[local] - link_of[0]
+//! .. link_of[local + 1] - link_of[0]` (`Shard::node_links`). Obs adds
 //! `link_busy` (8), `queue_hw` (4) and `qlen` (4) per link, a trace
 //! `link_busy` and `qlen`, a fault plan one dead flag (1).
 //!
@@ -108,6 +114,8 @@ use ipg_core::fault::FaultView;
 use ipg_core::graph::Csr;
 use ipg_obs::{Counter, Histogram, Obs, ShardTracer, Span, Trace, TraceConfig, ENGINE_TRACK};
 use rand::Rng;
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Destination selection for injected packets.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -306,9 +314,11 @@ impl Pool {
 }
 
 /// Per-link state, struct-of-arrays over the links owned by one shard:
-/// 12 bytes per link plus one bit (the module docs' table).
-struct Links {
-    to: Vec<u32>,
+/// 8 bytes per link plus one bit, and `to` (the module docs' table).
+struct Links<'g> {
+    /// Each link's next node: the shard's slice of the CSR targets
+    /// in-process, the shipped copy in a dist worker.
+    to: Cow<'g, [u32]>,
     /// Last packet of each link's FIFO, [`NIL`] when it is empty. The
     /// FIFO is a circular list through [`Pool::next`]: the head is
     /// `next[tail]`.
@@ -325,7 +335,7 @@ struct Links {
     qlen: Vec<u32>,
 }
 
-impl Links {
+impl Links<'_> {
     fn len(&self) -> usize {
         self.to.len()
     }
@@ -394,14 +404,17 @@ impl Links {
 /// link FIFOs, packet pool, per-node RNG streams, outbox, arrival wheel.
 /// Crate-visible so the distributed worker (`dist::worker`) can assemble
 /// its local shards; only [`ShardRange`] drives them.
-pub(crate) struct Shard {
+pub(crate) struct Shard<'g> {
     /// First global node id.
     base: u32,
     /// Nodes in this shard.
     node_count: u32,
-    /// Per-node offsets into `links` (length `node_count + 1`).
-    link_of: Vec<u32>,
-    links: Links,
+    /// Per-node link offsets (length `node_count + 1`), relative to
+    /// `link_of[0]`: the shard's slice of the CSR offsets in-process, the
+    /// shipped copy (starting at 0) in a dist worker. Read through
+    /// [`Shard::node_links`].
+    link_of: Cow<'g, [u32]>,
+    links: Links<'g>,
     pool: Pool,
     rngs: Vec<NodeRng>,
     /// Chunked injection events precomputed from the node streams.
@@ -593,21 +606,27 @@ impl RunTotals {
     }
 }
 
-impl Shard {
+impl<'g> Shard<'g> {
     /// Construct a quiescent shard over `[base, base + node_count)` from
     /// its per-node link offsets, its links' next nodes `to`, which of
     /// them are off-module, and the `[on, off]` service intervals; run
-    /// state starts empty until [`Shard::prepare_run`]. The dist worker
-    /// checks shipped arrays against these preconditions first.
+    /// state starts empty until [`Shard::prepare_run`]. `link_of` and
+    /// `to` are borrowed CSR rows ([`Csr::rows`]) or owned shipped ones;
+    /// the dist worker checks shipped arrays against these preconditions
+    /// first.
     pub(crate) fn assemble(
         base: u32,
         node_count: u32,
-        link_of: Vec<u32>,
-        to: Vec<u32>,
+        link_of: Cow<'g, [u32]>,
+        to: Cow<'g, [u32]>,
         off_module: FrozenBits,
         speed: [u32; 2],
-    ) -> Shard {
+    ) -> Shard<'g> {
         debug_assert_eq!(link_of.len(), node_count as usize + 1);
+        debug_assert_eq!(
+            (link_of[node_count as usize] - link_of[0]) as usize,
+            to.len()
+        );
         debug_assert_eq!(to.len(), off_module.len());
         let nl = to.len();
         let links = Links {
@@ -708,11 +727,27 @@ impl Shard {
         }
     }
 
+    /// Node `local`'s links, as indices into the shard's link arrays.
+    /// Offsets count from `link_of[0]`, which is 0 for a shipped copy and
+    /// the shard's first CSR offset for a borrowed slice.
+    #[inline]
+    fn node_links(&self, local: usize) -> Range<usize> {
+        let first = self.link_of[0];
+        (self.link_of[local] - first) as usize..(self.link_of[local + 1] - first) as usize
+    }
+
+    /// The node owning link `li`: the last one whose links start at or
+    /// before it (a binary search over [`Shard::node_links`]'s starts).
+    fn owner_of(&self, li: usize) -> u32 {
+        let first = self.link_of[0];
+        let after = self
+            .link_of
+            .partition_point(|&o| (o - first) as usize <= li);
+        self.base + (after - 1) as u32
+    }
+
     fn link_toward(&self, u: u32, v: u32) -> usize {
-        let local = (u - self.base) as usize;
-        let lo = self.link_of[local] as usize;
-        let hi = self.link_of[local + 1] as usize;
-        for i in lo..hi {
+        for i in self.node_links((u - self.base) as usize) {
             if self.links.to[i] == v {
                 return i;
             }
@@ -760,7 +795,7 @@ impl Shard {
         let (mut busy, mut deepest) = (0u32, 0u32);
         let (mut node, mut last) = (0usize, usize::MAX);
         self.active_links.for_each(|li| {
-            while self.link_of[node + 1] <= li {
+            while self.node_links(node).end <= li as usize {
                 node += 1;
             }
             if node != last {
@@ -838,8 +873,7 @@ impl Shard {
                     return;
                 }
                 self.link_dead[li] = true;
-                let owner =
-                    self.base + (self.link_of.partition_point(|&o| o as usize <= li) - 1) as u32;
+                let owner = self.owner_of(li);
                 // ipg-analyze: allow(ALLOC001) reason="fault application runs once per injected fault event, not per cycle; orphan list is bounded by the dead link's queue"
                 let mut orphans = Vec::new();
                 while !self.links.is_empty(li) {
@@ -853,9 +887,7 @@ impl Shard {
                 }
             }
             LocalFault::Node(local) => {
-                let lo = self.link_of[local as usize] as usize;
-                let hi = self.link_of[local as usize + 1] as usize;
-                for li in lo..hi {
+                for li in self.node_links(local as usize) {
                     self.link_dead[li] = true;
                     while !self.links.is_empty(li) {
                         let p = self.fifo_pop(li);
@@ -1118,10 +1150,13 @@ fn pick_destination(n: u32, src: u32, traffic: Traffic, rng: &mut NodeRng) -> Op
 
 /// The simulator: a network sharded into contiguous node ranges plus a
 /// [`Router`] answering next-hop queries.
-pub struct Simulator<R: Router = RoutingTable> {
+///
+/// The shards read their links straight out of the [`Csr`] the simulator
+/// was built from, so that graph must outlive it (`'g`).
+pub struct Simulator<'g, R: Router = RoutingTable> {
     n: usize,
     router: R,
-    shards: Vec<Shard>,
+    shards: Vec<Shard<'g>>,
     max_interval: u32,
     plan: Option<FaultPlan>,
 }
@@ -1155,11 +1190,23 @@ pub(crate) fn link_speeds(cfg: &SimConfig) -> [u32; 2] {
     ]
 }
 
-/// Flatten one shard's outgoing links from the graph: per-node offsets,
-/// each link's next node and whether it leaves its module, in (node,
+/// Which of nodes `nodes`' outgoing links leave their module, in (node,
 /// neighbor) order, exactly the order the cycle loops service them in.
-/// The distributed coordinator ships these (as
-/// [`link_intervals`]) so workers never materialize the full CSR.
+/// The one classification both the in-process shards and the shipped
+/// arrays use.
+fn off_module_bits(g: &Csr, module: impl Fn(u32) -> u32, nodes: Range<u32>) -> FrozenBits {
+    let module = &module;
+    nodes
+        .flat_map(|u| g.neighbors(u).iter().map(move |&v| module(u) != module(v)))
+        .collect()
+}
+
+/// One shard's outgoing links as the owned arrays a dist worker is
+/// shipped: the shard's [`Csr::rows`] with the offsets rebased to 0 (4
+/// bytes per node) and the targets copied (4 bytes per link), plus which
+/// links leave their module. The distributed coordinator ships these (as
+/// [`link_intervals`]) so workers never materialize the full CSR; an
+/// in-process shard borrows the same rows instead of copying them.
 pub(crate) fn shard_link_arrays(
     g: &Csr,
     module: impl Fn(u32) -> u32,
@@ -1167,18 +1214,9 @@ pub(crate) fn shard_link_arrays(
     node_count: u32,
 ) -> (Vec<u32>, Vec<u32>, FrozenBits) {
     let nodes = base..base + node_count;
-    let mut link_of = Vec::with_capacity(node_count as usize + 1);
-    link_of.push(0u32);
-    let mut to = Vec::with_capacity(nodes.clone().map(|u| g.neighbors(u).len()).sum());
-    for u in nodes.clone() {
-        to.extend_from_slice(g.neighbors(u));
-        link_of.push(to.len() as u32);
-    }
-    let module = &module;
-    let off_module = nodes
-        .flat_map(|u| g.neighbors(u).iter().map(move |&v| module(u) != module(v)))
-        .collect();
-    (link_of, to, off_module)
+    let (offsets, targets) = g.rows(nodes.clone());
+    let link_of = offsets.iter().map(|&o| o - offsets[0]).collect();
+    (link_of, targets.to_vec(), off_module_bits(g, module, nodes))
 }
 
 /// Each link's service interval: `speed[1]` for the off-module links,
@@ -1192,8 +1230,8 @@ pub(crate) fn link_intervals(off_module: &FrozenBits, speed: [u32; 2]) -> Vec<u3
 /// The cycle driver: a contiguous run `[lo, hi)` of the shard layout
 /// through one run. Each cycle is `phase_a`, `phase_split`,
 /// `phase_merge`, `phase_b`; after the last one, `finish`.
-pub(crate) struct ShardRange<'a, R: Router + ?Sized> {
-    shards: &'a mut [Shard],
+pub(crate) struct ShardRange<'a, 'g, R: Router + ?Sized> {
+    shards: &'a mut [Shard<'g>],
     /// Global index of `shards[0]`.
     lo: u32,
     shard_size: u32,
@@ -1210,11 +1248,11 @@ pub(crate) struct ShardRange<'a, R: Router + ?Sized> {
     eo: EngineObs,
 }
 
-impl<'a, R: Router + ?Sized> ShardRange<'a, R> {
+impl<'a, 'g, R: Router + ?Sized> ShardRange<'a, 'g, R> {
     /// Reset `shards` — global shards `lo..lo + shards.len()` — for a
     /// fresh run and attach the engine metrics to `obs`.
     pub(crate) fn prepare(
-        shards: &'a mut [Shard],
+        shards: &'a mut [Shard<'g>],
         lo: u32,
         pr: RunParams,
         router: &'a R,
@@ -1355,31 +1393,46 @@ impl<'a, R: Router + ?Sized> ShardRange<'a, R> {
     }
 }
 
-impl Simulator<RoutingTable> {
+impl<'g> Simulator<'g, RoutingTable> {
     /// Build a simulator for graph `g`. `module(u)` gives each node's
     /// module id (used to classify links as on-/off-module).
     /// To observe the routing-table build, pass
     /// `RoutingTable::new_instrumented(g, obs)` to
     /// [`Simulator::with_router`] instead.
-    pub fn new(g: &Csr, module: impl Fn(u32) -> u32, cfg: &SimConfig) -> Self {
+    pub fn new(g: &'g Csr, module: impl Fn(u32) -> u32, cfg: &SimConfig) -> Self {
         Self::with_router(RoutingTable::new(g), g, module, cfg)
     }
 }
 
-impl<R: Router> Simulator<R> {
+impl<'g, R: Router> Simulator<'g, R> {
     /// Build a simulator around an arbitrary [`Router`] — e.g. a
     /// [`ipg_core::tuple_routing::ShortestTupleRouter`] for super-IP
     /// networks too large for the all-pairs table. `router` must answer
-    /// queries over exactly `g`'s node-id space.
-    pub fn with_router(router: R, g: &Csr, module: impl Fn(u32) -> u32, cfg: &SimConfig) -> Self {
+    /// queries over exactly `g`'s node-id space. The shards borrow `g`'s
+    /// rows instead of copying them.
+    pub fn with_router(
+        router: R,
+        g: &'g Csr,
+        module: impl Fn(u32) -> u32,
+        cfg: &SimConfig,
+    ) -> Self {
         let n = g.node_count();
         let (shard_count, shard_size) = shard_layout(n);
         let mut shards = Vec::with_capacity(shard_count);
         let mut max_interval = 1u32;
         for si in 0..shard_count as u32 {
             let (base, node_count) = shard_span(n as u32, shard_size, si);
-            let (link_of, to, off_module) = shard_link_arrays(g, &module, base, node_count);
-            let sh = Shard::assemble(base, node_count, link_of, to, off_module, link_speeds(cfg));
+            let nodes = base..base + node_count;
+            let (link_of, to) = g.rows(nodes.clone());
+            let off_module = off_module_bits(g, &module, nodes);
+            let sh = Shard::assemble(
+                base,
+                node_count,
+                Cow::Borrowed(link_of),
+                Cow::Borrowed(to),
+                off_module,
+                link_speeds(cfg),
+            );
             max_interval = max_interval.max(sh.links.max_interval());
             shards.push(sh);
         }
@@ -1405,7 +1458,7 @@ impl<R: Router> Simulator<R> {
             let mut active = 0u32;
             for local in 0..sh.node_count as usize {
                 let mut owner_busy = false;
-                for li in sh.link_of[local] as usize..sh.link_of[local + 1] as usize {
+                for li in sh.node_links(local) {
                     // Walk the circular FIFO from its head back to its
                     // tail; a list that does not close is caught by the
                     // pool-size bound instead of looping forever.
@@ -1996,7 +2049,7 @@ mod tests {
     /// range's, as a worker sizing it from the config may make it.
     /// Returns the summed result and the shard trace.
     fn run_split<R: Router>(
-        sim: &mut Simulator<R>,
+        sim: &mut Simulator<'_, R>,
         cfg: &SimConfig,
         cuts: &[u32],
         tc: &TraceConfig,
@@ -2004,7 +2057,7 @@ mod tests {
         let pr = cycle_params(sim.n as u32, cfg, sim.max_interval + 1);
         let shard_size = shard_layout(sim.n).1;
         let obs = Obs::disabled();
-        let mut rest: &mut [Shard] = &mut sim.shards;
+        let mut rest: &mut [Shard<'_>] = &mut sim.shards;
         let mut ranges = Vec::new();
         for w in cuts.windows(2) {
             let (mine, tail) = rest.split_at_mut((w[1] - w[0]) as usize);
@@ -2111,8 +2164,9 @@ mod tests {
     fn brute_force_busy(sh: &Shard) -> (u32, u32) {
         let (mut active, mut busy) = (0u32, 0u32);
         for local in 0..sh.node_count as usize {
-            let queued = (sh.link_of[local]..sh.link_of[local + 1])
-                .filter(|&li| sh.links.tail[li as usize] != NIL)
+            let queued = sh
+                .node_links(local)
+                .filter(|&li| sh.links.tail[li] != NIL)
                 .count() as u32;
             active += queued;
             busy += u32::from(queued > 0);
@@ -2147,7 +2201,7 @@ mod tests {
             // (cycle, shard, kind, worklist entries, busy nodes)
             let mut want = Vec::new();
             let mut remote = Vec::new();
-            let mut sample = |range: &ShardRange<'_, RoutingTable>, cycle: u32, kind| {
+            let mut sample = |range: &ShardRange<'_, '_, RoutingTable>, cycle: u32, kind| {
                 for (si, sh) in range.shards.iter().enumerate() {
                     let (active, busy) = brute_force_busy(sh);
                     let active = if kind == EventKind::Worklist {
@@ -2195,10 +2249,15 @@ mod tests {
         }
     }
 
-    /// Heap bytes of a shard's per-link state, by capacity.
+    /// Heap bytes of a shard's per-link state, by capacity: `to` counts
+    /// only when the shard owns it, not when it is a view of the CSR.
     fn link_bytes(sh: &Shard) -> usize {
         let l = &sh.links;
-        4 * (l.to.capacity() + l.tail.capacity() + l.next_free.capacity() + l.qlen.capacity())
+        let to = match &l.to {
+            Cow::Borrowed(_) => 0,
+            Cow::Owned(v) => v.capacity(),
+        };
+        4 * (to + l.tail.capacity() + l.next_free.capacity() + l.qlen.capacity())
             + l.off_module.heap_bytes()
             + sh.active_links.heap_bytes()
             + 8 * sh.link_busy.capacity()
@@ -2206,34 +2265,237 @@ mod tests {
             + sh.link_dead.capacity()
     }
 
+    /// The shards a dist worker assembles for `g`: owned copies of every
+    /// shard's rows, exactly as the coordinator ships them.
+    fn shipped_shards(
+        g: &Csr,
+        module: impl Fn(u32) -> u32,
+        cfg: &SimConfig,
+    ) -> Vec<Shard<'static>> {
+        let n = g.node_count();
+        let (shard_count, shard_size) = shard_layout(n);
+        (0..shard_count as u32)
+            .map(|si| {
+                let (base, node_count) = shard_span(n as u32, shard_size, si);
+                let (link_of, to, off) = shard_link_arrays(g, &module, base, node_count);
+                let (link_of, to) = (Cow::Owned(link_of), Cow::Owned(to));
+                Shard::assemble(base, node_count, link_of, to, off, link_speeds(cfg))
+            })
+            .collect()
+    }
+
     #[test]
     fn plain_run_link_state_stays_at_twelve_and_a_quarter_bytes_per_link() {
-        // Both link classes present. Per link: `to`, `tail` and
-        // `next_free` (4 bytes each) plus the off-module bit and the
-        // worklist bit in whole u64 words — 12.25 bytes once a shard's
-        // link count is a multiple of 64, as here (576 per shard).
+        // Both link classes present. Per link: `tail` and `next_free` (4
+        // bytes each) plus the off-module bit and the worklist bit in
+        // whole u64 words — 8.25 bytes in-process once a shard's link
+        // count is a multiple of 64, as here (576 per shard), where `to`
+        // is a view of the CSR. A dist worker owns its shipped `to` as
+        // well: 12.25 bytes.
         let g = classic::torus2d(24);
         let cfg = SimConfig {
             off_module_interval: 3,
             ..light_cfg()
         };
-        let mut sim = Simulator::new(&g, |u| u / 8, &cfg);
-        assert!(sim.run(&cfg).delivered > 0);
-        let (mut bytes, mut links) = (0, 0);
-        for sh in &sim.shards {
-            let nl = sh.links.len();
-            let bound = 12 * nl + 2 * 8 * nl.div_ceil(64);
+        let module = |u: u32| u / 8;
+        let mut sim = Simulator::new(&g, module, &cfg);
+        let borrowed = sim.run(&cfg);
+        assert!(borrowed.delivered > 0);
+        let per_link = |sim: &Simulator<'_>, owned: usize| {
+            let (mut bytes, mut links) = (0, 0);
+            for sh in &sim.shards {
+                let nl = sh.links.len();
+                let bound = (8 + owned) * nl + 2 * 8 * nl.div_ceil(64);
+                assert!(
+                    link_bytes(sh) <= bound,
+                    "{} bytes for {nl} links",
+                    link_bytes(sh)
+                );
+                bytes += link_bytes(sh);
+                links += nl;
+            }
             assert!(
-                link_bytes(sh) <= bound,
-                "{} bytes for {nl} links",
-                link_bytes(sh)
+                bytes * 4 <= links * (33 + 4 * owned),
+                "{bytes} bytes for {links} links is over {}.25 per link",
+                8 + owned
             );
-            bytes += link_bytes(sh);
-            links += nl;
+        };
+        per_link(&sim, 0);
+        sim.shards = shipped_shards(&g, module, &cfg);
+        assert_eq!(
+            sim.run(&cfg),
+            borrowed,
+            "owned rows must run like borrowed ones"
+        );
+        per_link(&sim, 4);
+    }
+
+    /// Every shard of `sim` (built on `g` with `module`) holds exactly the
+    /// rows [`shard_link_arrays`] ships for it, so a worker's owned arrays
+    /// and the in-process views cannot drift apart, and its `to` and
+    /// `link_of` lie inside `g`'s own buffers: nothing was copied.
+    fn assert_rows_are_borrowed<R: Router>(
+        sim: &Simulator<'_, R>,
+        g: &Csr,
+        module: impl Fn(u32) -> u32,
+    ) {
+        let n = g.node_count();
+        let (offsets, targets) = g.rows(0..n as u32);
+        let inside = |inner: &[u32], outer: &[u32]| {
+            let (i, o) = (inner.as_ptr_range(), outer.as_ptr_range());
+            o.start <= i.start && i.end <= o.end
+        };
+        let (shard_count, shard_size) = shard_layout(n);
+        assert_eq!(sim.shards.len(), shard_count);
+        for (si, sh) in sim.shards.iter().enumerate() {
+            let (base, node_count) = shard_span(n as u32, shard_size, si as u32);
+            assert_eq!((sh.base, sh.node_count), (base, node_count));
+            let (link_of, to, off) = shard_link_arrays(g, &module, base, node_count);
+            let local: Vec<Range<usize>> =
+                (0..node_count as usize).map(|l| sh.node_links(l)).collect();
+            let shipped: Vec<Range<usize>> = link_of
+                .windows(2)
+                .map(|w| w[0] as usize..w[1] as usize)
+                .collect();
+            assert_eq!(local, shipped, "shard {si}: node link ranges");
+            assert_eq!(&sh.links.to[..], &to[..], "shard {si}: link targets");
+            assert_eq!(
+                (0..off.len())
+                    .map(|li| sh.links.off_module.get(li))
+                    .collect::<Vec<_>>(),
+                (0..off.len()).map(|li| off.get(li)).collect::<Vec<_>>(),
+                "shard {si}: off-module bits"
+            );
+            assert!(
+                matches!(sh.links.to, Cow::Borrowed(_)) && inside(&sh.links.to, targets),
+                "shard {si}: `to` is not a view of the CSR targets"
+            );
+            assert!(
+                matches!(sh.link_of, Cow::Borrowed(_)) && inside(&sh.link_of, offsets),
+                "shard {si}: `link_of` is not a view of the CSR offsets"
+            );
         }
-        assert!(
-            bytes * 4 <= links * 49,
-            "{bytes} bytes for {links} links is over 12.25 per link"
+    }
+
+    #[test]
+    fn in_process_shards_borrow_the_rows_the_workers_are_shipped() {
+        use ipg_core::superip::{NucleusSpec, SuperIpSpec, TupleNetwork};
+        use ipg_core::tuple_routing::ShortestTupleRouter;
+        // Every super-IP family at l = 2 to 4, plain and symmetric seeds,
+        // up to 5,000 nodes (1 to 32 shards).
+        let cfg = SimConfig {
+            injection_rate: 0.02,
+            warmup_cycles: 0,
+            measure_cycles: 100,
+            drain_cycles: 100,
+            ..light_cfg()
+        };
+        let mut multi_shard = 0;
+        for l in 2..5 {
+            for family in 0..4 {
+                for (nuc, sym) in [
+                    (NucleusSpec::hypercube(2), false),
+                    (NucleusSpec::hypercube(3), false),
+                    (NucleusSpec::complete(5), false),
+                    (NucleusSpec::ring(4), false),
+                    (NucleusSpec::hypercube(1), true),
+                    (NucleusSpec::hypercube(2), true),
+                    (NucleusSpec::hypercube(3), true),
+                ] {
+                    let mut spec = match family {
+                        0 => SuperIpSpec::hsn(l, nuc),
+                        1 => SuperIpSpec::ring_cn(l, nuc),
+                        2 => SuperIpSpec::complete_cn(l, nuc),
+                        _ => SuperIpSpec::superflip(l, nuc),
+                    };
+                    if sym {
+                        spec = spec.symmetric();
+                    }
+                    if spec.expected_size().unwrap() > 5_000 {
+                        continue;
+                    }
+                    let g = spec.fast_undirected_csr().unwrap();
+                    let tn = TupleNetwork::from_spec(&spec).unwrap();
+                    let m = tn.m_nodes() as u32;
+                    let module = |v: u32| v / m;
+                    let router = ShortestTupleRouter::new(tn).unwrap();
+                    let mut sim = Simulator::with_router(router, &g, module, &cfg);
+                    assert_rows_are_borrowed(&sim, &g, module);
+                    multi_shard += usize::from(sim.shards.len() > 1);
+                    let borrowed = sim.run(&cfg);
+                    sim.shards = shipped_shards(&g, module, &cfg);
+                    assert_eq!(sim.run(&cfg), borrowed, "{}: owned vs borrowed", spec.name);
+                }
+            }
+        }
+        assert!(multi_shard >= 10, "only {multi_shard} multi-shard specs");
+    }
+
+    /// Steps from `u` toward nothing in particular: neighbor `d mod
+    /// degree`, none at a node without links. Routes any directed graph,
+    /// strongly connected or not.
+    struct Wander<'g>(&'g Csr);
+
+    impl Router for Wander<'_> {
+        fn node_count(&self) -> usize {
+            self.0.node_count()
+        }
+
+        fn next_hop(&self, u: u32, d: u32) -> Option<u32> {
+            let nb = self.0.neighbors(u);
+            (u != d && !nb.is_empty()).then(|| nb[d as usize % nb.len()])
+        }
+    }
+
+    #[test]
+    fn uneven_rows_are_borrowed_and_fault_like_shipped_ones() {
+        use crate::fault::{FaultPlan, FaultSpec};
+        // Uneven degrees: node u starts up to u % 5 edges, none to a
+        // multiple of 5, so every fifth node has no link at all (fault
+        // plans kill both directions of a link, so the graph is
+        // symmetric); 514 nodes make 4 shards of 129, the last one 127.
+        let n = 514u32;
+        let adj = (0..n)
+            .map(|u| {
+                (1..=u % 5)
+                    .map(|k| (u + 7 * k) % n)
+                    .filter(|v| v % 5 != 0)
+                    .collect()
+            })
+            .collect();
+        let g = Csr::from_adj(adj).symmetrized();
+        assert_eq!(shard_layout(n as usize), (4, 129));
+        assert!(g.degree(0) == 0 && g.max_degree() >= 5 && g.degree(n - 1) > 0);
+        let module = |u: u32| u / 10;
+        let cfg = SimConfig {
+            injection_rate: 0.05,
+            warmup_cycles: 0,
+            measure_cycles: 200,
+            drain_cycles: 100,
+            ..light_cfg()
+        };
+        let mut sim = Simulator::with_router(Wander(&g), &g, module, &cfg);
+        assert_rows_are_borrowed(&sim, &g, module);
+        // Owner lookup across the degree-0 nodes, shard by shard.
+        for sh in &sim.shards {
+            for local in 0..sh.node_count as usize {
+                for li in sh.node_links(local) {
+                    assert_eq!(sh.owner_of(li), sh.base + local as u32);
+                }
+            }
+        }
+        // Link kills re-route at the owner, node kills drain the node's
+        // links (node 400 has none): both read the rows, borrowed or
+        // shipped.
+        let spec = FaultSpec::parse("script:node@60:3+node@90:400;rate:links=0.1,at=50").unwrap();
+        sim.set_fault_plan(Some(FaultPlan::compile(&spec, &g, cfg.seed).unwrap()));
+        let borrowed = sim.run(&cfg);
+        assert!(borrowed.delivered > 0 && borrowed.dropped_unreachable > 0);
+        sim.shards = shipped_shards(&g, module, &cfg);
+        assert_eq!(
+            sim.run(&cfg),
+            borrowed,
+            "owned vs borrowed rows under faults"
         );
     }
 

@@ -27,7 +27,7 @@ fn cfg(seed: u64) -> SimConfig {
 }
 
 /// A simulator whose routing-table build records into `obs` as well.
-fn observed_sim(g: &Csr, cfg: &SimConfig, obs: &Obs) -> Simulator {
+fn observed_sim<'g>(g: &'g Csr, cfg: &SimConfig, obs: &Obs) -> Simulator<'g> {
     Simulator::with_router(RoutingTable::new_instrumented(g, obs), g, |_| 0, cfg)
 }
 
