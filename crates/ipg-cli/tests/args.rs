@@ -275,6 +275,18 @@ fn simulate_rejects_bad_input_with_a_contextual_error() {
             &[],
             "bad --faults",
         ),
+        // The detour router refuses a directed graph, as a graph error.
+        (
+            &[
+                "simulate",
+                "rotator:4",
+                "0.01",
+                "--faults",
+                "rate:links=0.1,at=0",
+            ],
+            &[],
+            "directed",
+        ),
     ];
     assert_refused("simulate", rows);
 }

@@ -50,6 +50,12 @@ pub enum IpgError {
         /// Human-readable reason.
         reason: String,
     },
+    /// A graph lacks a property the requested use needs (symmetry, a
+    /// matching node count).
+    InvalidGraph {
+        /// Human-readable reason.
+        reason: String,
+    },
     /// A distributed simulation component failed (frame protocol
     /// violation, worker death, transport error).
     Dist {
@@ -95,6 +101,7 @@ impl fmt::Display for IpgError {
                 )
             }
             IpgError::InvalidSpec { reason } => write!(f, "invalid super-IP spec: {reason}"),
+            IpgError::InvalidGraph { reason } => write!(f, "unsuitable graph: {reason}"),
             IpgError::Dist {
                 worker,
                 cycle,

@@ -29,8 +29,8 @@ use ipg_core::graph::Csr;
 use ipg_obs::{HistSnapshot, MetricSnapshot, Obs, ShardTracer, Trace, TraceConfig, ENGINE_TRACK};
 
 use crate::engine::{
-    link_intervals, link_speeds, phase_span, shard_layout, shard_link_arrays, shard_span,
-    window_end, EngineObs, RunTotals, SimConfig, SimResult,
+    phase_span, shard_layout, shard_link_arrays, shard_span, window_end, EngineObs, RunTotals,
+    SimConfig, SimResult,
 };
 use crate::fault::FaultPlan;
 
@@ -227,7 +227,7 @@ pub fn run_dist(
                 shard: si,
                 link_of,
                 to,
-                interval: link_intervals(&off_module, link_speeds(cfg)),
+                off_module,
             })?;
         }
     }

@@ -44,7 +44,7 @@ use crate::fault::{FaultEvent, FaultKind};
 /// Wire magic: the first three header bytes.
 const WIRE_MAGIC: [u8; 3] = *b"IPG";
 /// Wire format version; bumped on any layout change.
-pub(crate) const WIRE_VERSION: u8 = 3;
+pub(crate) const WIRE_VERSION: u8 = 4;
 /// Header size: magic(3) + version(1) + kind(1) + flags(1) + len(4).
 const HEADER_LEN: usize = 10;
 /// Refuse frames claiming more than 1 GiB of payload.
@@ -602,13 +602,14 @@ wire_frame! {
     /// Coordinator → worker, once per owned shard: the flattened link
     /// arrays, so the worker never materializes the full graph. The
     /// shard's node range follows from the layout the worker derives
-    /// from Setup.
+    /// from Setup; each link's service interval follows from its
+    /// off-module flag and Setup's config.
     #[derive(Clone, Debug, PartialEq, Eq)]
     struct ShardLinksFrame = 2, "ShardLinks", "links" {
         shard: u32,
         link_of: Vec<u32>,
         to: Vec<u32>,
-        interval: Vec<u32>,
+        off_module: Vec<bool>,
     }
 }
 
@@ -858,6 +859,24 @@ mod tests {
         }
     }
 
+    impl FrameIo {
+        /// Send `f` with its payload bytes edited by `forge` and sealed
+        /// again: a forged frame behind a valid checksum.
+        pub(crate) fn frame_send_forged<F: DistFrame>(
+            &mut self,
+            f: &F,
+            forge: impl FnOnce(&mut [u8]),
+        ) -> Result<()> {
+            use std::io::Write;
+            let mut b = WireBuf::with_header(F::KIND);
+            f.put_body(&mut b);
+            forge(&mut b.bytes[HEADER_LEN..]);
+            self.stream
+                .write_all(&b.seal())
+                .map_err(|e| self.io_fault("sending", F::NAME, &e))
+        }
+    }
+
     fn sample_setup() -> SetupFrame {
         SetupFrame {
             worker: 2,
@@ -942,7 +961,7 @@ mod tests {
             shard: 5,
             link_of: vec![0, 2, 4],
             to: vec![1, 2, 3, 4],
-            interval: vec![1, 1, 3, 3],
+            off_module: vec![false, false, true, true],
         };
         assert_eq!(
             frame_from_bytes::<ShardLinksFrame>(&frame_to_bytes(&links)).unwrap(),
@@ -1012,7 +1031,7 @@ mod tests {
                 shard: 5,
                 link_of: vec![0, 2, 4],
                 to: vec![1, 2, 3, 4],
-                interval: vec![1, 1, 3, 3],
+                off_module: vec![false, false, true, true],
             })),
             digest(frame_to_bytes(&ReadyFrame { worker: 3 })),
             digest(frame_to_bytes(&OutboxFrame {
@@ -1034,15 +1053,15 @@ mod tests {
             })),
             digest(frame_to_bytes(&sample_final())),
         ];
-        assert_eq!(WIRE_VERSION, 3);
+        assert_eq!(WIRE_VERSION, 4);
         let want: [u64; 7] = [
-            0x06af_c864_d5dd_928a, // Setup
-            0x00d0_d045_126f_5d76, // ShardLinks
-            0xf1a9_349d_a900_dd93, // Ready
-            0xcfd6_1e44_859f_b7c4, // Outbox
-            0x8dca_89cd_8acd_39fc, // Arrivals
-            0x8b0d_e825_d8f2_92fc, // Snapshot
-            0xdef2_024d_3ce9_9ae4, // Final
+            0x0531_cd06_6fcd_2995, // Setup
+            0x6e9a_ad49_f442_1e9e, // ShardLinks
+            0xcb9b_66f8_2423_772a, // Ready
+            0xe3bb_d07a_a47c_bc93, // Outbox
+            0x5773_0b21_7e6c_1525, // Arrivals
+            0xbeec_7d2f_5826_756b, // Snapshot
+            0xd9ec_f2cf_151c_0957, // Final
         ];
         assert_eq!(got, want, "{got:#018x?}");
     }
@@ -1081,7 +1100,7 @@ mod tests {
             shard: 0,
             link_of: vec![0, 1],
             to: vec![1],
-            interval: vec![1],
+            off_module: vec![false],
         };
         let mut bytes = frame_to_bytes(&links);
         // link_of count lives right after the leading shard u32.
@@ -1257,11 +1276,11 @@ mod tests {
         #[test]
         fn prop_shard_links_roundtrip(shard in 0u32..u32::MAX,
                                       to in proptest::collection::vec(0u32..u32::MAX, 0..128)) {
-            let interval: Vec<u32> = to.iter().map(|v| v % 7 + 1).collect();
+            let off_module: Vec<bool> = to.iter().map(|v| v % 3 == 0).collect();
             let f = ShardLinksFrame {
                 shard,
                 link_of: vec![0, to.len() as u32],
-                to, interval,
+                to, off_module,
             };
             prop_assert_eq!(frame_from_bytes::<ShardLinksFrame>(&frame_to_bytes(&f)).unwrap(), f);
         }

@@ -54,15 +54,9 @@ fn planned_test_exit() -> Option<(u32, u32)> {
 }
 
 /// Check one shard's shipped link arrays against what
-/// `Shard::assemble` and the cycle loop index with, and every interval
-/// against the two link classes `speed` of the config, the only ones a
-/// shard can hold; names the first offending field.
-fn check_links(
-    sl: &ShardLinksFrame,
-    node_count: u32,
-    n: u32,
-    speed: [u32; 2],
-) -> Option<&'static str> {
+/// `Shard::assemble` and the cycle loop index with; names the first
+/// offending field.
+fn check_links(sl: &ShardLinksFrame, node_count: u32, n: u32) -> Option<&'static str> {
     let (link_of, links) = (&sl.link_of, sl.to.len());
     if link_of.len() != node_count as usize + 1 {
         Some("links.link_of: not one offset per node plus one")
@@ -71,12 +65,10 @@ fn check_links(
         || link_of[node_count as usize] as usize != links
     {
         Some("links.link_of: not monotone from 0 to the link count")
-    } else if sl.interval.len() != links {
-        Some("links.interval: not one per entry of links.to")
+    } else if sl.off_module.len() != links {
+        Some("links.off_module: not one per entry of links.to")
     } else if sl.to.iter().any(|&v| v >= n) {
         Some("links.to: names a node outside the network")
-    } else if sl.interval.iter().any(|iv| !speed.contains(iv)) {
-        Some("links.interval: neither the on-module nor the off-module interval of setup.cfg")
     } else {
         None
     }
@@ -191,16 +183,15 @@ fn serve(
             )));
         }
         let (base, node_count) = shard_span(setup.n, shard_size, si);
-        if let Some(why) = check_links(&sl, node_count, setup.n, speed) {
+        if let Some(why) = check_links(&sl, node_count, setup.n) {
             return Err(io.fault(format!("shard {si} of {} nodes: {why}", setup.n)));
         }
-        let off_module = sl.interval.iter().map(|&iv| iv != speed[0]).collect();
         shards.push(Shard::assemble(
             base,
             node_count,
             Cow::Owned(sl.link_of),
             Cow::Owned(sl.to),
-            off_module,
+            sl.off_module.into_iter().collect(),
             speed,
         ));
     }
@@ -315,7 +306,7 @@ fn serve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{link_intervals, shard_link_arrays, Msg};
+    use crate::engine::{shard_link_arrays, Msg};
     use crate::table::RoutingTable;
     use ipg_core::graph::Csr;
     use ipg_networks::classic;
@@ -356,17 +347,19 @@ mod tests {
             shard: si,
             link_of,
             to,
-            interval: link_intervals(&off_module, link_speeds(&SimConfig::default())),
+            off_module,
         }
     }
 
     /// Run [`serve`] on a thread against a scripted coordinator that
-    /// sends `setup` and `shard_links`, then answers cycle 0's outbox
-    /// with `pre` as arrivals and every later cycle with none, each
-    /// arrivals frame stamped `skew` cycles late.
+    /// sends `setup` and `shard_links`, each payload edited by `forge`
+    /// behind a valid checksum, then answers cycle 0's outbox with `pre`
+    /// as arrivals and every later cycle with none, each arrivals frame
+    /// stamped `skew` cycles late.
     fn drive(
         setup: &SetupFrame,
         shard_links: &[ShardLinksFrame],
+        forge: fn(&mut [u8]),
         pre: Vec<Msg>,
         skew: u32,
     ) -> Result<()> {
@@ -383,7 +376,7 @@ mod tests {
             // up; the worker's own error is the result under test.
             let _ = coord.frame_send(setup);
             for sl in shard_links {
-                let _ = coord.frame_send(sl);
+                let _ = coord.frame_send_forged(sl, forge);
             }
             if coord.frame_recv::<ReadyFrame>().is_ok() {
                 let mut pre = Some(pre);
@@ -416,7 +409,7 @@ mod tests {
             tagged: false,
             slot: 1,
         };
-        drive(&setup(), &good_links, vec![arrival], 0).expect("well-formed frames run");
+        drive(&setup(), &good_links, |_| {}, vec![arrival], 0).expect("well-formed frames run");
 
         let mut cases: Vec<(&str, SetupFrame, Vec<ShardLinksFrame>, Vec<Msg>)> = Vec::new();
         for (lo, hi) in [(3, 2), (2, 2), (2, 5)] {
@@ -479,19 +472,10 @@ mod tests {
             *l.link_of.last_mut().unwrap() -= 1
         }));
         cases.push(forge("links.link_of", |l| l.link_of[0] = 1));
-        cases.push(forge("links.interval", |l| {
-            l.interval.pop();
+        cases.push(forge("links.off_module", |l| {
+            l.off_module.pop();
         }));
         cases.push(forge("links.to", |l| l.to[3] = 514));
-        cases.push(forge("links.interval", |l| l.interval[3] = 0));
-        cases.push(forge("links.interval", |l| l.interval[3] = 2));
-        // Between the two classes (on 1, off 4): inside the old
-        // `1..=max` bound, but no link of either class runs at 2.
-        let mut s = setup();
-        s.cfg.off_module_interval = 4;
-        let mut ls = good_links.to_vec();
-        ls[1].interval[3] = 2;
-        cases.push(("links.interval", s, ls, Vec::new()));
         for (field, m) in [
             ("arrivals.to", Msg { to: 5, ..arrival }),
             ("arrivals.to", Msg { to: 515, ..arrival }),
@@ -507,15 +491,25 @@ mod tests {
             cases.push((field, setup(), good_links.to_vec(), vec![m]));
         }
         for (field, s, ls, pre) in cases {
-            let err = drive(&s, &ls, pre, 0).expect_err(field).to_string();
+            let err = drive(&s, &ls, |_| {}, pre, 0).expect_err(field).to_string();
             assert!(
                 err.contains(field) && err.contains("worker 1"),
                 "{field}: unexpected error: {err}"
             );
         }
+        // A flag byte that is neither 0 nor 1 (the last payload byte is
+        // the last link's off-module flag), behind a valid checksum.
+        let forge_flag: fn(&mut [u8]) = |payload| *payload.last_mut().unwrap() = 2;
+        let err = drive(&setup(), &good_links, forge_flag, Vec::new(), 0)
+            .expect_err("links.off_module")
+            .to_string();
+        assert!(
+            err.contains("invalid flag byte 2 for links.off_module") && err.contains("worker 1"),
+            "unexpected error: {err}"
+        );
         // Well-formed arrivals, stamped for the wrong cycle.
         let field = "Arrivals frame stamped for cycle 1, expected cycle 0";
-        let err = drive(&setup(), &good_links, Vec::new(), 1)
+        let err = drive(&setup(), &good_links, |_| {}, Vec::new(), 1)
             .expect_err(field)
             .to_string();
         assert!(

@@ -69,8 +69,10 @@
 //! run's CSR targets and offsets, so the [`Csr`] a [`Simulator`] is
 //! built from must outlive it (the `'g` lifetime). A dist worker has no
 //! CSR and owns the copies it is shipped: 4 bytes per link and 4 per
-//! node. Both read node `local`'s links as `link_of[local] - link_of[0]
-//! .. link_of[local + 1] - link_of[0]` (`Shard::node_links`). Obs adds
+//! node, plus one off-module flag byte per link on the wire, never an
+//! interval. Both read node `local`'s links as `link_of[local] -
+//! link_of[0] .. link_of[local + 1] - link_of[0]` (`row`, which the
+//! wormhole engine reads its whole-CSR rows with too). Obs adds
 //! `link_busy` (8), `queue_hw` (4) and `qlen` (4) per link, a trace
 //! `link_busy` and `qlen`, a fault plan one dead flag (1).
 //!
@@ -728,12 +730,9 @@ impl<'g> Shard<'g> {
     }
 
     /// Node `local`'s links, as indices into the shard's link arrays.
-    /// Offsets count from `link_of[0]`, which is 0 for a shipped copy and
-    /// the shard's first CSR offset for a borrowed slice.
     #[inline]
     fn node_links(&self, local: usize) -> Range<usize> {
-        let first = self.link_of[0];
-        (self.link_of[local] - first) as usize..(self.link_of[local + 1] - first) as usize
+        row(&self.link_of, local)
     }
 
     /// The node owning link `li`: the last one whose links start at or
@@ -747,13 +746,7 @@ impl<'g> Shard<'g> {
     }
 
     fn link_toward(&self, u: u32, v: u32) -> usize {
-        for i in self.node_links((u - self.base) as usize) {
-            if self.links.to[i] == v {
-                return i;
-            }
-        }
-        // ipg-analyze: allow(PANIC001) reason="routers only emit neighbors; reaching here is a router bug"
-        panic!("next hop {v} is not a neighbor of {u}");
+        link_toward(&self.link_of, &self.links.to, self.base, u, v)
     }
 
     /// Enqueue pool slot `p` on link `li`. The only sanctioned FIFO push:
@@ -1111,18 +1104,41 @@ impl<'g> Shard<'g> {
     }
 }
 
+/// Row `local` of `link_of`, laid out as [`Csr::rows`] returns it, as
+/// indices into the row's targets. Offsets count from `link_of[0]`,
+/// which is 0 for a whole CSR or a shipped copy and the first node's
+/// offset for a borrowed slice.
+#[inline]
+pub(crate) fn row(link_of: &[u32], local: usize) -> Range<usize> {
+    let first = link_of[0];
+    (link_of[local] - first) as usize..(link_of[local + 1] - first) as usize
+}
+
+/// The link from `u` toward `v`, as an index into `to`: one scan of
+/// `u`'s row in rows `link_of`/`to` whose first node is `base`. Shards,
+/// the wormhole engine and their fault projections
+/// ([`FaultPlan::shard_events`]) all resolve a hop to a link here.
+pub(crate) fn link_toward(link_of: &[u32], to: &[u32], base: u32, u: u32, v: u32) -> usize {
+    let links = row(link_of, (u - base) as usize);
+    match to[links.clone()].iter().position(|&w| w == v) {
+        Some(i) => links.start + i,
+        // ipg-analyze: allow(PANIC001) reason="routers only emit neighbors; reaching here is a router bug"
+        None => panic!("next hop {v} is not a neighbor of {u}"),
+    }
+}
+
+/// A uniformly random destination other than `src` among `n` nodes:
+/// one draw from `src`'s stream. Both engines' uniform traffic.
+pub(crate) fn uniform_destination(n: u32, src: u32, rng: &mut NodeRng) -> u32 {
+    let dst = rng.gen_range(0..n - 1);
+    dst + u32::from(dst >= src)
+}
+
 /// Pick a destination for a packet injected at `src` (None when the
 /// pattern maps `src` to itself). Draws only from `src`'s own stream.
 fn pick_destination(n: u32, src: u32, traffic: Traffic, rng: &mut NodeRng) -> Option<u32> {
-    let uniform = |rng: &mut NodeRng| {
-        let mut dst = rng.gen_range(0..n - 1);
-        if dst >= src {
-            dst += 1;
-        }
-        dst
-    };
     match traffic {
-        Traffic::Uniform => Some(uniform(rng)),
+        Traffic::Uniform => Some(uniform_destination(n, src, rng)),
         Traffic::BitComplement => {
             assert!(n.is_power_of_two(), "bit-complement needs 2^k nodes");
             let dst = !src & (n - 1);
@@ -1142,7 +1158,7 @@ fn pick_destination(n: u32, src: u32, traffic: Traffic, rng: &mut NodeRng) -> Op
             if rng.gen::<f64>() < fraction && target != src {
                 Some(target)
             } else {
-                Some(uniform(rng))
+                Some(uniform_destination(n, src, rng))
             }
         }
     }
@@ -1191,10 +1207,14 @@ pub(crate) fn link_speeds(cfg: &SimConfig) -> [u32; 2] {
 }
 
 /// Which of nodes `nodes`' outgoing links leave their module, in (node,
-/// neighbor) order, exactly the order the cycle loops service them in.
-/// The one classification both the in-process shards and the shipped
-/// arrays use.
-fn off_module_bits(g: &Csr, module: impl Fn(u32) -> u32, nodes: Range<u32>) -> FrozenBits {
+/// neighbor) order, exactly the order the cycle loops service them in:
+/// bits for an in-process shard, flags for the wire. The one
+/// classification both use.
+fn off_module_bits<B: FromIterator<bool>>(
+    g: &Csr,
+    module: impl Fn(u32) -> u32,
+    nodes: Range<u32>,
+) -> B {
     let module = &module;
     nodes
         .flat_map(|u| g.neighbors(u).iter().map(move |&v| module(u) != module(v)))
@@ -1203,28 +1223,20 @@ fn off_module_bits(g: &Csr, module: impl Fn(u32) -> u32, nodes: Range<u32>) -> F
 
 /// One shard's outgoing links as the owned arrays a dist worker is
 /// shipped: the shard's [`Csr::rows`] with the offsets rebased to 0 (4
-/// bytes per node) and the targets copied (4 bytes per link), plus which
-/// links leave their module. The distributed coordinator ships these (as
-/// [`link_intervals`]) so workers never materialize the full CSR; an
-/// in-process shard borrows the same rows instead of copying them.
+/// bytes per node) and the targets copied (4 bytes per link), plus one
+/// off-module flag per link. The distributed coordinator ships these so
+/// workers never materialize the full CSR; an in-process shard borrows
+/// the same rows instead of copying them.
 pub(crate) fn shard_link_arrays(
     g: &Csr,
     module: impl Fn(u32) -> u32,
     base: u32,
     node_count: u32,
-) -> (Vec<u32>, Vec<u32>, FrozenBits) {
+) -> (Vec<u32>, Vec<u32>, Vec<bool>) {
     let nodes = base..base + node_count;
     let (offsets, targets) = g.rows(nodes.clone());
     let link_of = offsets.iter().map(|&o| o - offsets[0]).collect();
     (link_of, targets.to_vec(), off_module_bits(g, module, nodes))
-}
-
-/// Each link's service interval: `speed[1]` for the off-module links,
-/// `speed[0]` for the rest (the shipped form of a shard's link classes).
-pub(crate) fn link_intervals(off_module: &FrozenBits, speed: [u32; 2]) -> Vec<u32> {
-    (0..off_module.len())
-        .map(|li| speed[usize::from(off_module.get(li))])
-        .collect()
 }
 
 /// The cycle driver: a contiguous run `[lo, hi)` of the shard layout
@@ -2279,6 +2291,7 @@ mod tests {
                 let (base, node_count) = shard_span(n as u32, shard_size, si);
                 let (link_of, to, off) = shard_link_arrays(g, &module, base, node_count);
                 let (link_of, to) = (Cow::Owned(link_of), Cow::Owned(to));
+                let off = off.into_iter().collect();
                 Shard::assemble(base, node_count, link_of, to, off, link_speeds(cfg))
             })
             .collect()
@@ -2363,7 +2376,7 @@ mod tests {
                 (0..off.len())
                     .map(|li| sh.links.off_module.get(li))
                     .collect::<Vec<_>>(),
-                (0..off.len()).map(|li| off.get(li)).collect::<Vec<_>>(),
+                off,
                 "shard {si}: off-module bits"
             );
             assert!(

@@ -388,7 +388,7 @@ impl<R: Router> DetourRouter<R> {
     /// faulted-graph distances being symmetric.
     pub fn new(inner: R, graph: Csr) -> Result<Self> {
         if inner.node_count() != graph.node_count() {
-            return Err(IpgError::InvalidSpec {
+            return Err(IpgError::InvalidGraph {
                 reason: format!(
                     "detour router: inner router covers {} nodes but the graph has {}",
                     inner.node_count(),
@@ -397,8 +397,9 @@ impl<R: Router> DetourRouter<R> {
             });
         }
         if !graph.is_symmetric() {
-            return Err(IpgError::InvalidSpec {
-                reason: "detour router requires a symmetric (undirected) graph".into(),
+            return Err(IpgError::InvalidGraph {
+                reason: "the detour router needs a symmetric graph, and this one is directed"
+                    .into(),
             });
         }
         let n = graph.node_count();
@@ -608,9 +609,17 @@ mod tests {
     fn detour_router_rejects_mismatched_or_directed_graphs() {
         let ring = ipg_networks::classic::ring(8);
         let small = ipg_networks::classic::ring(4);
-        assert!(DetourRouter::new(RoutingTable::new(&ring), small).is_err());
+        let graph_error =
+            |r: Result<DetourRouter<RoutingTable>>| matches!(r, Err(IpgError::InvalidGraph { .. }));
+        assert!(graph_error(DetourRouter::new(
+            RoutingTable::new(&ring),
+            small
+        )));
         let directed = ipg_core::Csr::from_fn(4, |u, out| out.push((u + 1) % 4));
-        assert!(DetourRouter::new(RoutingTable::new(&directed), directed.clone()).is_err());
+        assert!(graph_error(DetourRouter::new(
+            RoutingTable::new(&directed),
+            directed.clone()
+        )));
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl RoutingTable {
                 // collect min-distance successors; pick by hash
                 let mut count = 0u32;
                 for &v in g.neighbors(u) {
-                    if dist[v as usize] + 1 == du {
+                    if dist[v as usize].checked_add(1) == Some(du) {
                         count += 1;
                     }
                 }
@@ -64,7 +64,7 @@ impl RoutingTable {
                 let pick = mix(u as u64, d as u64) % count as u64;
                 let mut seen = 0u64;
                 for &v in g.neighbors(u) {
-                    if dist[v as usize] + 1 == du {
+                    if dist[v as usize].checked_add(1) == Some(du) {
                         if seen == pick {
                             next[u as usize * n + d as usize] = v;
                             break;
@@ -182,6 +182,18 @@ mod tests {
             .filter(|&(&p, u)| p == (u + 1) % 4)
             .count();
         assert!(clockwise > 0 && clockwise < 4, "picks {picks:?}");
+    }
+
+    #[test]
+    fn neighbours_that_reach_nothing_are_skipped_without_overflow() {
+        // Directed and not strongly connected: 0 → {1, 2}, 1 → 0, and
+        // node 2 has no out-arcs, so its distance to every other node is
+        // UNREACHABLE. Scanning 0's successors toward 1 must step over it.
+        let g = Csr::from_edges(3, [(0, 1), (0, 2), (1, 0)], false);
+        let t = RoutingTable::new(&g);
+        assert_eq!(t.path(0, 1).unwrap(), vec![0, 1]);
+        assert_eq!(t.path(1, 2).unwrap(), vec![1, 0, 2]);
+        assert!(t.path(2, 0).is_err());
     }
 
     #[test]

@@ -19,6 +19,13 @@
 //!
 //! # Data layout and determinism
 //!
+//! Links are the packet engine's: the [`Csr`]'s rows, borrowed (so the
+//! graph outlives the simulator, `'g`), link `li` leaving the node whose
+//! row holds it. The only link structure of the engine's own is a flat
+//! in-link index (offsets plus link ids, ascending per node, from one
+//! counting pass) for VC allocation and ejection: 4 bytes per link and
+//! 4 per node (DESIGN.md §10).
+//!
 //! VC buffers are fixed-depth rings over **one flat flit arena**
 //! (`links × vcs × buffer_flits` slots) instead of a `VecDeque` per VC,
 //! so a run allocates its buffer space once. Next-hop queries go through
@@ -57,6 +64,7 @@
 //! injection cycle, steps every link every cycle and must reach the
 //! same [`WormholeOutcome`].
 
+use crate::engine::{link_toward, row, uniform_destination};
 use crate::fault::{FaultPlan, LocalFault, ShardFaults};
 use crate::rng::{node_stream, InjectionSchedule, NodeRng, SCHEDULE_CHUNK};
 use crate::router::Router;
@@ -65,8 +73,8 @@ use crate::worklist::Worklist;
 use ipg_core::fault::FaultView;
 use ipg_core::graph::Csr;
 use ipg_obs::{Counter, Histogram, Obs, ShardTracer, Trace, TraceConfig, ENGINE_TRACK};
-use rand::Rng;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Virtual-channel selection policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -254,53 +262,62 @@ impl VcBufs {
 
 /// Static network description for wormhole runs, generic over the
 /// next-hop [`Router`].
-pub struct WormholeSim<R: Router = RoutingTable> {
+///
+/// Links are the [`Csr`]'s arcs in row order, read straight out of the
+/// graph the simulator was built from, so that graph must outlive it
+/// (`'g`).
+pub struct WormholeSim<'g, R: Router = RoutingTable> {
     n: usize,
     router: R,
-    link_from: Vec<u32>,
-    link_to: Vec<u32>,
-    /// incoming link ids per node.
-    in_links: Vec<Vec<u32>>,
-    /// outgoing link range per node (CSR order).
-    link_of: Vec<u32>,
+    /// Per-node out-link offsets and each link's next node: the CSR's
+    /// own rows, so link `li` runs from the node whose row holds it to
+    /// `to[li]`.
+    link_of: &'g [u32],
+    to: &'g [u32],
+    /// In-link index: node `v`'s incoming link ids, ascending, are
+    /// `in_links[in_of[v]..in_of[v + 1]]`.
+    in_of: Vec<u32>,
+    in_links: Vec<u32>,
     /// compiled fault campaign applied by every run (None = fault-free).
     plan: Option<FaultPlan>,
 }
 
-impl WormholeSim<RoutingTable> {
+impl<'g> WormholeSim<'g, RoutingTable> {
     /// Build for a graph. To observe the routing-table build, pass
     /// `RoutingTable::new_instrumented(g, obs)` to
     /// [`WormholeSim::with_router`] instead.
-    pub fn new(g: &Csr) -> Self {
+    pub fn new(g: &'g Csr) -> Self {
         Self::with_router(RoutingTable::new(g), g)
     }
 }
 
-impl<R: Router> WormholeSim<R> {
+impl<'g, R: Router> WormholeSim<'g, R> {
     /// Build around an arbitrary [`Router`] answering queries over `g`'s
-    /// node-id space.
-    pub fn with_router(router: R, g: &Csr) -> Self {
+    /// node-id space. The out-links borrow `g`'s rows; only the in-link
+    /// index is built, by one counting pass over the link targets.
+    pub fn with_router(router: R, g: &'g Csr) -> Self {
         let n = g.node_count();
-        let mut link_from = Vec::with_capacity(g.arc_count());
-        let mut link_to = Vec::with_capacity(g.arc_count());
-        let mut link_of = Vec::with_capacity(n + 1);
-        let mut in_links: Vec<Vec<u32>> = vec![Vec::new(); n];
-        link_of.push(0);
-        for u in 0..n as u32 {
-            for &v in g.neighbors(u) {
-                in_links[v as usize].push(link_from.len() as u32);
-                link_from.push(u);
-                link_to.push(v);
-            }
-            link_of.push(link_from.len() as u32);
+        let (link_of, to) = g.rows(0..n as u32);
+        let mut in_of = vec![0u32; n + 1];
+        for &v in to {
+            in_of[v as usize + 1] += 1;
+        }
+        for v in 0..n {
+            in_of[v + 1] += in_of[v];
+        }
+        let mut fill = in_of.clone();
+        let mut in_links = vec![0u32; to.len()];
+        for (li, &v) in to.iter().enumerate() {
+            in_links[fill[v as usize] as usize] = li as u32;
+            fill[v as usize] += 1;
         }
         WormholeSim {
             n,
             router,
-            link_from,
-            link_to,
-            in_links,
             link_of,
+            to,
+            in_of,
+            in_links,
             plan: None,
         }
     }
@@ -325,20 +342,18 @@ impl<R: Router> WormholeSim<R> {
     }
 
     fn link_toward(&self, u: u32, v: u32) -> u32 {
-        let lo = self.link_of[u as usize];
-        let hi = self.link_of[u as usize + 1];
-        (lo..hi)
-            .find(|&i| self.link_to[i as usize] == v)
-            // ipg-analyze: allow(PANIC001) reason="routers only emit neighbors; reaching here is a router bug"
-            .expect("next hop must be a neighbor")
+        link_toward(self.link_of, self.to, 0, u, v) as u32
     }
 
-    fn next_hop(&self, u: u32, d: u32) -> u32 {
-        match self.router.next_hop(u, d) {
-            Some(h) => h,
-            // ipg-analyze: allow(PANIC001) reason="simulated graphs are connected; an unroutable destination is a construction bug"
-            None => panic!("no route from {u} to {d}"),
-        }
+    /// Node `u`'s out-link ids (its CSR row).
+    fn out_links(&self, u: u32) -> Range<u32> {
+        let r = row(self.link_of, u as usize);
+        r.start as u32..r.end as u32
+    }
+
+    /// Node `v`'s in-link ids, ascending.
+    fn in_links(&self, v: u32) -> &[u32] {
+        &self.in_links[self.in_of[v as usize] as usize..self.in_of[v as usize + 1] as usize]
     }
 
     /// Run the simulation.
@@ -370,7 +385,8 @@ impl<R: Router> WormholeSim<R> {
         // Link-busy accounting feeds the end-of-run utilization
         // histograms (obs) and sampled link-utilization events (trace).
         let track_links = track || trace.is_some();
-        let vc_count = self.link_from.len() * cfg.vcs;
+        let links = self.to.len();
+        let vc_count = links * cfg.vcs;
         let mut run = Run {
             sim: self,
             cfg,
@@ -380,26 +396,19 @@ impl<R: Router> WormholeSim<R> {
             packets: Vec::new(),
             source: vec![VecDeque::new(); self.n],
             bufs: VcBufs::new(vc_count, cfg.buffer_flits),
-            rr: vec![0; self.link_from.len()],
+            rr: vec![0; links],
             injected: 0,
             delivered: 0,
             latency_sum: 0,
             c_injected: obs.counter("wormhole.injected"),
             c_delivered: obs.counter("wormhole.delivered"),
             h_latency: obs.histogram("wormhole.latency_cycles"),
-            link_busy: vec![0u64; if track_links { self.link_from.len() } else { 0 }],
+            link_busy: vec![0u64; if track_links { links } else { 0 }],
             vc_buffer_hw: vec![0u32; if track { vc_count } else { 0 }],
-            stalls: vec![
-                0u64;
-                if trace.is_some() {
-                    self.link_from.len()
-                } else {
-                    0
-                }
-            ],
+            stalls: vec![0u64; if trace.is_some() { links } else { 0 }],
             tracer: trace.map(|tc| {
                 let mut t = ShardTracer::new(0, tc);
-                t.init_links(self.link_from.len());
+                t.init_links(links);
                 t
             }),
             faulted: self.plan.is_some(),
@@ -410,19 +419,13 @@ impl<R: Router> WormholeSim<R> {
                 .as_ref()
                 .map(|p| p.shard_events(0, self.n as u32, |u, v| self.link_toward(u, v)))
                 .unwrap_or_default(),
-            link_dead: vec![
-                false;
-                if self.plan.is_some() {
-                    self.link_from.len()
-                } else {
-                    0
-                }
-            ],
+            link_dead: vec![false; if self.plan.is_some() { links } else { 0 }],
             dropped: 0,
             c_dropped: obs.counter("wormhole.dropped_unreachable"),
             sched: InjectionSchedule::default(),
             active: Worklist::new(self.n),
             scratch: Vec::new(),
+            doomed: Vec::new(),
             demand: vec![0; self.n],
             in_flits: vec![0; self.n],
             in_nodes: 0,
@@ -430,8 +433,7 @@ impl<R: Router> WormholeSim<R> {
         };
         let outcome = run.execute(obs, window);
         if track {
-            obs.counter("wormhole.links")
-                .add(self.link_from.len() as u64);
+            obs.counter("wormhole.links").add(links as u64);
             if outcome.is_deadlocked() {
                 obs.counter("wormhole.deadlocked").incr();
             }
@@ -467,7 +469,7 @@ impl<R: Router> WormholeSim<R> {
 }
 
 struct Run<'a, R: Router> {
-    sim: &'a WormholeSim<R>,
+    sim: &'a WormholeSim<'a, R>,
     cfg: &'a WormholeConfig,
     rngs: Vec<NodeRng>,
     packets: Vec<PacketInfo>,
@@ -510,6 +512,9 @@ struct Run<'a, R: Router> {
     active: Worklist,
     /// snapshot buffer for the ejection pass over `active`.
     scratch: Vec<u32>,
+    /// packets to destroy, gathered for [`Run::purge`] (empty between
+    /// calls).
+    doomed: Vec<u32>,
     /// per-node: pending source-queue entries + buffered input flits.
     demand: Vec<u32>,
     /// per-node: flits buffered on the node's input VCs.
@@ -559,7 +564,7 @@ impl<R: Router> Run<'_, R> {
     fn buf_push(&mut self, sidx: usize, flit: Flit) {
         self.bufs.push_back(sidx, flit);
         self.buffered_total += 1;
-        let v = self.sim.link_to[sidx / self.cfg.vcs] as usize;
+        let v = self.sim.to[sidx / self.cfg.vcs] as usize;
         if self.in_flits[v] == 0 {
             self.in_nodes += 1;
         }
@@ -573,7 +578,7 @@ impl<R: Router> Run<'_, R> {
     fn buf_pop(&mut self, sidx: usize) -> Flit {
         let f = self.bufs.pop_front(sidx);
         self.buffered_total -= 1;
-        let v = self.sim.link_to[sidx / self.cfg.vcs] as usize;
+        let v = self.sim.to[sidx / self.cfg.vcs] as usize;
         self.in_flits[v] -= 1;
         if self.in_flits[v] == 0 {
             self.in_nodes -= 1;
@@ -616,13 +621,7 @@ impl<R: Router> Run<'_, R> {
                 &mut self.rngs,
                 |src| faulted && view.node_dead(src),
                 |src, rng| match &cfg.traffic {
-                    WormTraffic::Uniform => {
-                        let mut d = rng.gen_range(0..n - 1);
-                        if d >= src {
-                            d += 1;
-                        }
-                        Some(d)
-                    }
+                    WormTraffic::Uniform => Some(uniform_destination(n, src, rng)),
                     // fixed patterns consume no destination draw; a
                     // self-mapped source injects nothing
                     WormTraffic::Fixed(map) => {
@@ -642,13 +641,17 @@ impl<R: Router> Run<'_, R> {
     }
 
     /// Next hop for `u → d`, consulting the fault view when a plan is
-    /// active. `None` means no usable route exists on the faulted graph.
+    /// active. `None` means no usable route exists on the faulted graph;
+    /// without a plan every destination must be routable.
     #[inline]
     fn route(&self, u: u32, d: u32) -> Option<u32> {
         if self.faulted {
-            self.sim.router.next_hop_faulted(u, d, &self.view)
-        } else {
-            Some(self.sim.next_hop(u, d))
+            return self.sim.router.next_hop_faulted(u, d, &self.view);
+        }
+        match self.sim.router.next_hop(u, d) {
+            Some(h) => Some(h),
+            // ipg-analyze: allow(PANIC001) reason="simulated graphs are connected; an unroutable destination is a construction bug"
+            None => panic!("no route from {u} to {d}"),
         }
     }
 
@@ -658,21 +661,17 @@ impl<R: Router> Run<'_, R> {
         self.c_dropped.incr();
     }
 
-    /// Destroy `doomed` packets outright: remove every buffered flit of
-    /// theirs network-wide, release any VC ownership they hold, cancel
-    /// their pending source flits, and count each packet dropped once.
-    fn purge(&mut self, mut doomed: Vec<u32>) {
-        doomed.sort_unstable();
-        doomed.dedup();
-        self.purge_sorted(&doomed);
-    }
-
-    /// [`purge`](Self::purge) over an already sorted, deduplicated slice —
-    /// the cycle-loop caller passes a single packet without allocating.
-    fn purge_sorted(&mut self, doomed: &[u32]) {
-        if doomed.is_empty() {
+    /// Destroy the packets listed in `self.doomed` outright: remove
+    /// every buffered flit of theirs network-wide, release any VC
+    /// ownership they hold, cancel their pending source flits, count
+    /// each packet dropped once, and empty the list.
+    fn purge(&mut self) {
+        if self.doomed.is_empty() {
             return;
         }
+        let mut doomed = std::mem::take(&mut self.doomed);
+        doomed.sort_unstable();
+        doomed.dedup();
         for sidx in 0..self.bufs.len.len() {
             if self.bufs.owner[sidx] != NO_OWNER
                 && doomed.binary_search(&self.bufs.owner[sidx]).is_ok()
@@ -696,6 +695,8 @@ impl<R: Router> Run<'_, R> {
         }
         self.dropped += doomed.len() as u64;
         self.c_dropped.add(doomed.len() as u64);
+        doomed.clear();
+        self.doomed = doomed;
     }
 
     /// Kill physical link `li`: stop servicing it and destroy the packets
@@ -707,19 +708,19 @@ impl<R: Router> Run<'_, R> {
             return;
         }
         self.link_dead[li as usize] = true;
-        let mut doomed = Vec::new();
         for vc in 0..self.cfg.vcs {
             let sidx = self.sidx(li, vc);
             if self.bufs.owner[sidx] != NO_OWNER {
-                doomed.push(self.bufs.owner[sidx]);
+                self.doomed.push(self.bufs.owner[sidx]);
             }
             let head = self.bufs.head[sidx] as usize;
             let depth = self.bufs.depth;
             for i in 0..self.bufs.len(sidx) {
-                doomed.push(self.bufs.flits[sidx * depth + (head + i) % depth].pkt);
+                self.doomed
+                    .push(self.bufs.flits[sidx * depth + (head + i) % depth].pkt);
             }
         }
-        self.purge(doomed);
+        self.purge();
     }
 
     /// Apply one projected kill. A node kill takes out every attached
@@ -728,19 +729,15 @@ impl<R: Router> Run<'_, R> {
         match f {
             LocalFault::Link(li) => self.kill_link(li),
             LocalFault::Node(v) => {
-                let (lo, hi) = (
-                    self.sim.link_of[v as usize],
-                    self.sim.link_of[v as usize + 1],
-                );
-                for li in lo..hi {
+                for li in self.sim.out_links(v) {
                     self.kill_link(li);
                 }
-                for i in 0..self.sim.in_links[v as usize].len() {
-                    let li = self.sim.in_links[v as usize][i];
+                for &li in self.sim.in_links(v) {
                     self.kill_link(li);
                 }
-                let pending: Vec<u32> = self.source[v as usize].iter().map(|&(p, _)| p).collect();
-                self.purge(pending);
+                let pending = self.source[v as usize].iter().map(|&(p, _)| p);
+                self.doomed.extend(pending);
+                self.purge();
             }
         }
     }
@@ -772,12 +769,12 @@ impl<R: Router> Run<'_, R> {
         })
     }
 
-    /// One step of output link `link`: move at most one flit onto it.
-    fn step_link(&mut self, link: u32) -> bool {
+    /// One step of output link `link` of node `u`: move at most one
+    /// flit onto it.
+    fn step_link(&mut self, link: u32, u: u32) -> bool {
         if !self.link_dead.is_empty() && self.link_dead[link as usize] {
             return false; // dead links refuse every launch
         }
-        let u = self.sim.link_from[link as usize];
         if self.demand[u as usize] == 0 {
             // Nothing at u to send, so no probe could move a flit. A
             // probe failure only counts as a credit stall with demand
@@ -814,8 +811,7 @@ impl<R: Router> Run<'_, R> {
             return self.deliver_onto(link, out_vc, flit);
         }
         // front of an input buffer at u
-        for ili in 0..self.sim.in_links[u as usize].len() {
-            let in_link = self.sim.in_links[u as usize][ili];
+        for &in_link in self.sim.in_links(u) {
             for vc in 0..self.cfg.vcs {
                 let iidx = self.sidx(in_link, vc);
                 if let Some(flit) = self.bufs.front(iidx) {
@@ -855,8 +851,7 @@ impl<R: Router> Run<'_, R> {
             }
         }
         // head flits waiting at input buffers of u
-        for ili in 0..self.sim.in_links[u as usize].len() {
-            let in_link = self.sim.in_links[u as usize][ili];
+        for &in_link in self.sim.in_links(u) {
             for vc in 0..self.cfg.vcs {
                 let iidx = self.sidx(in_link, vc);
                 let Some(flit) = self.bufs.front(iidx) else {
@@ -873,7 +868,8 @@ impl<R: Router> Run<'_, R> {
                 let Some(hop) = self.route(u, dst) else {
                     // mid-flight packet with no usable route left: destroy
                     // it rather than let its flits wedge the channel
-                    self.purge_sorted(&[pkt]);
+                    self.doomed.push(pkt);
+                    self.purge();
                     continue;
                 };
                 if self.sim.link_toward(u, hop) != link || self.want_vc(hops) != out_vc {
@@ -924,8 +920,7 @@ impl<R: Router> Run<'_, R> {
             if self.in_flits[v as usize] == 0 {
                 continue; // source demand only: nothing buffered to eject
             }
-            for i in 0..self.sim.in_links[v as usize].len() {
-                let link = self.sim.in_links[v as usize][i];
+            for &link in self.sim.in_links(v) {
                 moved |= self.eject_link(link, cycle);
             }
         }
@@ -935,7 +930,7 @@ impl<R: Router> Run<'_, R> {
 
     /// Drain destination-reached flits from the front of `link`'s VCs.
     fn eject_link(&mut self, link: u32, cycle: u32) -> bool {
-        let to = self.sim.link_to[link as usize];
+        let to = self.sim.to[link as usize];
         let mut moved = false;
         for vc in 0..self.cfg.vcs {
             let sidx = self.sidx(link, vc);
@@ -979,10 +974,8 @@ impl<R: Router> Run<'_, R> {
             let mut cursor = 0u32;
             while let Some(u) = self.active.next_active(cursor) {
                 cursor = u + 1;
-                let lo = self.sim.link_of[u as usize];
-                let hi = self.sim.link_of[u as usize + 1];
-                for link in lo..hi {
-                    moved |= self.step_link(link);
+                for link in self.sim.out_links(u) {
+                    moved |= self.step_link(link, u);
                 }
             }
             moved |= self.eject(cycle);
@@ -1072,6 +1065,49 @@ mod tests {
             "{}",
             s.avg_latency
         );
+    }
+
+    #[test]
+    fn out_links_borrow_the_csr_rows_and_in_links_index_them_ascending() {
+        use ipg_core::superip::{NucleusSpec, SuperIpSpec};
+        let undirected = hier::hcn(2, false);
+        let directed = SuperIpSpec::directed_ring_cn(3, NucleusSpec::hypercube(2))
+            .to_ip_spec()
+            .generate()
+            .unwrap()
+            .to_directed_csr();
+        assert!(undirected.is_symmetric() && !directed.is_symmetric());
+        let inside = |inner: &[u32], outer: &[u32]| {
+            let (i, o) = (inner.as_ptr_range(), outer.as_ptr_range());
+            o.start <= i.start && i.end <= o.end
+        };
+        for g in [&undirected, &directed] {
+            let sim = WormholeSim::new(g);
+            let n = g.node_count() as u32;
+            let (offsets, targets) = g.rows(0..n);
+            assert!(
+                inside(sim.link_of, offsets),
+                "`link_of` is not a view of the CSR offsets"
+            );
+            assert!(
+                inside(sim.to, targets),
+                "`to` is not a view of the CSR targets"
+            );
+            for u in 0..n {
+                let out = sim.out_links(u);
+                assert_eq!(
+                    &sim.to[out.start as usize..out.end as usize],
+                    g.neighbors(u)
+                );
+            }
+            // Brute force: every link into v, scanning all links in id order.
+            for v in 0..n {
+                let want: Vec<u32> = (0..targets.len() as u32)
+                    .filter(|&li| targets[li as usize] == v)
+                    .collect();
+                assert_eq!(sim.in_links(v), &want[..], "in-links of node {v}");
+            }
+        }
     }
 
     #[test]
