@@ -42,7 +42,9 @@ pub static COMMANDS: &[Command] = &[
             flag("--obs-interval <cycles>", Kind::Count(0, U32), Some("0"),
                 "also snapshot metrics every N cycles"),
             flag("--wormhole", Kind::Switch, None, "flit-level wormhole switching instead"),
-            flag("--vcs <n>", Kind::Count(1, USIZE), Some("2"), "wormhole VC count"),
+            flag("--vcs <n>", Kind::Count(1, USIZE), Some("2"),
+                "wormhole VC count; the flit buffers\n(links × VCs × 2 flits) are capped at\n\
+                 2^28 slots"),
             flag("--flits <n>", Kind::Count(1, U32), Some("4"), "wormhole packet length"),
             flag("--policy single|hop", Kind::Choice(&["single", "hop"]), Some("hop"),
                 "wormhole VC allocation policy"),
@@ -91,6 +93,11 @@ pub static COMMANDS: &[Command] = &[
 
 const NETWORK: Pos = Pos("network", Kind::Network, Arity::One);
 const TRACE: Pos = Pos("trace", Kind::Text, Arity::One);
+
+/// The most flit buffer slots a `simulate --wormhole` run may allocate:
+/// 2^28 slots, 2 GiB of flits. The wormhole engine's flit arena holds
+/// `links × vcs × buffer_flits` slots.
+const MAX_FLIT_SLOTS: usize = 1 << 28;
 
 /// The most nodes any all-pairs distance pass runs on: `info` skips its
 /// distance lines above it and `compare` refuses the spec.
@@ -323,6 +330,35 @@ fn cmd_simulate(p: &Parsed) -> Result<(), String> {
     }
     let net = spec.build()?;
     let rate: f64 = p.get("rate")?;
+    // The flit arena is sized from the built graph, before any file is
+    // opened or any engine state allocated.
+    let wcfg = if wormhole {
+        let vcs: usize = p.get("--vcs")?;
+        let wcfg = WormholeConfig {
+            vcs,
+            packet_flits: p.get("--flits")?,
+            injection_rate: rate,
+            policy: match p.text("--policy")? {
+                "single" => VcPolicy::Single,
+                _ => VcPolicy::HopIndexed,
+            },
+            ..WormholeConfig::default()
+        };
+        let links = net.graph.arc_count();
+        let slots = links
+            .checked_mul(vcs)
+            .and_then(|s| s.checked_mul(wcfg.buffer_flits));
+        if slots.is_none_or(|s| s > MAX_FLIT_SLOTS) {
+            return Err(format!(
+                "bad --vcs `{vcs}`: {links} links × {vcs} VCs × {} flits passes the \
+                 cap of {MAX_FLIT_SLOTS} flit buffer slots",
+                wcfg.buffer_flits
+            ));
+        }
+        Some(wcfg)
+    } else {
+        None
+    };
     let cfg = SimConfig {
         injection_rate: rate,
         warmup_cycles: 500,
@@ -381,23 +417,15 @@ fn cmd_simulate(p: &Parsed) -> Result<(), String> {
     println!("network:    {}", net.name);
     println!("router:     {router_kind}");
     println!("rate:       {rate}");
-    if wormhole {
-        let (vcs, flits): (usize, u32) = (p.get("--vcs")?, p.get("--flits")?);
-        let wcfg = WormholeConfig {
-            vcs,
-            packet_flits: flits,
-            injection_rate: rate,
-            policy: match p.text("--policy")? {
-                "single" => VcPolicy::Single,
-                _ => VcPolicy::HopIndexed,
-            },
-            ..WormholeConfig::default()
-        };
+    if let Some(wcfg) = wcfg {
         let mut sim = WormholeSim::with_router(router, &net.graph);
         sim.set_fault_plan(fault_plan);
         let (out, trace) = sim.run_traced(&wcfg, &obs, obs_interval, trace_cfg.as_ref());
         obs.finish();
-        println!("mode:       wormhole ({vcs} VCs, {flits}-flit packets)");
+        println!(
+            "mode:       wormhole ({} VCs, {}-flit packets)",
+            wcfg.vcs, wcfg.packet_flits
+        );
         match out {
             WormholeOutcome::Completed(s) => {
                 println!("injected:   {}", s.injected);

@@ -183,6 +183,35 @@ fn simulate_rejects_bad_input_with_a_contextual_error() {
             &[],
             "--vcs",
         ),
+        // The flit arena (links × VCs × 2 flits) is sized before any
+        // allocation: 16 links × 10^9 VCs would be 256 GB of flits, and
+        // usize::MAX VCs overflow the product.
+        (
+            &[
+                "simulate",
+                "ring:8",
+                "0.01",
+                "--wormhole",
+                "--vcs",
+                "1000000000",
+                "--obs",
+                "run.jsonl",
+            ],
+            &[],
+            "bad --vcs `1000000000`",
+        ),
+        (
+            &[
+                "simulate",
+                "ring:8",
+                "0.01",
+                "--wormhole",
+                "--vcs",
+                "18446744073709551615",
+            ],
+            &[],
+            "--vcs",
+        ),
         (
             &["simulate", NET, "0.02", "--wormhole", "--flits", "0"],
             &[],

@@ -52,6 +52,12 @@ IPG_THREADS=1 cargo test -q
 stage "property tests, 256 cases"
 PROPTEST_CASES=256 cargo test -q --release --test proptests
 
+stage "wire codec properties, 256 cases"
+# The dist wire codec's properties (roundtrips, bulk slices against the
+# element loop, corrupted frames) are unit tests inside
+# `ipg-sim::dist::frame`, which the stage above does not run.
+PROPTEST_CASES=256 cargo test -q --release -p ipg-sim --lib dist::frame
+
 stage "benches compile"
 cargo bench --workspace --no-run
 
